@@ -89,8 +89,8 @@ let create ?(seed = 1) ?obs ?shard_obs ?config ?flow_mod_delay ?packet_out_rate
   let monitor =
     match monitor with Some b -> b | None -> monitor_from_env ()
   in
-  (* One live checker per audit stream. The monitor taps the audit's
-     tracer (the shared hub trace when tracing, the private ledger
+  (* One live checker per audit stream. The monitor subscribes through
+     the audit (the shared hub trace when tracing, the audit's own tap
      otherwise) and never schedules or records, so virtual-time results
      are unchanged. *)
   let make_monitors audits_distinct =
@@ -99,7 +99,7 @@ let create ?(seed = 1) ?obs ?shard_obs ?config ?flow_mod_delay ?packet_out_rate
       Array.mapi
         (fun k audit ->
           let m = Opennf_obs.Monitor.create ~shard:k () in
-          Opennf_obs.Monitor.attach m (Audit.trace audit);
+          Audit.subscribe audit (Opennf_obs.Monitor.feed m);
           m)
         audits_distinct
   in
@@ -273,15 +273,17 @@ let merged_audit t =
 
 let monitored t = Array.length t.monitors > 0
 
-(* The audit streams, shard-tagged, deduplicated: a serial fabric's
-   [audits] array aliases the one ledger in every slot. *)
-let audit_traces t =
-  match t.par with
-  | None -> [ (0, Audit.trace t.audit) ]
-  | Some _ -> List.mapi (fun k a -> (k, Audit.trace a)) (Array.to_list t.audits)
-
+(* The verdict replays the audit columns, shard-tagged and deduplicated
+   (a serial fabric's [audits] array aliases the one ledger in every
+   slot), through a fresh monitor: a streaming k-way merge, nothing
+   materialized. *)
 let verdict ?history t =
-  Opennf_obs.Monitor.merged_verdict ?history (audit_traces t)
+  let streams =
+    match t.par with
+    | None -> [ (0, Audit.events t.audit) ]
+    | Some _ -> List.mapi (fun k a -> (k, Audit.events a)) (Array.to_list t.audits)
+  in
+  Opennf_obs.Monitor.replay ?history streams
 
 let live_findings t =
   Array.to_list t.monitors

@@ -121,11 +121,16 @@ val monitored : t -> bool
 
 val verdict :
   ?history:int -> t -> Opennf_obs.Monitor.finding list
-(** End-of-run guarantee check: replays the (shard-tagged) audit
-    streams through {!Opennf_obs.Monitor.merged_verdict}, so the result
-    is deterministic regardless of shard count or parallelism — and
-    available on {e any} fabric, monitored or not (the audit ledger is
-    always on). Call after {!run} returns. *)
+(** End-of-run guarantee check: streams each shard's audit columns
+    ({!Audit.events}, with the hub's op spans interleaved when the run
+    was traced, so findings keep their op/phase context) through
+    {!Opennf_obs.Monitor.replay}, a k-way merge in (time, shard, row)
+    order. The result is deterministic regardless of shard count or
+    parallelism, equal to {!Opennf_obs.Monitor.merged_verdict} over the
+    hub traces of a traced run, and available on {e any} fabric,
+    monitored or not (the audit ledger is always on). Nothing is
+    materialized: no trace, no sorted event list. Call after {!run}
+    returns. *)
 
 val live_findings : t -> Opennf_obs.Monitor.finding list
 (** Online findings (order/duplicate violations) streamed by the live

@@ -3,235 +3,388 @@ module Trace = Opennf_obs.Trace
 
 type record = { pkt : int; key : Flow.key; nf : string; time : float }
 
-(* The ledger is a view over the span tracer: every audit record is a
-   trace instant under cat ["audit"], so when the simulation runs with
-   tracing enabled the packet ledger and the op/sched/southbound spans
-   land interleaved in one deterministic buffer (and one Chrome export).
-   When the hub is not tracing, the audit keeps a private always-on
-   tracer so its queries — the ground truth for the safety tests — keep
-   working unchanged. Index hashtables (first-times, arrival dedup) are
-   maintained at log time exactly as before. *)
+(* Record kinds, one byte per row; [kind_names] are the trace instant
+   names (and the [on_record] names) of each kind. *)
+let k_arrival = 0
+let k_forward = 1
+let k_nf_arrival = 2
+let k_process = 3
+let k_drop = 4
+let k_event = 5
+let k_buffer = 6
+
+let kind_names =
+  [| "arrival"; "forward"; "nf_arrival"; "process"; "drop"; "event"; "buffer" |]
+
+(* The ledger is a set of flat, append-only columns — one row per audit
+   record, nothing boxed per row — so logging a packet event is a few
+   array stores and the ledger stays out of the minor heap and off the
+   major GC's mark work. The columns are the only storage: when the
+   engine's hub is tracing, each row is also mirrored as a [cat:"audit"]
+   trace instant (so the Chrome export and canonical traces still show
+   packets interleaved with op spans), but queries never read the
+   mirror. *)
 type t = {
   engine : Engine.t;
-  trace : Trace.t;
+  hub : Trace.t;  (** The hub trace when tracing, else {!Trace.disabled}. *)
+  mutable len : int;
+  mutable kinds : Bytes.t;
+  mutable pkts : int array;
+  mutable nfs : int array;  (** Interned instance names, see [names]. *)
+  mutable srcs : int array;
+  mutable dsts : int array;
+  mutable ports : int array;  (** proto, sport, dport packed by [pack]. *)
+  mutable vts : Float.Array.t;
+  mutable hub_pos : int array;
+      (** Each row's mirror position in [hub]; empty when not tracing. *)
+  names : (string, int) Hashtbl.t;
+  mutable nf_names : string array;
+  mutable last_nf : string;  (** One-entry intern cache (physical). *)
+  mutable last_nf_id : int;
   arrived : (int, unit) Hashtbl.t;
+  mutable taps : (Trace.ev -> unit) list;
+  (* First-time indexes, read only by post-run queries: built from the
+     columns on demand, [indexed] rows so far. *)
   first_forward : (int, float) Hashtbl.t;
   first_arrival : (int, float) Hashtbl.t;
   first_process : (int, float) Hashtbl.t;
+  mutable indexed : int;
 }
+
+let make engine hub cap =
+  {
+    engine;
+    hub;
+    len = 0;
+    kinds = Bytes.create cap;
+    pkts = Array.make cap 0;
+    nfs = Array.make cap 0;
+    srcs = Array.make cap 0;
+    dsts = Array.make cap 0;
+    ports = Array.make cap 0;
+    vts = Float.Array.make cap 0.0;
+    hub_pos = (if Trace.enabled hub then Array.make cap 0 else [||]);
+    names = Hashtbl.create 16;
+    nf_names = Array.make 16 "";
+    last_nf = "";
+    last_nf_id = -1;
+    arrived = Hashtbl.create 1024;
+    taps = [];
+    first_forward = Hashtbl.create 16;
+    first_arrival = Hashtbl.create 16;
+    first_process = Hashtbl.create 16;
+    indexed = 0;
+  }
 
 let create engine =
   let obs = Engine.obs engine in
-  let trace =
+  let hub =
     if Opennf_obs.Hub.tracing obs then Opennf_obs.Hub.trace obs
-    else begin
-      let tr = Trace.create () in
-      Trace.set_clock tr (fun () -> Engine.now engine);
-      tr
-    end
+    else Trace.disabled
   in
-  {
-    engine;
-    trace;
-    arrived = Hashtbl.create 1024;
-    first_forward = Hashtbl.create 1024;
-    first_arrival = Hashtbl.create 1024;
-    first_process = Hashtbl.create 1024;
-  }
+  make engine hub 1024
 
-let trace t = t.trace
+(* --- columns ---------------------------------------------------------------- *)
+
+let grow_ints a cap =
+  let b = Array.make cap 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let grow t =
+  let cap = 2 * Stdlib.max 1 (Bytes.length t.kinds) in
+  t.kinds <- Bytes.extend t.kinds 0 (cap - Bytes.length t.kinds);
+  t.pkts <- grow_ints t.pkts cap;
+  t.nfs <- grow_ints t.nfs cap;
+  t.srcs <- grow_ints t.srcs cap;
+  t.dsts <- grow_ints t.dsts cap;
+  t.ports <- grow_ints t.ports cap;
+  if Trace.enabled t.hub then t.hub_pos <- grow_ints t.hub_pos cap;
+  let vts = Float.Array.make cap 0.0 in
+  Float.Array.blit t.vts 0 vts 0 t.len;
+  t.vts <- vts
+
+let intern t nf =
+  if nf == t.last_nf then t.last_nf_id
+  else begin
+    let id =
+      match Hashtbl.find t.names nf with
+      | id -> id
+      | exception Not_found ->
+        let id = Hashtbl.length t.names in
+        if id = Array.length t.nf_names then begin
+          let a = Array.make (2 * id) "" in
+          Array.blit t.nf_names 0 a 0 id;
+          t.nf_names <- a
+        end;
+        t.nf_names.(id) <- nf;
+        Hashtbl.add t.names nf id;
+        id
+    in
+    t.last_nf <- nf;
+    t.last_nf_id <- id;
+    id
+  end
 
 (* Standard IP protocol numbers, so traces read like packet captures. *)
 let proto_code = function Flow.Tcp -> 6 | Flow.Udp -> 17 | Flow.Icmp -> 1
 let proto_of_code = function 17 -> Flow.Udp | 1 -> Flow.Icmp | _ -> Flow.Tcp
 
-(* Attribute layout is positional: decode indexes straight in. *)
-let log t name (p : Packet.t) nf =
-  let k = p.Packet.key in
-  Trace.instant t.trace ~cat:"audit" ~name
-    ~attrs:
-      [|
-        ("pkt", Trace.Int p.Packet.id);
-        ("nf", Trace.Str nf);
-        ("src", Trace.Int (Ipaddr.to_int k.Flow.src_ip));
-        ("dst", Trace.Int (Ipaddr.to_int k.Flow.dst_ip));
-        ("proto", Trace.Int (proto_code k.Flow.proto));
-        ("sport", Trace.Int k.Flow.src_port);
-        ("dport", Trace.Int k.Flow.dst_port);
-      |]
-    ()
+(* Ports get 28 bits each (real ones need 16), the protocol code 5. *)
+let pack (k : Flow.key) =
+  (proto_code k.Flow.proto lsl 56) lor (k.Flow.src_port lsl 28) lor k.Flow.dst_port
 
-let decode (ev : Trace.ev) =
-  let a = ev.Trace.attrs in
-  let int i = match snd a.(i) with Trace.Int v -> v | _ -> 0 in
-  let str i = match snd a.(i) with Trace.Str s -> s | _ -> "" in
+let proto_at t i = t.ports.(i) lsr 56
+let sport_at t i = (t.ports.(i) lsr 28) land 0xFFFFFFF
+let dport_at t i = t.ports.(i) land 0xFFFFFFF
+let kind_at t i = Char.code (Bytes.unsafe_get t.kinds i)
+let nf_at t i = t.nf_names.(t.nfs.(i))
+let vt_at t i = Float.Array.get t.vts i
+
+let key_at t i =
+  Flow.make
+    ~src:(Ipaddr.of_int t.srcs.(i))
+    ~dst:(Ipaddr.of_int t.dsts.(i))
+    ~proto:(proto_of_code (proto_at t i))
+    ~sport:(sport_at t i) ~dport:(dport_at t i) ()
+
+(* A row as the trace instant it mirrors. The attribute layout is
+   positional (pkt, nf, src, dst, proto, sport, dport): the monitor
+   decodes by index. *)
+let attrs_at t i =
+  [|
+    ("pkt", Trace.Int t.pkts.(i));
+    ("nf", Trace.Str (nf_at t i));
+    ("src", Trace.Int t.srcs.(i));
+    ("dst", Trace.Int t.dsts.(i));
+    ("proto", Trace.Int (proto_at t i));
+    ("sport", Trace.Int (sport_at t i));
+    ("dport", Trace.Int (dport_at t i));
+  |]
+
+let event_at t i =
   {
-    pkt = int 0;
-    nf = str 1;
-    key =
-      Flow.make
-        ~src:(Ipaddr.of_int (int 2))
-        ~dst:(Ipaddr.of_int (int 3))
-        ~proto:(proto_of_code (int 4))
-        ~sport:(int 5) ~dport:(int 6) ();
-    time = ev.Trace.vt;
+    Trace.kind = Trace.Instant;
+    id = 0;
+    parent = 0;
+    cat = "audit";
+    name = kind_names.(kind_at t i);
+    vt = vt_at t i;
+    wall = 0.0;
+    attrs = attrs_at t i;
   }
 
-(* Live subscription: ride the tracer's sink instead of folding the
-   buffer after the fact. The tap fires synchronously per audit instant,
-   in emission order, decoding on the fly; non-audit events sharing the
-   hub trace are filtered out. Decoding allocates, so this is strictly
-   an opt-in path — an audit without subscribers records exactly as
-   before. *)
-let on_record t f =
-  Trace.on_event t.trace (fun ev ->
-      if ev.Trace.kind = Trace.Instant && ev.Trace.cat = "audit" then
-        f ev.Trace.name (decode ev))
-
-(* Chronological records of one audit event kind: the trace buffer is
-   already in emission order, so a single forward scan suffices. *)
-let records t wanted =
-  List.rev
-    (Trace.fold t.trace
-       (fun acc ev ->
-         if
-           ev.Trace.kind = Trace.Instant
-           && ev.Trace.cat = "audit"
-           && ev.Trace.name = wanted
-         then decode ev :: acc
-         else acc)
-       [])
-
-let remember tbl id time =
-  if not (Hashtbl.mem tbl id) then Hashtbl.add tbl id time
-
-(* Read-only union of several shard audits (parallel shard execution
-   keeps one audit per shard engine). Records merge in (virtual time,
-   shard index, buffer position) order — a pure function of the
-   per-shard buffers, so the merged ledger is as deterministic as its
-   parts. Per-key relative order matches a serial run's: one flow's
-   packets all live on one shard, so their relative order is that
-   shard's buffer order. The result is a snapshot for queries; nothing
-   should log to it. *)
-let merged engine sources =
-  let cursor = ref 0.0 in
-  let tr = Trace.create () in
-  Trace.set_clock tr (fun () -> !cursor);
-  let t =
-    {
-      engine;
-      trace = tr;
-      arrived = Hashtbl.create 1024;
-      first_forward = Hashtbl.create 1024;
-      first_arrival = Hashtbl.create 1024;
-      first_process = Hashtbl.create 1024;
-    }
-  in
-  let evs = ref [] in
-  List.iteri
-    (fun src a ->
-      let pos = ref 0 in
-      Trace.iter a.trace (fun ev ->
-          if ev.Trace.kind = Trace.Instant && ev.Trace.cat = "audit" then begin
-            evs := (ev.Trace.vt, src, !pos, ev) :: !evs;
-            incr pos
-          end))
-    sources;
-  let evs = List.sort compare (List.rev !evs) in
-  List.iter
-    (fun ((vt : float), _, _, (ev : Trace.ev)) ->
-      cursor := vt;
-      Trace.instant tr ~cat:"audit" ~name:ev.Trace.name ~attrs:ev.Trace.attrs ();
-      let r = decode ev in
-      match ev.Trace.name with
-      | "arrival" -> Hashtbl.replace t.arrived r.pkt ()
-      | "forward" -> remember t.first_forward r.pkt vt
-      | "nf_arrival" -> remember t.first_arrival r.pkt vt
-      | "process" -> remember t.first_process r.pkt vt
-      | _ -> ())
-    evs;
-  t
-
-let now t = Engine.now t.engine
+(* Logging appends one row. Nothing is allocated unless the hub is
+   tracing (the mirror instant) or a subscriber is attached (one
+   transient event). *)
+let log t kind (p : Packet.t) nf =
+  if t.len = Bytes.length t.kinds then grow t;
+  let i = t.len in
+  let k = p.Packet.key in
+  Bytes.unsafe_set t.kinds i (Char.unsafe_chr kind);
+  t.pkts.(i) <- p.Packet.id;
+  t.nfs.(i) <- intern t nf;
+  t.srcs.(i) <- Ipaddr.to_int k.Flow.src_ip;
+  t.dsts.(i) <- Ipaddr.to_int k.Flow.dst_ip;
+  t.ports.(i) <- pack k;
+  Float.Array.set t.vts i (Engine.now t.engine);
+  t.len <- i + 1;
+  if Trace.enabled t.hub then begin
+    t.hub_pos.(i) <- Trace.length t.hub;
+    Trace.instant t.hub ~cat:"audit" ~name:kind_names.(kind) ~attrs:(attrs_at t i) ()
+  end
+  else
+    match t.taps with
+    | [] -> ()
+    | taps ->
+      let ev = event_at t i in
+      List.iter (fun f -> f ev) taps
 
 let log_switch_arrival t p =
   if not (Hashtbl.mem t.arrived p.Packet.id) then begin
     Hashtbl.add t.arrived p.Packet.id ();
-    log t "arrival" p "sw"
+    log t k_arrival p "sw"
   end
 
-let log_forward t p ~dst =
-  log t "forward" p dst;
-  remember t.first_forward p.Packet.id (now t)
+let log_forward t p ~dst = log t k_forward p dst
+let log_nf_arrival t p ~nf = log t k_nf_arrival p nf
+let log_process t p ~nf = log t k_process p nf
+let log_drop t p ~nf = log t k_drop p nf
+let log_evented t p ~nf = log t k_event p nf
+let log_buffered t p ~nf = log t k_buffer p nf
 
-let log_nf_arrival t p ~nf =
-  log t "nf_arrival" p nf;
-  remember t.first_arrival p.Packet.id (now t)
+(* --- live streams ------------------------------------------------------------ *)
 
-let log_process t p ~nf =
-  log t "process" p nf;
-  remember t.first_process p.Packet.id (now t)
+(* With hub tracing the subscriber rides the hub trace, so op spans
+   reach it interleaved with the ledger's mirror instants; otherwise it
+   is an audit tap, fed one transient instant per row. *)
+let subscribe t f =
+  if Trace.enabled t.hub then Trace.on_event t.hub f else t.taps <- t.taps @ [ f ]
 
-let log_drop t p ~nf = log t "drop" p nf
-let log_evented t p ~nf = log t "event" p nf
-let log_buffered t p ~nf = log t "buffer" p nf
+let on_record t f =
+  subscribe t (fun ev ->
+      if ev.Trace.kind = Trace.Instant && ev.Trace.cat = "audit" then
+        let a = ev.Trace.attrs in
+        let int i = match snd a.(i) with Trace.Int v -> v | _ -> 0 in
+        let nf = match snd a.(1) with Trace.Str s -> s | _ -> "" in
+        f ev.Trace.name
+          {
+            pkt = int 0;
+            nf;
+            key =
+              Flow.make
+                ~src:(Ipaddr.of_int (int 2))
+                ~dst:(Ipaddr.of_int (int 3))
+                ~proto:(proto_of_code (int 4))
+                ~sport:(int 5) ~dport:(int 6) ();
+            time = ev.Trace.vt;
+          })
 
-let in_filter filter (r : record) =
-  match filter with None -> true | Some f -> Filter.matches_flow f r.key
+(* The replay stream: every row in order; with hub tracing, the hub's
+   other events (op spans, phase marks) interleaved at their emission
+   positions. Audit instants of the hub that are not this ledger's
+   mirrors (another ledger sharing the hub) are skipped. *)
+let events t =
+  if not (Trace.enabled t.hub) then Seq.init t.len (event_at t)
+  else begin
+    let len = t.len and hub_len = Trace.length t.hub in
+    let rec from row j () =
+      if j >= hub_len then Seq.Nil
+      else if row < len && t.hub_pos.(row) = j then
+        Seq.Cons (event_at t row, from (row + 1) (j + 1))
+      else
+        let ev = Trace.nth t.hub j in
+        if ev.Trace.kind = Trace.Instant && ev.Trace.cat = "audit" then
+          from row (j + 1) ()
+        else Seq.Cons (ev, from row (j + 1))
+    in
+    from 0 0
+  end
 
-let by_nf nf (r : record) = match nf with None -> true | Some n -> r.nf = n
+let snapshot t =
+  let cursor = ref 0.0 in
+  let tr = Trace.create () in
+  Trace.set_clock tr (fun () -> !cursor);
+  for i = 0 to t.len - 1 do
+    cursor := vt_at t i;
+    Trace.instant tr ~cat:"audit" ~name:kind_names.(kind_at t i) ~attrs:(attrs_at t i) ()
+  done;
+  tr
 
-let forwarded_order ?filter t =
+(* Read-only union of several shard audits (parallel shard execution
+   keeps one audit per shard engine): a k-way merge of the columns in
+   (virtual time, shard index, row) order — a pure function of the
+   per-shard ledgers, so the merged ledger is as deterministic as its
+   parts. Per-key relative order matches a serial run's: one flow's
+   packets all live on one shard, so their relative order is that
+   shard's row order. *)
+let merged engine sources =
+  let srcs = Array.of_list sources in
+  let total = Array.fold_left (fun n a -> n + a.len) 0 srcs in
+  let t = make engine Trace.disabled (Stdlib.max 1 total) in
+  let next = Array.make (Array.length srcs) 0 in
+  for i = 0 to total - 1 do
+    let best = ref (-1) in
+    Array.iteri
+      (fun s a ->
+        if next.(s) < a.len then
+          if !best < 0 || vt_at a next.(s) < vt_at srcs.(!best) next.(!best) then
+            best := s)
+      srcs;
+    let a = srcs.(!best) and j = next.(!best) in
+    next.(!best) <- j + 1;
+    Bytes.set t.kinds i (Bytes.get a.kinds j);
+    t.pkts.(i) <- a.pkts.(j);
+    t.nfs.(i) <- intern t (nf_at a j);
+    t.srcs.(i) <- a.srcs.(j);
+    t.dsts.(i) <- a.dsts.(j);
+    t.ports.(i) <- a.ports.(j);
+    Float.Array.set t.vts i (vt_at a j)
+  done;
+  t.len <- total;
+  t
+
+(* --- queries ------------------------------------------------------------------- *)
+
+let ensure_indexes t =
+  for i = t.indexed to t.len - 1 do
+    let tbl =
+      match kind_at t i with
+      | k when k = k_forward -> Some t.first_forward
+      | k when k = k_nf_arrival -> Some t.first_arrival
+      | k when k = k_process -> Some t.first_process
+      | _ -> None
+    in
+    match tbl with
+    | Some tbl when not (Hashtbl.mem tbl t.pkts.(i)) ->
+      Hashtbl.add tbl t.pkts.(i) (vt_at t i)
+    | _ -> ()
+  done;
+  t.indexed <- t.len
+
+(* Row predicates. A missing instance name matches no row. *)
+let in_filter filter t i =
+  match filter with None -> true | Some f -> Filter.matches_flow f (key_at t i)
+
+let by_nf nf t =
+  match nf with
+  | None -> fun _ -> true
+  | Some n -> (
+    match Hashtbl.find_opt t.names n with
+    | None -> fun _ -> false
+    | Some id -> fun i -> t.nfs.(i) = id)
+
+(* Packet ids of the rows of [kind] that satisfy [keep], in row order. *)
+let ids t kind keep =
+  let acc = ref [] in
+  for i = t.len - 1 downto 0 do
+    if kind_at t i = kind && keep i then acc := t.pkts.(i) :: !acc
+  done;
+  !acc
+
+let count t kind keep =
+  let n = ref 0 in
+  for i = 0 to t.len - 1 do
+    if kind_at t i = kind && keep i then incr n
+  done;
+  !n
+
+(* First occurrences only, in row order. *)
+let first_ids t kind keep =
   let seen = Hashtbl.create 64 in
-  List.filter_map
-    (fun r ->
-      if in_filter filter r && not (Hashtbl.mem seen r.pkt) then begin
-        Hashtbl.add seen r.pkt ();
-        Some r.pkt
-      end
-      else None)
-    (records t "forward")
+  List.filter
+    (fun id ->
+      if Hashtbl.mem seen id then false
+      else begin
+        Hashtbl.add seen id ();
+        true
+      end)
+    (ids t kind keep)
+
+let forwarded_order ?filter t = first_ids t k_forward (in_filter filter t)
 
 let processed_order ?filter ?nf t =
-  List.filter_map
-    (fun r -> if in_filter filter r && by_nf nf r then Some r.pkt else None)
-    (records t "process")
+  let by_nf = by_nf nf t in
+  ids t k_process (fun i -> by_nf i && in_filter filter t i)
 
-let drop_count ?nf t = List.length (List.filter (by_nf nf) (records t "drop"))
-
-let processed_count ?nf t =
-  List.length (List.filter (by_nf nf) (records t "process"))
+let drop_count ?nf t = count t k_drop (by_nf nf t)
+let processed_count ?nf t = count t k_process (by_nf nf t)
 
 let lost ?filter t ~nfs =
-  let processes = records t "process" in
+  let ids_of_nfs = List.filter_map (Hashtbl.find_opt t.names) nfs in
+  let in_nfs i = List.mem t.nfs.(i) ids_of_nfs in
   let processed = Hashtbl.create 1024 in
-  List.iter
-    (fun (r : record) ->
-      if List.mem r.nf nfs then Hashtbl.replace processed r.pkt ())
-    processes;
-  let seen = Hashtbl.create 64 in
-  List.filter_map
-    (fun (r : record) ->
-      if
-        in_filter filter r
-        && List.mem r.nf nfs
-        && (not (Hashtbl.mem seen r.pkt))
-        && not (Hashtbl.mem processed r.pkt)
-      then begin
-        Hashtbl.add seen r.pkt ();
-        Some r.pkt
-      end
-      else None)
-    (records t "forward")
+  List.iter (fun id -> Hashtbl.replace processed id ()) (ids t k_process in_nfs);
+  first_ids t k_forward (fun i -> in_filter filter t i && in_nfs i)
+  |> List.filter (fun id -> not (Hashtbl.mem processed id))
 
 let duplicated ?filter t =
   let counts = Hashtbl.create 1024 in
   List.iter
-    (fun (r : record) ->
-      if in_filter filter r then
-        Hashtbl.replace counts r.pkt
-          (1 + Option.value ~default:0 (Hashtbl.find_opt counts r.pkt)))
-    (records t "process");
+    (fun id ->
+      Hashtbl.replace counts id
+        (1 + Option.value ~default:0 (Hashtbl.find_opt counts id)))
+    (ids t k_process (in_filter filter t));
   Hashtbl.fold (fun id n acc -> if n > 1 then id :: acc else acc) counts []
 
 let violations_against t reference_order ?filter () =
@@ -255,30 +408,24 @@ let violations_against t reference_order ?filter () =
 let order_violations ?filter t =
   violations_against t (forwarded_order ?filter t) ?filter ()
 
-let arrival_order t filter =
-  List.filter_map
-    (fun r -> if in_filter filter r then Some r.pkt else None)
-    (records t "arrival")
-
 let arrival_order_violations ?filter t =
-  violations_against t (arrival_order t filter) ?filter ()
+  violations_against t (ids t k_arrival (in_filter filter t)) ?filter ()
 
 let added_latency t ~pkt =
+  ensure_indexes t;
   match
     (Hashtbl.find_opt t.first_arrival pkt, Hashtbl.find_opt t.first_process pkt)
   with
   | Some arrival, Some proc -> Some (proc -. arrival)
   | _ -> None
 
-let evented_ids ?nf t =
-  List.filter_map
-    (fun r -> if by_nf nf r then Some r.pkt else None)
-    (records t "event")
+let evented_ids ?nf t = ids t k_event (by_nf nf t)
+let buffered_ids ?nf t = ids t k_buffer (by_nf nf t)
 
-let buffered_ids ?nf t =
-  List.filter_map
-    (fun r -> if by_nf nf r then Some r.pkt else None)
-    (records t "buffer")
+let first_forward_time t ~pkt =
+  ensure_indexes t;
+  Hashtbl.find_opt t.first_forward pkt
 
-let first_forward_time t ~pkt = Hashtbl.find_opt t.first_forward pkt
-let process_time t ~pkt = Hashtbl.find_opt t.first_process pkt
+let process_time t ~pkt =
+  ensure_indexes t;
+  Hashtbl.find_opt t.first_process pkt

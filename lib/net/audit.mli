@@ -9,37 +9,56 @@
     - {b order preservation}: the cross-instance processing order equals
       the switch's (first-time) forwarding order.
 
-    Records are stored as trace instants (cat ["audit"]) through the
-    same {!Opennf_obs.Trace} sink the op/scheduler spans use: when the
-    engine's hub is tracing, audit events share its buffer (and appear
-    in the Chrome export); otherwise the ledger keeps a private
-    always-on tracer and this API behaves exactly as before. *)
+    The ledger is a set of flat, append-only columns (a kind byte, then
+    packet id, interned instance name, source, destination and packed
+    protocol/ports as unboxed ints, and the virtual time in a
+    [Float.Array]): logging a record allocates nothing, and every query
+    scans the columns. When the engine's hub is tracing, each record is
+    also mirrored into the hub trace as a [cat:"audit"] instant, so the
+    Chrome export and {!Opennf_obs.Export.canonical} show packets
+    interleaved with op spans; the mirror is an export, never read back
+    by queries. *)
 
 type t
 
 val create : Opennf_sim.Engine.t -> t
-(** Shares the engine hub's tracer when it is tracing. *)
+(** Mirrors records into the engine hub's tracer when it is tracing. *)
 
 val merged : Opennf_sim.Engine.t -> t list -> t
 (** Read-only union of several shard audits (the parallel fabric keeps
-    one audit per shard engine). Records merge in (virtual time, shard
-    index, buffer position) order — deterministic, and per-key order
-    identical to a serial run's, since one flow's packets all live on
-    one shard. A query snapshot: do not log to it. *)
-
-val trace : t -> Opennf_obs.Trace.t
-(** The tracer this ledger records through — the shared hub trace when
-    the engine's hub is tracing, the audit's private always-on tracer
-    otherwise. Streaming checkers ({!Opennf_obs.Monitor}) attach here. *)
+    one audit per shard engine): a k-way merge of their columns in
+    (virtual time, shard index, row) order — deterministic, and per-key
+    order identical to a serial run's, since one flow's packets all live
+    on one shard. A query snapshot: do not log to it. *)
 
 type record = { pkt : int; key : Flow.key; nf : string; time : float }
 
+val subscribe : t -> (Opennf_obs.Trace.ev -> unit) -> unit
+(** Subscribe to the live stream, in emission order. When the hub is
+    tracing this is the hub trace itself ({!Opennf_obs.Trace.on_event}):
+    op spans and phase marks arrive interleaved with the ledger's
+    [cat:"audit"] instants, which is what gives {!Opennf_obs.Monitor}
+    findings their op context. Otherwise each record is delivered as a
+    transient audit instant, built only because a subscriber exists.
+    Subscribers observe only: they must not log back into the ledger or
+    touch the simulation. *)
+
 val on_record : t -> (string -> record -> unit) -> unit
-(** Subscribe to the live ledger: [f name record] runs synchronously on
-    every audit event as it is logged (names: ["arrival"], ["forward"],
-    ["nf_arrival"], ["process"], ["drop"], ["event"], ["buffer"]), in
-    emission order. The callback must observe only — it must not log
-    back into the ledger or touch the simulation. *)
+(** {!subscribe} to the records alone: [f name record] runs on every
+    audit record as it is logged (names: ["arrival"], ["forward"],
+    ["nf_arrival"], ["process"], ["drop"], ["event"], ["buffer"]). *)
+
+val events : t -> Opennf_obs.Trace.ev Seq.t
+(** The ledger as a replay stream, one transient audit instant per
+    record in row order; when the hub traced the run, the hub's other
+    events (op spans, phase marks) are interleaved at their emission
+    positions, exactly as {!subscribe} saw them. This is what
+    {!Opennf_obs.Monitor.replay} consumes for a post-run verdict. *)
+
+val snapshot : t -> Opennf_obs.Trace.t
+(** A fresh trace holding one audit instant per record, for tests and
+    exports that want a {!Opennf_obs.Trace.t}. Copies the whole ledger
+    into boxed events: never call it on a run path. *)
 
 (** {1 Recording} *)
 

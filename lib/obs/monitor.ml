@@ -1,7 +1,7 @@
-(* Streaming checker for the §5.1 guarantees, fed by the trace sink.
+(* Streaming checker for the §5.1 guarantees, fed audit instants.
 
    The monitor decodes audit instants by their positional attribute
-   layout (pkt, nf, src, dst, proto, sport, dport — see Audit.log) so it
+   layout (pkt, nf, src, dst, proto, sport, dport — see Audit.attrs_at) so it
    can live below lib/net in the dependency order and still check any
    audit stream. Op spans (cat "op") interleaved in the same stream give
    findings their op/phase context. *)
@@ -310,8 +310,6 @@ let feed t (ev : Trace.ev) =
   | Trace.Begin -> if ev.Trace.cat = "op" then op_open t ev
   | Trace.End -> span_close t ev
 
-let attach t tr = Trace.on_event tr (feed t)
-
 (* --- verdict ---------------------------------------------------------------- *)
 
 let finding_key f =
@@ -361,28 +359,46 @@ let verdict t =
     (fun a b -> compare (finding_key a) (finding_key b))
     (List.rev_append t.streamed !pending)
 
-let merged_verdict ?history sources =
+(* A k-way merge of the shard-tagged streams in (virtual time, shard
+   tag, stream position) order: each step feeds the head with the least
+   (time, tag). Every stream comes from one engine, so its times never
+   decrease and the merge needs no sort and no buffer of its own. *)
+let replay ?history sources =
   let t = create ?history () in
-  let evs = ref [] in
-  List.iter
-    (fun (shard, tr) ->
-      let pos = ref 0 in
-      Trace.iter tr (fun ev ->
-          evs := (ev.Trace.vt, shard, !pos, ev) :: !evs;
-          incr pos))
-    sources;
-  let evs =
-    List.sort
-      (fun ((a : float), (b : int), (c : int), _) (d, e, f, _) ->
-        compare (a, b, c) (d, e, f))
-      !evs
+  let tags = Array.of_list (List.map fst sources) in
+  let heads = Array.of_list (List.map (fun (_, s) -> s ()) sources) in
+  let rec loop () =
+    let best = ref (-1) and best_vt = ref 0.0 in
+    Array.iteri
+      (fun i node ->
+        match node with
+        | Seq.Nil -> ()
+        | Seq.Cons ((ev : Trace.ev), _) ->
+          if
+            !best < 0 || ev.Trace.vt < !best_vt
+            || (ev.Trace.vt = !best_vt && tags.(i) < tags.(!best))
+          then begin
+            best := i;
+            best_vt := ev.Trace.vt
+          end)
+      heads;
+    if !best >= 0 then
+      match heads.(!best) with
+      | Seq.Nil -> ()
+      | Seq.Cons (ev, rest) ->
+        t.cur_shard <- tags.(!best);
+        feed t ev;
+        heads.(!best) <- rest ();
+        loop ()
   in
-  List.iter
-    (fun (_, shard, _, ev) ->
-      t.cur_shard <- shard;
-      feed t ev)
-    evs;
+  loop ();
   verdict t
+
+let merged_verdict ?history sources =
+  replay ?history
+    (List.map
+       (fun (shard, tr) -> (shard, Seq.init (Trace.length tr) (Trace.nth tr)))
+       sources)
 
 (* --- rendering --------------------------------------------------------------- *)
 

@@ -1,7 +1,8 @@
 (** Streaming runtime verification of the paper's §5.1 guarantees.
 
-    A monitor subscribes to the live trace stream ({!Trace.on_event} —
-    the audit ledger's instants plus the op spans interleaved with them)
+    A monitor subscribes to the live audit stream (the audit ledger's
+    records as [cat:"audit"] instants, plus the op spans interleaved
+    with them when the hub is tracing)
     and maintains per-flow automata for:
 
     - {b loss-freedom}: every packet the switch forwarded toward an NF
@@ -25,10 +26,10 @@
     are detected online and also delivered to {!on_finding} taps.
 
     Shard-awareness: in [~par:true] fabrics one monitor rides each
-    shard's audit trace; {!merged_verdict} replays the shard-tagged
-    buffers in the same [(time, source, sequence)] order as
-    [Audit.merged], so the combined verdict is deterministic and
-    invariant under permutation of the per-shard buffer list. *)
+    shard's audit stream; {!replay} merges the shard-tagged streams in
+    the same [(time, source, sequence)] order as [Audit.merged], so the
+    combined verdict is deterministic and invariant under permutation of
+    the per-shard list. *)
 
 type property = Loss | Order | Duplicate | Buffer_conservation
 
@@ -54,15 +55,12 @@ val create : ?shard:int -> ?history:int -> unit -> t
 (** [shard] (default 0) tags this monitor's findings; [history]
     (default 8) is the per-flow last-k event ring size. *)
 
-val attach : t -> Trace.t -> unit
-(** Subscribe to a tracer's live stream. Typically the audit's tracer:
-    when the hub is tracing that is the shared hub trace (so op spans
-    flow through too and findings carry op/phase context); otherwise it
-    is the audit's private ledger and findings carry packets only. *)
-
 val feed : t -> Trace.ev -> unit
-(** Push one event by hand (what {!attach} does per event). Exposed for
-    replay-style checkers; events must arrive in stream order. *)
+(** Push one event, in stream order. A fabric subscribes [feed m]
+    through [Opennf_net.Audit.subscribe], which picks the hub trace
+    when the hub is tracing (so op spans flow through and findings carry
+    op/phase context) and the audit's own tap otherwise (findings carry
+    packets only). *)
 
 val events_seen : t -> int
 (** Audit events consumed so far. *)
@@ -80,12 +78,18 @@ val verdict : t -> finding list
     (time, shard, packet, property). Does not mutate the monitor — it
     may be called repeatedly, and more events may still be fed after. *)
 
+val replay : ?history:int -> (int * Trace.ev Seq.t) list -> finding list
+(** Deterministic combined verdict over shard-tagged event streams
+    [(shard, events)] — typically each shard audit's
+    [Opennf_net.Audit.events]: a fresh monitor is fed a k-way merge of
+    the streams in ((virtual time, shard tag, stream position)) order,
+    the [Audit.merged] discipline. Each stream's times must not
+    decrease (one engine's clock). The result is a pure function of the
+    tagged streams, invariant under permutation of the list, and
+    nothing is buffered beyond one head per stream. *)
+
 val merged_verdict : ?history:int -> (int * Trace.t) list -> finding list
-(** Deterministic combined verdict over per-shard trace buffers
-    [(shard, trace)]: events replay in ((virtual time, shard tag,
-    buffer position)) order — the {!Audit.merged} discipline — through
-    a fresh monitor. The result is a pure function of the tagged
-    buffers, invariant under permutation of the list. *)
+(** {!replay} over per-shard trace buffers [(shard, trace)]. *)
 
 val clean : finding list -> bool
 (** [findings = []]. *)

@@ -1,5 +1,6 @@
 (** Span tracer: the one event sink behind operation spans, scheduler
-    queues, southbound message taps and the packet audit ledger.
+    queues, southbound message taps and the export mirror of the packet
+    audit ledger.
 
     Events carry both a virtual-time stamp (from the simulation clock,
     deterministic) and a wall-clock stamp (profiling only). Spans are

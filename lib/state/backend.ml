@@ -52,7 +52,16 @@ type link = {
   batch_bytes : int option;
   mutable sent_seq : int;
   mutable applied_seq : int;
-  mutable st : stats;
+  (* Delta counters, bumped in place per frame; {!stats} snapshots them
+     into the public record only when asked. *)
+  mutable frames_sent : int;
+  mutable entries_sent : int;
+  mutable delta_bytes : int;
+  mutable frames_applied : int;
+  mutable entries_applied : int;
+  mutable dup_frames : int;
+  mutable gap_frames : int;
+  mutable stale_frames : int;
   mutable waiters : (int * unit Proc.Ivar.t) list;  (* seq awaited *)
   m_bytes : Opennf_obs.Metrics.counter;
   m_frames : Opennf_obs.Metrics.counter;
@@ -116,26 +125,21 @@ let apply_frame t (fr : frame_msg) =
   match t.link with
   | None -> ()
   | Some l ->
-    if t.role = Promoted then l.st <- { l.st with stale_frames = l.st.stale_frames + 1 }
+    if t.role = Promoted then l.stale_frames <- l.stale_frames + 1
     else if fr.seq <= l.applied_seq then begin
       (* Channel duplication (or a replayed frame): already applied. *)
-      l.st <- { l.st with dup_frames = l.st.dup_frames + 1 };
+      l.dup_frames <- l.dup_frames + 1;
       Opennf_obs.Metrics.incr l.m_dup
     end
     else begin
-      if fr.seq > l.applied_seq + 1 then
-        l.st <- { l.st with gap_frames = l.st.gap_frames + 1 };
+      if fr.seq > l.applied_seq + 1 then l.gap_frames <- l.gap_frames + 1;
       (match t.applier with
       | None -> ()
       | Some apply ->
         List.iter (fun e -> apply e.e_scope e.e_flowid e.e_chunk) fr.entries);
       l.applied_seq <- fr.seq;
-      l.st <-
-        {
-          l.st with
-          frames_applied = l.st.frames_applied + 1;
-          entries_applied = l.st.entries_applied + List.length fr.entries;
-        };
+      l.frames_applied <- l.frames_applied + 1;
+      l.entries_applied <- l.entries_applied + List.length fr.entries;
       Opennf_obs.Metrics.observe l.m_lag (Engine.now l.engine -. fr.sent_at);
       release_waiters l l.applied_seq
     end
@@ -155,7 +159,14 @@ let replicated_pair engine ?name ?(latency = 0.002) ?bandwidth ?batch_bytes
       batch_bytes;
       sent_seq = 0;
       applied_seq = 0;
-      st = zero_stats;
+      frames_sent = 0;
+      entries_sent = 0;
+      delta_bytes = 0;
+      frames_applied = 0;
+      entries_applied = 0;
+      dup_frames = 0;
+      gap_frames = 0;
+      stale_frames = 0;
       waiters = [];
       m_bytes = Opennf_obs.Metrics.counter metrics "backend.delta.bytes";
       m_frames = Opennf_obs.Metrics.counter metrics "backend.delta.frames";
@@ -220,18 +231,15 @@ let send_frame l entries_rev =
   | _ ->
     let entries = List.rev entries_rev in
     l.sent_seq <- l.sent_seq + 1;
+    let n = List.length entries in
     let size =
       List.fold_left (fun acc e -> acc + entry_size e) frame_overhead entries
     in
-    l.st <-
-      {
-        l.st with
-        frames_sent = l.st.frames_sent + 1;
-        entries_sent = l.st.entries_sent + List.length entries;
-        delta_bytes = l.st.delta_bytes + size;
-      };
+    l.frames_sent <- l.frames_sent + 1;
+    l.entries_sent <- l.entries_sent + n;
+    l.delta_bytes <- l.delta_bytes + size;
     Opennf_obs.Metrics.incr l.m_frames;
-    Opennf_obs.Metrics.add l.m_entries (List.length entries);
+    Opennf_obs.Metrics.add l.m_entries n;
     Opennf_obs.Metrics.add l.m_bytes size;
     Channel.send l.chan ~size
       { seq = l.sent_seq; sent_at = Engine.now l.engine; entries }
@@ -316,5 +324,19 @@ let covers t scope =
     | Scope.Per | Scope.Multi -> true
     | Scope.All -> false)
 
-let stats t = match t.link with None -> zero_stats | Some l -> l.st
-let delta_bytes t = (stats t).delta_bytes
+let stats t =
+  match t.link with
+  | None -> zero_stats
+  | Some l ->
+    {
+      frames_sent = l.frames_sent;
+      entries_sent = l.entries_sent;
+      delta_bytes = l.delta_bytes;
+      frames_applied = l.frames_applied;
+      entries_applied = l.entries_applied;
+      dup_frames = l.dup_frames;
+      gap_frames = l.gap_frames;
+      stale_frames = l.stale_frames;
+    }
+
+let delta_bytes t = match t.link with None -> 0 | Some l -> l.delta_bytes

@@ -102,6 +102,230 @@ let test_evented_and_buffered_ids () =
   Alcotest.(check (list int)) "per nf" [ 2 ] (Audit.evented_ids ~nf:"nf2" a);
   Alcotest.(check (list int)) "buffered" [ 3 ] (Audit.buffered_ids a)
 
+(* --- columnar ledger == trace-backed oracle (random) ---------------------- *)
+
+module Hub = Opennf_obs.Hub
+module Trace = Opennf_obs.Trace
+module Oracle = Audit_oracle
+
+(* The query surface both ledgers share, so one dump covers both. *)
+module type LEDGER = sig
+  type t
+
+  val forwarded_order : ?filter:Filter.t -> t -> int list
+  val processed_order : ?filter:Filter.t -> ?nf:string -> t -> int list
+  val drop_count : ?nf:string -> t -> int
+  val processed_count : ?nf:string -> t -> int
+  val lost : ?filter:Filter.t -> t -> nfs:string list -> int list
+  val duplicated : ?filter:Filter.t -> t -> int list
+  val order_violations : ?filter:Filter.t -> t -> (int * int) list
+  val arrival_order_violations : ?filter:Filter.t -> t -> (int * int) list
+  val added_latency : t -> pkt:int -> float option
+  val evented_ids : ?nf:string -> t -> int list
+  val buffered_ids : ?nf:string -> t -> int list
+  val first_forward_time : t -> pkt:int -> float option
+  val process_time : t -> pkt:int -> float option
+end
+
+let nfs = [| "nf1"; "nf2"; "nf3" |]
+let max_pkt = 12
+
+let keys =
+  [|
+    key;
+    Flow.reverse key;
+    other;
+    Flow.make ~src:(ip 10 0 0 2) ~dst:(ip 172 16 0 1) ~proto:Flow.Udp
+      ~sport:5353 ~dport:53 ();
+  |]
+
+let filters =
+  [ None; Some (Filter.of_key key); Some (Filter.of_src_host (ip 9 9 9 9));
+    Some (Filter.make ~proto:Flow.Udp ()) ]
+
+let nf_opts = [ None; Some "nf1"; Some "nf3"; Some "absent" ]
+
+module Dump (L : LEDGER) = struct
+  let ints l = String.concat "," (List.map string_of_int l)
+  let pairs l = String.concat "," (List.map (fun (a, b) -> Printf.sprintf "%d<%d" a b) l)
+  let time = function None -> "-" | Some f -> Printf.sprintf "%h" f
+
+  let dump (t : L.t) =
+    List.concat_map
+      (fun filter ->
+        let f = match filter with None -> "any" | Some f -> Filter.to_string f in
+        [
+          Printf.sprintf "%s fwd %s" f (ints (L.forwarded_order ?filter t));
+          Printf.sprintf "%s dup %s" f (ints (L.duplicated ?filter t));
+          Printf.sprintf "%s ord %s" f (pairs (L.order_violations ?filter t));
+          Printf.sprintf "%s arr %s" f (pairs (L.arrival_order_violations ?filter t));
+          Printf.sprintf "%s lost12 %s" f (ints (L.lost ?filter t ~nfs:[ "nf1"; "nf2" ]));
+          Printf.sprintf "%s lost3 %s" f (ints (L.lost ?filter t ~nfs:[ "nf3"; "absent" ]));
+        ]
+        @ List.map
+            (fun nf ->
+              Printf.sprintf "%s proc@%s %s" f
+                (Option.value nf ~default:"*")
+                (ints (L.processed_order ?filter ?nf t)))
+            nf_opts)
+      filters
+    @ List.map
+        (fun nf ->
+          Printf.sprintf "%s: drops %d procs %d ev %s buf %s"
+            (Option.value nf ~default:"*")
+            (L.drop_count ?nf t) (L.processed_count ?nf t)
+            (ints (L.evented_ids ?nf t)) (ints (L.buffered_ids ?nf t)))
+        nf_opts
+    @ List.init max_pkt (fun pkt ->
+          Printf.sprintf "pkt %d: lat %s fwd %s proc %s" pkt
+            (time (L.added_latency t ~pkt))
+            (time (L.first_forward_time t ~pkt))
+            (time (L.process_time t ~pkt)))
+end
+
+module Dump_audit = Dump (Audit)
+module Dump_oracle = Dump (Oracle)
+
+(* One random ledger operation: a time step (0 makes ties), which log
+   call, packet id, key and instance. *)
+type op = { dt : int; call : int; id : int; k : int; nf : int }
+
+let op_gen =
+  QCheck.Gen.(
+    map
+      (fun ((dt, call), (id, k, nf)) -> { dt; call; id; k; nf })
+      (pair (pair (int_bound 2) (int_bound 6))
+         (triple (int_bound (max_pkt - 1)) (int_bound (Array.length keys - 1))
+            (int_bound (Array.length nfs - 1)))))
+
+let ops_print ops =
+  String.concat ";"
+    (List.map (fun o -> Printf.sprintf "%d/%d/%d/%d/%d" o.dt o.call o.id o.k o.nf) ops)
+
+let apply_op a o (p : Packet.t) =
+  let nf = nfs.(o.nf) in
+  match o.call with
+  | 0 -> Audit.log_switch_arrival a p
+  | 1 -> Audit.log_forward a p ~dst:nf
+  | 2 -> Audit.log_nf_arrival a p ~nf
+  | 3 -> Audit.log_process a p ~nf
+  | 4 -> Audit.log_drop a p ~nf
+  | 5 -> Audit.log_evented a p ~nf
+  | _ -> Audit.log_buffered a p ~nf
+
+let apply_oracle a o (p : Packet.t) =
+  let nf = nfs.(o.nf) in
+  match o.call with
+  | 0 -> Oracle.log_switch_arrival a p
+  | 1 -> Oracle.log_forward a p ~dst:nf
+  | 2 -> Oracle.log_nf_arrival a p ~nf
+  | 3 -> Oracle.log_process a p ~nf
+  | 4 -> Oracle.log_drop a p ~nf
+  | 5 -> Oracle.log_evented a p ~nf
+  | _ -> Oracle.log_buffered a p ~nf
+
+(* Drive both ledgers with [ops] on one engine, at virtual times 0.25 ms
+   apart per step. [traced] puts a tracing hub on the engine. *)
+let run_both ?(traced = false) ops =
+  let e =
+    if traced then Engine.create ~obs:(Hub.create ~trace:true ()) () else Engine.create ()
+  in
+  let a = Audit.create e and o = Oracle.create e in
+  let streamed = ref [] in
+  Audit.on_record a (fun name r -> streamed := (name, r) :: !streamed);
+  ignore
+    (List.fold_left
+       (fun step op ->
+         let step = step + op.dt in
+         let p = pkt op.id keys.(op.k) in
+         Engine.schedule_at e (0.00025 *. float_of_int step) (fun () ->
+             apply_op a op p;
+             apply_oracle o op p);
+         step)
+       0 ops);
+  Engine.run e;
+  (e, a, o, List.rev !streamed)
+
+(* An audit instant as comparable data (wall stamps and ids excluded). *)
+let inst (ev : Trace.ev) = (ev.Trace.name, ev.Trace.vt, ev.Trace.attrs)
+
+let audit_instants tr =
+  List.rev
+    (Trace.fold tr
+       (fun acc ev ->
+         if ev.Trace.kind = Trace.Instant && ev.Trace.cat = "audit" then inst ev :: acc
+         else acc)
+       [])
+
+let agree ~what got want =
+  if got <> want then
+    QCheck.Test.fail_reportf "%s differ:\ncolumns: %s\noracle:  %s" what
+      (String.concat " | " got) (String.concat " | " want);
+  true
+
+let ops_arb = QCheck.make ~print:ops_print QCheck.Gen.(list_size (int_range 0 60) op_gen)
+
+let prop_oracle =
+  QCheck.Test.make ~name:"columnar ledger == trace-backed oracle (random)" ~count:300
+    (QCheck.pair QCheck.bool ops_arb) (fun (traced, ops) ->
+      let e, a, o, streamed = run_both ~traced ops in
+      let want = audit_instants (Oracle.trace o) in
+      let records =
+        List.rev
+          (Trace.fold (Oracle.trace o)
+             (fun acc ev -> (ev.Trace.name, Oracle.decode ev) :: acc)
+             [])
+      in
+      ignore (agree ~what:"queries" (Dump_audit.dump a) (Dump_oracle.dump o));
+      if audit_instants (Audit.snapshot a) <> want then
+        QCheck.Test.fail_report "snapshot instants differ";
+      if List.map inst (List.of_seq (Audit.events a)) <> want then
+        QCheck.Test.fail_report "replay stream differs";
+      if streamed <> records then QCheck.Test.fail_report "on_record stream differs";
+      if traced && audit_instants (Hub.trace (Engine.obs e)) <> want then
+        QCheck.Test.fail_report "hub mirror differs";
+      true)
+
+(* Shard ledgers on their own engines, merged: the k-way column merge
+   must equal the oracle's sort-based merge, query for query. *)
+let prop_merged =
+  QCheck.Test.make ~name:"Audit.merged == oracle sort-based merge (1-4 shards)" ~count:150
+    (QCheck.list_of_size (QCheck.Gen.int_range 1 4) ops_arb) (fun shard_ops ->
+      let runs = List.map (fun ops -> run_both ops) shard_ops in
+      let e = Engine.create () in
+      let m = Audit.merged e (List.map (fun (_, a, _, _) -> a) runs) in
+      let mo = Oracle.merged e (List.map (fun (_, _, o, _) -> o) runs) in
+      ignore (agree ~what:"merged queries" (Dump_audit.dump m) (Dump_oracle.dump mo));
+      if audit_instants (Audit.snapshot m) <> audit_instants (Oracle.trace mo) then
+        QCheck.Test.fail_report "merged instants differ";
+      true)
+
+(* --- allocation budget ---------------------------------------------------- *)
+
+let minor_words_per ~iters f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to iters do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int iters
+
+(* Without taps or hub tracing a record is a row of column stores;
+   growth doubles the columns on the major heap. The budget leaves room
+   for a boxed clock read, nothing per-record beyond it. *)
+let test_log_alloc_budget () =
+  let _, a = bed () in
+  let p = pkt 1 key in
+  let budget = 4.0 in
+  let process = minor_words_per ~iters:200_000 (fun () -> Audit.log_process a p ~nf:"nf1") in
+  let forward = minor_words_per ~iters:200_000 (fun () -> Audit.log_forward a p ~dst:"nf2") in
+  Alcotest.(check bool)
+    (Printf.sprintf "log_process %.2f words/record <= %.0f" process budget)
+    true (process <= budget);
+  Alcotest.(check bool)
+    (Printf.sprintf "log_forward %.2f words/record <= %.0f" forward budget)
+    true (forward <= budget)
+
 let suite =
   [
     Alcotest.test_case "forwarded order dedupes relays" `Quick
@@ -118,4 +342,7 @@ let suite =
     Alcotest.test_case "added latency" `Quick test_added_latency;
     Alcotest.test_case "evented/buffered queries" `Quick
       test_evented_and_buffered_ids;
+    Alcotest.test_case "log allocation budget" `Quick test_log_alloc_budget;
+    QCheck_alcotest.to_alcotest prop_oracle;
+    QCheck_alcotest.to_alcotest prop_merged;
   ]

@@ -121,6 +121,58 @@ let test_seeded_reorder () =
   let v' = Fabric.verdict tb'.H.fab in
   Alcotest.(check bool) (Monitor.render v') true (Monitor.clean v')
 
+(* --- column-fed verdict == hub-trace verdict ----------------------------------- *)
+
+(* [Fabric.verdict] streams the audit columns (with the hub's op spans
+   interleaved when tracing); [Monitor.merged_verdict] over the hub
+   traces replays the mirrored instants instead. On a traced run the two
+   must agree finding for finding, op/phase context included; an
+   untraced run of the same scenario must find the same violations, just
+   without op context. Serial and 2-shard parallel, clean and seeded. *)
+let equivalence_run ~par ?break_for_test ~traced () =
+  let shards = if par then 2 else 1 in
+  let hubs = Array.init shards (fun _ -> Hub.create ~trace:traced ()) in
+  let tb =
+    if par then H.prads_pair ~shards ~par ~shard_obs:(fun k -> hubs.(k)) ()
+    else H.prads_pair ~obs:hubs.(0) ()
+  in
+  H.run_with tb ~at:0.5 (fun () ->
+      match
+        Proc.Ivar.read
+          (Move.submit_sharded tb.H.fab.Fabric.group (lf_spec ?break_for_test tb))
+      with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "move failed: %a" Op_error.pp e);
+  ( Fabric.verdict tb.H.fab,
+    Monitor.merged_verdict (List.mapi (fun k h -> (k, Hub.trace h)) (Array.to_list hubs)) )
+
+let without_op_context (f : Monitor.finding) =
+  { f with Monitor.op_span = 0; op = ""; phase = ""; shard = 0 }
+
+let check_verdict_equivalence ~par ?break_for_test ~expect_loss () =
+  let columns, hub = equivalence_run ~par ?break_for_test ~traced:true () in
+  Alcotest.(check string) "rendered findings" (Monitor.render hub) (Monitor.render columns);
+  Alcotest.(check bool) "identical findings" true (columns = hub);
+  Alcotest.(check bool)
+    (Printf.sprintf "expected %s:\n%s" (if expect_loss then "a loss" else "clean")
+       (Monitor.render columns))
+    expect_loss
+    (List.exists (fun f -> f.Monitor.property = Monitor.Loss) columns);
+  if expect_loss then
+    Alcotest.(check bool) "traced findings carry op context" true
+      (List.for_all (fun f -> f.Monitor.op = "move") columns);
+  let untraced, _ = equivalence_run ~par ?break_for_test ~traced:false () in
+  Alcotest.(check string) "untraced run: same violations"
+    (Monitor.render (List.map without_op_context columns))
+    (Monitor.render (List.map without_op_context untraced))
+
+let test_verdict_equivalence () =
+  List.iter
+    (fun par ->
+      check_verdict_equivalence ~par ~expect_loss:false ();
+      check_verdict_equivalence ~par ~break_for_test:Move.Drop_buffered ~expect_loss:true ())
+    [ false; true ]
+
 (* --- tap discipline ----------------------------------------------------------- *)
 
 let test_disabled_tap () =
@@ -207,7 +259,7 @@ let par_traces c =
             pairs
           |> List.iter (fun iv -> ignore (Proc.Ivar.read iv))));
   Fabric.run fab;
-  List.mapi (fun k a -> (k, Audit.trace a)) (Array.to_list fab.Fabric.audits)
+  List.mapi (fun k a -> (k, Audit.snapshot a)) (Array.to_list fab.Fabric.audits)
 
 let rotate n l =
   let len = List.length l in
@@ -245,6 +297,8 @@ let suite =
       test_seeded_loss_deterministic;
     Alcotest.test_case "seeded Skip_order_wait: online order finding" `Quick
       test_seeded_reorder;
+    Alcotest.test_case "column-fed verdict == hub-trace verdict" `Quick
+      test_verdict_equivalence;
     Alcotest.test_case "tap on a disabled tracer never fires" `Quick
       test_disabled_tap;
     QCheck_alcotest.to_alcotest prop_permutation_invariance;
