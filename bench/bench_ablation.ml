@@ -46,9 +46,10 @@ let run_pair ?config ?flow_mod_delay ?costs () =
       Proc.spawn fab.engine (fun () ->
           lf :=
             Some
-              (Move.run_exn fab.ctrl
-                 (Move.spec ~src:nf1 ~dst:nf2 ~filter:Filter.any
-                    ~guarantee:Move.Loss_free ~parallel:true ()))));
+              (Op_error.ok_exn
+                 (Move.run fab.ctrl
+                    (Move.spec ~src:nf1 ~dst:nf2 ~filter:Filter.any
+                       ~guarantee:Move.Loss_free ~parallel:true ())))));
   Fabric.run fab;
   (* Separate run for the no-guarantee drops (fresh bed, same knobs). *)
   let fab2 = Fabric.create ~seed:101 ?config ?flow_mod_delay () in
@@ -66,9 +67,10 @@ let run_pair ?config ?flow_mod_delay ?costs () =
   Engine.schedule_at fab2.engine move_at (fun () ->
       Proc.spawn fab2.engine (fun () ->
           ignore
-            (Move.run_exn fab2.ctrl
-               (Move.spec ~src:n1 ~dst:n2 ~filter:Filter.any
-                  ~guarantee:Move.No_guarantee ~parallel:true ()))));
+            (Op_error.ok_exn
+               (Move.run fab2.ctrl
+                  (Move.spec ~src:n1 ~dst:n2 ~filter:Filter.any
+                     ~guarantee:Move.No_guarantee ~parallel:true ())))));
   Fabric.run fab2;
   ng_drops := Runtime.tombstone_dropped r1;
   ignore rt1;

@@ -416,13 +416,12 @@ let run_move ~flows ~flavor =
   let b = bed ~flows ~make_backends () in
   let report = ref None in
   H.run_at b.fab ~at:(t_end +. 0.1) (fun () ->
-      match
-        Move.run b.fab.ctrl
-          (Move.spec ~src:b.nf1 ~dst:b.nf2 ~filter:Filter.any
-             ~guarantee:Move.Loss_free ~parallel:true ())
-      with
-      | Ok r -> report := Some r
-      | Error e -> raise (Op_error.Op_failed e));
+      report :=
+        Some
+          (Op_error.ok_exn
+             (Move.run b.fab.ctrl
+                (Move.spec ~src:b.nf1 ~dst:b.nf2 ~filter:Filter.any
+                   ~guarantee:Move.Loss_free ~parallel:true ()))));
   let r = Option.get !report in
   {
     m_backend = label;

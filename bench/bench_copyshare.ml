@@ -19,10 +19,11 @@ let copy_experiment () =
   H.run_at bed.H.fab ~at:bed.H.move_at (fun () ->
       report :=
         Some
-          (Copy_op.run_exn bed.H.fab.ctrl ~src:bed.H.nf1 ~dst:bed.H.nf2
-             ~filter:Filter.any
-             ~scope:[ Opennf_state.Scope.Multi ]
-             ()));
+          (Op_error.ok_exn
+             (Copy_op.run bed.H.fab.ctrl ~src:bed.H.nf1 ~dst:bed.H.nf2
+                ~filter:Filter.any
+                ~scope:[ Opennf_state.Scope.Multi ]
+                ())));
   let report = Option.get !report in
   let lat = H.affected_latency bed.H.fab.audit in
   ( Copy_op.duration report,
@@ -49,9 +50,10 @@ let share_experiment ~rate ~instances =
   Proc.spawn fab.engine (fun () ->
       Controller.set_route fab.ctrl Filter.any (List.hd nfs);
       let share =
-        Share.start_exn fab.ctrl ~instances:nfs ~filter:Filter.any
-          ~scope:[ Opennf_state.Scope.Multi ]
-          ~consistency:Share.Strong ()
+        Op_error.ok_exn
+          (Share.start fab.ctrl ~instances:nfs ~filter:Filter.any
+             ~scope:[ Opennf_state.Scope.Multi ]
+             ~consistency:Share.Strong ())
       in
       Proc.sleep 6.5;
       Share.stop share);

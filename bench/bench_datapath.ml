@@ -4,8 +4,8 @@
 
    - flow-table lookup cost (and packets/sec) for the indexed path —
      exact-match hash + priority-bucketed wildcards + per-flow decision
-     cache — against the retained linear-scan reference
-     ([Flowtable.lookup_reference], the seed implementation's shape);
+     cache — against the linear-scan oracle ([Oracle.Flowtable.lookup],
+     the seed implementation's shape);
    - exact-filter [Store.Perflow.matching] (the getPerflow hot path of a
      single-flow move) against the fold-based reference;
    - end-to-end wall-clock and virtual latency of a loss-free
@@ -87,7 +87,7 @@ let bench_flowtable n =
   let ft_ref =
     seconds_per
       (fun () ->
-        ignore (Flowtable.lookup_reference table sample.(!idx));
+        ignore (Oracle.Flowtable.lookup table sample.(!idx));
         idx := if !idx + 1 >= m then 0 else !idx + 1)
       ~iters:ref_iters
   in
@@ -153,20 +153,20 @@ let bench_store n =
   let st_get_ref =
     seconds_per
       (fun () ->
-        Opennf_state.Store.Perflow.matching_reference store (next_exact ())
+        Oracle.Store.perflow_matching store (next_exact ())
         |> List.iter (fun (k, _) -> export (Filter.of_key k)))
       ~iters:ref_iters
   in
   let st_exact_ref =
     seconds_per
       (fun () ->
-        ignore (Opennf_state.Store.Perflow.matching_reference store (next_exact ())))
+        ignore (Oracle.Store.perflow_matching store (next_exact ())))
       ~iters:ref_iters
   in
   let st_host_ref =
     seconds_per
       (fun () ->
-        ignore (Opennf_state.Store.Perflow.matching_reference store (next_host ())))
+        ignore (Oracle.Store.perflow_matching store (next_host ())))
       ~iters:ref_iters
   in
   { st_get; st_get_ref; st_exact; st_exact_ref; st_host; st_host_ref }
@@ -203,7 +203,8 @@ let bench_move ~obs n =
       Controller.set_route fab.ctrl Filter.any nf1;
       let t0 = Sys.time () in
       let report =
-        Move.run_exn fab.ctrl (Move.spec ~src:nf1 ~dst:nf2 ~filter ())
+        Op_error.ok_exn
+          (Move.run fab.ctrl (Move.spec ~src:nf1 ~dst:nf2 ~filter ()))
       in
       wall := Sys.time () -. t0;
       virt := Move.duration report);

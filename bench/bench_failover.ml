@@ -67,8 +67,10 @@ let run_periodic ~period =
         Proc.sleep period;
         if Engine.now fab.engine < fail_at then begin
           let r =
-            Copy_op.run_exn fab.ctrl ~src:primary ~dst:standby ~filter:Filter.any
-              ~scope:[ Scope.Per; Scope.Multi; Scope.All ] ()
+            Op_error.ok_exn
+              (Copy_op.run fab.ctrl ~src:primary ~dst:standby
+                 ~filter:Filter.any
+                 ~scope:[ Scope.Per; Scope.Multi; Scope.All ] ())
           in
           bytes := !bytes + r.Copy_op.state_bytes;
           loop ()

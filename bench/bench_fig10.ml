@@ -41,7 +41,7 @@ let run_config cfg =
           ~filter:Opennf_net.Filter.any ~guarantee:cfg.guarantee
           ~parallel:cfg.parallel ~early_release:cfg.early_release ()
       in
-      report := Some (Move.run_exn bed.H.fab.ctrl spec));
+      report := Some (Op_error.ok_exn (Move.run bed.H.fab.ctrl spec)));
   let report = Option.get !report in
   let lat = H.affected_latency bed.H.fab.audit in
   let drops = Runtime.tombstone_dropped bed.H.rt1 in

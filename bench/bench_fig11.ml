@@ -21,7 +21,7 @@ let run_once ~flows ~rate ~guarantee =
         Move.spec ~src:bed.H.nf1 ~dst:bed.H.nf2
           ~filter:Opennf_net.Filter.any ~guarantee ~parallel:true ()
       in
-      report := Some (Move.run_exn bed.H.fab.ctrl spec));
+      report := Some (Op_error.ok_exn (Move.run bed.H.fab.ctrl spec)));
   (Option.get !report, Runtime.tombstone_dropped bed.H.rt1)
 
 let sweep ~guarantee ~metric =

@@ -9,6 +9,7 @@
 module Engine = Opennf_sim.Engine
 module Proc = Opennf_sim.Proc
 module Costs = Opennf_sb.Costs
+module Scope = Opennf_state.Scope
 open Opennf_net
 open Opennf
 module H = Harness
@@ -52,9 +53,12 @@ let get_put_times kind ~flows =
   let start_at = (float_of_int flows /. 400.0) +. 2.0 in
   H.run_at fab ~at:start_at (fun () ->
       let t0 = Engine.now fab.engine in
-      let chunks = Controller.get_perflow fab.ctrl nf1 Filter.any () in
+      let chunks =
+        Op_error.ok_exn
+          (Controller.get fab.ctrl nf1 ~scope:Scope.Per Filter.any)
+      in
       let t1 = Engine.now fab.engine in
-      Controller.put_perflow fab.ctrl nf2 chunks;
+      Op_error.ok_exn (Controller.put fab.ctrl nf2 ~scope:Scope.Per chunks);
       let t2 = Engine.now fab.engine in
       assert (List.length chunks = flows);
       results := (t1 -. t0, t2 -. t1));
@@ -78,7 +82,9 @@ let packet_latency_impact kind =
   let window = ref (0.0, 0.0) in
   H.run_at fab ~at:4.0 (fun () ->
       let t0 = Engine.now fab.engine in
-      ignore (Controller.get_perflow fab.ctrl nf1 Filter.any ());
+      ignore
+        (Op_error.ok_exn
+           (Controller.get fab.ctrl nf1 ~scope:Scope.Per Filter.any));
       window := (t0, Engine.now fab.engine));
   let audit = fab.audit in
   let normal = Opennf_util.Stats.Summary.create () in

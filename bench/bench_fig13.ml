@@ -56,7 +56,7 @@ let run_once ~moves ~flows =
       let ivars =
         List.map
           (fun (i, nf1, nf2) ->
-            Move.start_exn fab.ctrl
+            Move.start fab.ctrl
               (Move.spec ~src:nf1 ~dst:nf2
                  ~filter:(Filter.of_src_prefix (subnet_prefix i))
                  ~guarantee:Move.Loss_free ~parallel:true ()))
@@ -64,7 +64,7 @@ let run_once ~moves ~flows =
       in
       List.iter
         (fun ivar ->
-          let report = Proc.Ivar.read ivar in
+          let report = Op_error.ok_exn (Proc.Ivar.read ivar) in
           durations := Move.duration report :: !durations)
         ivars);
   let n = List.length !durations in

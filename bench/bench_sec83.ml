@@ -42,10 +42,11 @@ let run_move ~compress =
   H.run_at fab ~at:0.5 (fun () ->
       report :=
         Some
-          (Move.run_exn fab.ctrl
-             (Move.spec ~src:nf1 ~dst:nf2
-                ~filter:(Filter.of_src_prefix subnet)
-                ~guarantee:Move.Loss_free ~parallel:true ~compress ())));
+          (Op_error.ok_exn
+             (Move.run fab.ctrl
+                (Move.spec ~src:nf1 ~dst:nf2
+                   ~filter:(Filter.of_src_prefix subnet)
+                   ~guarantee:Move.Loss_free ~parallel:true ~compress ()))));
   Option.get !report
 
 (* Measure the actual stream-compression ratio of the canned state. *)

@@ -84,10 +84,11 @@ let run_split approach =
       | Opennf_move ->
         mv_report :=
           Some
-            (Move.run_exn fab.ctrl
-               (Move.spec ~src:nf1 ~dst:nf2 ~filter:http_filter
-                  ~scope:[ Opennf_state.Scope.Per; Opennf_state.Scope.Multi ]
-                  ~guarantee:Move.Loss_free ~parallel:true ())));
+            (Op_error.ok_exn
+               (Move.run fab.ctrl
+                  (Move.spec ~src:nf1 ~dst:nf2 ~filter:http_filter
+                     ~scope:[ Opennf_state.Scope.Per; Opennf_state.Scope.Multi ]
+                     ~guarantee:Move.Loss_free ~parallel:true ()))));
   Fabric.run fab;
   (ids1, ids2, !vm_report, !mv_report)
 

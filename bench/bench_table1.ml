@@ -62,26 +62,29 @@ let run_approach approach =
       | Ignore -> ()
       | Copy_client ->
         let report =
-          Copy_op.run_exn fab.ctrl ~src:nf1 ~dst:nf2
-            ~filter:(Filter.of_src_host client2)
-            ~scope:[ Opennf_state.Scope.Multi ]
-            ()
+          Op_error.ok_exn
+            (Copy_op.run fab.ctrl ~src:nf1 ~dst:nf2
+               ~filter:(Filter.of_src_host client2)
+               ~scope:[ Opennf_state.Scope.Multi ]
+               ())
         in
         transferred := report.Copy_op.state_bytes
       | Copy_all ->
         let report =
-          Copy_op.run_exn fab.ctrl ~src:nf1 ~dst:nf2 ~filter:Filter.any
-            ~scope:[ Opennf_state.Scope.Multi ]
-            ()
+          Op_error.ok_exn
+            (Copy_op.run fab.ctrl ~src:nf1 ~dst:nf2 ~filter:Filter.any
+               ~scope:[ Opennf_state.Scope.Multi ]
+               ())
         in
         transferred := report.Copy_op.state_bytes);
       (* Move the per-flow state for client2's in-progress connections
          and reroute (the paper updates routing for in-progress and
          future requests from client 2). *)
       ignore
-        (Move.run_exn fab.ctrl
-           (Move.spec ~src:nf1 ~dst:nf2 ~filter:(Filter.of_src_host client2)
-              ~guarantee:Move.Loss_free ~parallel:true ())));
+        (Op_error.ok_exn
+           (Move.run fab.ctrl
+              (Move.spec ~src:nf1 ~dst:nf2 ~filter:(Filter.of_src_host client2)
+                 ~guarantee:Move.Loss_free ~parallel:true ()))));
   Fabric.run fab;
   (squid1, squid2, !transferred)
 

@@ -17,7 +17,7 @@ open Cmdliner
 
 (* Demo scenarios are fault-free; a typed operation error here is a
    wiring bug, so unwrap loudly. *)
-let ok = function Ok v -> v | Error e -> raise (Op_error.Op_failed e)
+let ok = Op_error.ok_exn
 
 let verdict ?(keys = []) fab nfs =
   let lost = Audit.lost fab.Fabric.audit ~nfs in

@@ -36,13 +36,10 @@ let () =
   Fabric.Engine.schedule_at fab.engine 1.0 (fun () ->
       Proc.spawn fab.engine (fun () ->
           let report =
-            match
-              Move.run fab.ctrl
-                (Move.spec ~src:nf1 ~dst:nf2 ~filter:Filter.any
-                   ~guarantee:Move.Loss_free ~parallel:true ())
-            with
-            | Ok r -> r
-            | Error e -> raise (Op_error.Op_failed e)
+            Op_error.ok_exn
+              (Move.run fab.ctrl
+                 (Move.spec ~src:nf1 ~dst:nf2 ~filter:Filter.any
+                    ~guarantee:Move.Loss_free ~parallel:true ()))
           in
           Format.printf "%a@." Move.pp_report report));
   Fabric.run fab;

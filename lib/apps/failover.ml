@@ -107,9 +107,8 @@ let init_standby ctrl ?sched ~normal ~standby
     t.handles <-
       List.map
         (fun filter ->
-          match Notify.enable ?sched ctrl normal filter (update_standby t) with
-          | Ok h -> h
-          | Error e -> raise (Op_error.Op_failed e))
+          Op_error.ok_exn
+            (Notify.enable ?sched ctrl normal filter (update_standby t)))
         triggers;
     (* Seed the standby's multi-flow state once; SYN/RST notifications
        keep the relevant parts fresh afterwards. *)

@@ -18,15 +18,12 @@ type t = {
 let prefix_filter prefix = Filter.of_src_prefix prefix
 
 (* Copies and moves here run in fault-free scenarios; a typed error is
-   a wiring bug, surfaced loudly. *)
-let copy_exn t ~src ~dst ~filter ~scope =
-  let result =
-    match t.sched with
+   a wiring bug, surfaced loudly by [Op_error.ok_exn]. *)
+let copy t ~src ~dst ~filter ~scope =
+  Op_error.ok_exn
+    (match t.sched with
     | None -> Copy_op.run t.ctrl ~src ~dst ~filter ~scope ()
-    | Some s ->
-      Proc.Ivar.read (Copy_op.submit s ~src ~dst ~filter ~scope ())
-  in
-  match result with Ok r -> r | Error e -> raise (Op_error.Op_failed e)
+    | Some s -> Proc.Ivar.read (Copy_op.submit s ~src ~dst ~filter ~scope ()))
 
 let create ctrl ?sched ~instances ?(sync_period = 60.0) () =
   let t =
@@ -62,10 +59,10 @@ let start_sync_loop t pair =
         Proc.sleep t.sync_period;
         if not t.stopped then begin
           ignore
-            (copy_exn t ~src:pair.a ~dst:pair.b ~filter:Filter.any
+            (copy t ~src:pair.a ~dst:pair.b ~filter:Filter.any
                ~scope:[ Scope.Multi ]);
           ignore
-            (copy_exn t ~src:pair.b ~dst:pair.a ~filter:Filter.any
+            (copy t ~src:pair.b ~dst:pair.a ~filter:Filter.any
                ~scope:[ Scope.Multi ]);
           t.syncs <- t.syncs + 1;
           loop ()
@@ -95,7 +92,7 @@ let move_prefix t prefix ~to_ =
     (* Copy (not move) the multi-flow state: scan counters are kept per
        <external IP, port> and may matter to flows of other prefixes. *)
     ignore
-      (copy_exn t ~src:old_inst ~dst:to_ ~filter ~scope:[ Scope.Multi ]);
+      (copy t ~src:old_inst ~dst:to_ ~filter ~scope:[ Scope.Multi ]);
     (* Loss-free (but not order-preserving) move of the per-flow state:
        reordering only delays scan detection (§6). *)
     let spec =
@@ -103,12 +100,10 @@ let move_prefix t prefix ~to_ =
         ~guarantee:Move.Loss_free ~parallel:true ()
     in
     let report =
-      let result =
-        match t.sched with
+      Op_error.ok_exn
+        (match t.sched with
         | None -> Move.run t.ctrl spec
-        | Some s -> Proc.Ivar.read (Move.submit s spec)
-      in
-      match result with Ok r -> r | Error e -> raise (Op_error.Op_failed e)
+        | Some s -> Proc.Ivar.read (Move.submit s spec))
     in
     let target_known = List.exists (fun (nf, _) -> same_nf nf to_) t.assignment in
     t.assignment <-

@@ -22,14 +22,11 @@ let on_alert t local_nf alert =
             Move.spec ~src:local_nf ~dst:t.cloud ~filter:(Filter.of_key flow)
               ~scope:[ Scope.Per ] ~guarantee:Move.Loss_free ~parallel:true ()
           in
-          let result =
-            match t.sched with
-            | None -> Move.run t.ctrl spec
-            | Some s -> Proc.Ivar.read (Move.submit s spec)
-          in
-          (match result with
-          | Ok _ -> ()
-          | Error e -> raise (Op_error.Op_failed e));
+          ignore
+            (Op_error.ok_exn
+               (match t.sched with
+               | None -> Move.run t.ctrl spec
+               | Some s -> Proc.Ivar.read (Move.submit s spec)));
           t.in_flight <- Flow.Set.remove flow t.in_flight;
           t.offloaded <- flow :: t.offloaded)
     end

@@ -1,5 +1,6 @@
 module Engine = Opennf_sim.Engine
 module Proc = Opennf_sim.Proc
+module Scope = Opennf_state.Scope
 open Opennf_net
 open Opennf
 
@@ -46,9 +47,10 @@ let migrate t ~src ~dst ~filter =
   (* Transfer state with the plain get/del/put — no events, so updates
      from packets that were in flight toward the source are lost and the
      packets themselves are dropped there. *)
-  let chunks = Controller.get_perflow t src filter () in
-  Controller.del_perflow t src (List.map fst chunks);
-  if chunks <> [] then Controller.put_perflow t dst chunks;
+  let chunks = Op_error.ok_exn (Controller.get t src ~scope:Scope.Per filter) in
+  Op_error.ok_exn (Controller.del t src ~scope:Scope.Per (List.map fst chunks));
+  if chunks <> [] then
+    Op_error.ok_exn (Controller.put t dst ~scope:Scope.Per chunks);
   (* Flush the buffer, then issue the forwarding update: the two race. *)
   Queue.iter (fun p -> Controller.packet_out t ~port:dst_name p) buffer;
   Queue.clear buffer;

@@ -732,32 +732,6 @@ let start_probes t ~until =
         | None -> ())
       (group t)
 
-(* --- legacy per-scope wrappers (thin aliases) ----------------------------- *)
-
-(* Inlined rather than [Op_error.ok_exn], which is deprecated. *)
-let ok_exn = function Ok v -> v | Error e -> raise (Op_error.Op_failed e)
-
-let get_perflow t nf filter ?on_piece ?(late_lock = false) ?(compress = false)
-    () =
-  ok_exn (get t nf ~scope:Scope.Per ?on_piece ~late_lock ~compress filter)
-
-let get_multiflow t nf filter ?on_piece ?(compress = false) () =
-  ok_exn (get t nf ~scope:Scope.Multi ?on_piece ~compress filter)
-
-let get_allflows t nf =
-  List.map snd (ok_exn (get t nf ~scope:Scope.All Filter.any))
-
-let put_perflow_async t nf chunks = put_async t nf ~scope:Scope.Per chunks
-let put_perflow t nf chunks = ok_exn (put t nf ~scope:Scope.Per chunks)
-let put_multiflow_async t nf chunks = put_async t nf ~scope:Scope.Multi chunks
-let put_multiflow t nf chunks = ok_exn (put t nf ~scope:Scope.Multi chunks)
-let del_perflow_async t nf flowids = del_async t nf ~scope:Scope.Per flowids
-let del_perflow t nf flowids = ok_exn (del t nf ~scope:Scope.Per flowids)
-let del_multiflow t nf flowids = ok_exn (del t nf ~scope:Scope.Multi flowids)
-
-let put_allflows t nf chunks =
-  ok_exn (put t nf ~scope:Scope.All (List.map (fun c -> (Filter.any, c)) chunks))
-
 (* --- subscriptions ------------------------------------------------------- *)
 
 let fresh_sub t =

@@ -232,46 +232,6 @@ val put :
 val del :
   t -> nf -> scope:Scope.t -> Filter.t list -> (unit, Op_error.t) result
 
-(** {2 Legacy per-scope wrappers}
-
-    Thin aliases over the scope-indexed API, kept for source
-    compatibility. They raise {!Op_error.Op_failed} on typed errors
-    (which cannot happen without a resilience config or fault
-    injection). *)
-
-val get_perflow :
-  t -> nf -> Filter.t ->
-  ?on_piece:(Filter.t -> Chunk.t -> unit) ->
-  ?late_lock:bool -> ?compress:bool -> unit ->
-  (Filter.t * Chunk.t) list
-
-val put_perflow : t -> nf -> (Filter.t * Chunk.t) list -> unit
-
-val put_perflow_async :
-  t -> nf -> (Filter.t * Chunk.t) list ->
-  (unit, Op_error.t) result Proc.Ivar.t
-(** Non-blocking put used to pipeline puts behind a streaming get. *)
-
-val del_perflow : t -> nf -> Filter.t list -> unit
-
-val del_perflow_async :
-  t -> nf -> Filter.t list -> (unit, Op_error.t) result Proc.Ivar.t
-
-val get_multiflow :
-  t -> nf -> Filter.t ->
-  ?on_piece:(Filter.t -> Chunk.t -> unit) -> ?compress:bool -> unit ->
-  (Filter.t * Chunk.t) list
-
-val put_multiflow : t -> nf -> (Filter.t * Chunk.t) list -> unit
-
-val put_multiflow_async :
-  t -> nf -> (Filter.t * Chunk.t) list ->
-  (unit, Op_error.t) result Proc.Ivar.t
-
-val del_multiflow : t -> nf -> Filter.t list -> unit
-val get_allflows : t -> nf -> Chunk.t list
-val put_allflows : t -> nf -> Chunk.t list -> unit
-
 (** {1 Events and packet-ins} *)
 
 type subscription

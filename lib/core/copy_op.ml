@@ -58,18 +58,9 @@ let run t ~src ~dst ~filter ?(scope = [ Scope.Multi ]) ?options
       state_bytes = tally.Op_engine.bytes;
     }
 
-let run_exn t ~src ~dst ~filter ?scope ?options ?parallel () =
-  match run t ~src ~dst ~filter ?scope ?options ?parallel () with
-  | Ok r -> r
-  | Error e -> raise (Op_error.Op_failed e)
-
 let start t ~src ~dst ~filter ?scope ?options ?parallel () =
   Op_engine.background t (fun () ->
       run t ~src ~dst ~filter ?scope ?options ?parallel ())
-
-let start_exn t ~src ~dst ~filter ?scope ?options ?parallel () =
-  Op_engine.background t (fun () ->
-      run_exn t ~src ~dst ~filter ?scope ?options ?parallel ())
 
 (* A copy reads the source, writes the destination and leaves
    forwarding state alone. *)

@@ -40,18 +40,6 @@ val run :
 (** Blocking. Defaults: scope [[Multi]] (the common case in §6),
     [parallel] true. [options] overrides [parallel] when given. *)
 
-val run_exn :
-  Controller.t ->
-  src:Controller.nf ->
-  dst:Controller.nf ->
-  filter:Filter.t ->
-  ?scope:Scope.t list ->
-  ?options:Op_options.t ->
-  ?parallel:bool ->
-  unit ->
-  report
-  [@@deprecated "use Copy_op.run and match on the result"]
-
 val start :
   Controller.t ->
   src:Controller.nf ->
@@ -62,20 +50,6 @@ val start :
   ?parallel:bool ->
   unit ->
   (report, Op_error.t) result Proc.Ivar.t
-
-val start_exn :
-  Controller.t ->
-  src:Controller.nf ->
-  dst:Controller.nf ->
-  filter:Filter.t ->
-  ?scope:Scope.t list ->
-  ?options:Op_options.t ->
-  ?parallel:bool ->
-  unit ->
-  report Proc.Ivar.t
-  [@@deprecated "use Copy_op.start and match on the ivar's result"]
-(** Like [start] but unwrapped; a typed error raises inside the spawned
-    process, so use only where faults are impossible. *)
 
 val footprint :
   src:Controller.nf -> dst:Controller.nf -> filter:Filter.t ->

@@ -126,8 +126,8 @@ val verdict :
     was traced, so findings keep their op/phase context) through
     {!Opennf_obs.Monitor.replay}, a k-way merge in (time, shard, row)
     order. The result is deterministic regardless of shard count or
-    parallelism, equal to {!Opennf_obs.Monitor.merged_verdict} over the
-    hub traces of a traced run, and available on {e any} fabric,
+    parallelism, equal to {!Opennf_obs.Monitor.replay} over the hub
+    traces of a traced run, and available on {e any} fabric,
     monitored or not (the audit ledger is always on). Nothing is
     materialized: no trace, no sorted event list. Call after {!run}
     returns. *)

@@ -518,13 +518,7 @@ let run ?notify_release t spec =
       }
   | Error err -> rollback t spec ctx rs ~src_sub ~frame err
 
-let run_exn t spec =
-  match run t spec with Ok r -> r | Error e -> raise (Op_error.Op_failed e)
 let start t spec = Op_engine.background t (fun () -> run t spec)
-
-(* Raises inside the spawned process on a typed error; meant for
-   fault-free scenarios where that cannot happen. *)
-let start_exn t spec = Op_engine.background t (fun () -> run_exn t spec)
 
 (* A move writes state on both instances (del at the source, put at the
    destination) and rewrites the flows' forwarding state. *)

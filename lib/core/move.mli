@@ -133,18 +133,8 @@ val run :
     {!submit} to shrink the scheduler footprint); plain callers omit
     it. *)
 
-val run_exn : Controller.t -> spec -> report
-  [@@deprecated "use Move.run and match on the result"]
-(** [run] unwrapped ([Op_error.Op_failed] on error); for fault-free
-    scenarios. Kept for external users; internal code uses {!run}. *)
-
 val start : Controller.t -> spec -> (report, Op_error.t) result Proc.Ivar.t
 (** Spawn the move and return an ivar filled with its result. *)
-
-val start_exn : Controller.t -> spec -> report Proc.Ivar.t
-  [@@deprecated "use Move.start and match on the ivar's result"]
-(** Like [start] but unwrapped; a typed error raises inside the spawned
-    process, so use only where faults are impossible. *)
 
 val footprint : spec -> Sched.Footprint.t
 (** What the move touches: both instances written, the filter's flows

@@ -36,11 +36,6 @@ let enable ?sched ?shard_group t nf filter callback =
   | None, Some s -> Sched.run s ~footprint:(fp ()) act
   | None, None -> act ()
 
-let enable_exn ?sched ?shard_group t nf filter callback =
-  match enable ?sched ?shard_group t nf filter callback with
-  | Ok h -> h
-  | Error e -> raise (Op_error.Op_failed e)
-
 let disable t handle =
   Controller.disable_events t handle.nf handle.filter;
   Controller.unsubscribe t handle.sub

@@ -22,10 +22,4 @@ val enable :
     routes that read through the instance's home shard instead, and
     takes precedence over [sched]. *)
 
-val enable_exn :
-  ?sched:Sched.t ->
-  ?shard_group:Shard.t ->
-  Controller.t -> Controller.nf -> Filter.t -> (Packet.t -> unit) -> handle
-  [@@deprecated "use Notify.enable and match on the result"]
-
 val disable : Controller.t -> handle -> unit

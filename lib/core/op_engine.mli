@@ -90,7 +90,7 @@ val drain_pipelined :
 val background :
   Controller.t -> (unit -> 'a) -> 'a Proc.Ivar.t
 (** Run [f] in its own simulation process; the ivar resolves with its
-    result (the [start]/[start_exn] pattern of every operation). *)
+    result (the [start] pattern of every operation). *)
 
 val broadcast_put :
   Controller.t -> scope:Scope.t -> others:Controller.nf list ->

@@ -18,7 +18,7 @@ type t =
       (** The request was invalid before any message was sent. *)
 
 exception Op_failed of t
-(** Raised by the [*_exn] compatibility wrappers. *)
+(** Raised by {!ok_exn}. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
@@ -28,6 +28,5 @@ val kind : t -> string
     metrics names and trace attributes; never allocates. *)
 
 val ok_exn : ('a, t) result -> 'a
-  [@@deprecated "match on the result instead"]
-(** [Ok v -> v]; [Error e -> raise (Op_failed e)]. Kept for external
-    users of the [*_exn] era; internal code matches on results. *)
+(** [Ok v -> v]; [Error e -> raise (Op_failed e)]. The one unwrap for
+    fault-free callers, where a typed error is a wiring bug. *)

@@ -219,15 +219,6 @@ let start ctrl ?sched ?shard_group ~instances ~filter
     Ok t
   end
 
-let start_exn ctrl ?sched ?shard_group ~instances ~filter ?scope ?group_of
-    ?route ~consistency () =
-  match
-    start ctrl ?sched ?shard_group ~instances ~filter ?scope ?group_of ?route
-      ~consistency ()
-  with
-  | Ok t -> t
-  | Error e -> raise (Op_error.Op_failed e)
-
 let stats (t : t) : stats =
   {
     updates_synced = t.updates_synced;

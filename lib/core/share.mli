@@ -67,20 +67,6 @@ val start :
     instances live on (ascending shard-id order) — and takes precedence
     over [sched]. *)
 
-val start_exn :
-  Controller.t ->
-  ?sched:Sched.t ->
-  ?shard_group:Shard.t ->
-  instances:Controller.nf list ->
-  filter:Filter.t ->
-  ?scope:Scope.t list ->
-  ?group_of:(Packet.t -> Filter.t) ->
-  ?route:(Packet.t -> Controller.nf) ->
-  consistency:consistency ->
-  unit ->
-  t
-  [@@deprecated "use Share.start and match on the result"]
-
 val stats : t -> stats
 
 val stop : t -> unit

@@ -104,11 +104,11 @@ let cache_slots len =
 let cache_initial = 256
 let cache_max = 1 lsl 17
 
-let create ?engine ?(obs = Opennf_obs.Hub.disabled) () =
+let create ?engine () =
   let obs =
     match engine with
     | Some e -> Opennf_sim.Engine.obs e
-    | None -> obs
+    | None -> Opennf_obs.Hub.disabled
   in
   let metrics = Opennf_obs.Hub.metrics obs in
   {
@@ -459,19 +459,6 @@ let lookup t p =
       record_match winner
     end
   end
-
-(* Reference implementation: a linear scan over every installed rule,
-   shaped like the original unindexed table. Retained as the oracle for
-   the randomized equivalence tests (and the bench baseline); does not
-   touch the [matched] counters or the cache. *)
-let lookup_reference t p =
-  Hashtbl.fold
-    (fun _ e best ->
-      if rule_matches e.rule p then
-        match best with Some b when beats b e -> best | _ -> Some e
-      else best)
-    t.by_cookie None
-  |> Option.map (fun e -> e.rule)
 
 let find t ~cookie =
   Option.map (fun e -> e.rule) (Hashtbl.find_opt t.by_cookie cookie)

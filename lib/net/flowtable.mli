@@ -14,16 +14,11 @@ type rule = {
 
 type t
 
-val create :
-  ?engine:Opennf_sim.Engine.t -> ?obs:Opennf_obs.Hub.t -> unit -> t
+val create : ?engine:Opennf_sim.Engine.t -> unit -> t
 (** A table created with [~engine] records ["ft.lookups"],
     ["ft.cache_hits"] and ["ft.cache_misses"] counters on the engine's
     observability hub, so its metrics land next to every other
-    engine-sourced series. Without either argument metrics are disabled.
-
-    [?obs] is deprecated: it predates engines carrying their own hub and
-    exists only for external callers that wired one by hand. It is
-    ignored when [~engine] is given. *)
+    engine-sourced series. Without it metrics are disabled. *)
 
 val install :
   t -> cookie:int -> priority:int -> filters:Filter.t list ->
@@ -43,11 +38,6 @@ val lookup : t -> Packet.t -> rule option
     is memoized per flow while no installed rule constrains TCP flags.
     Install/remove invalidate memoized decisions (generation counter),
     so results are always identical to a full linear scan. *)
-
-val lookup_reference : t -> Packet.t -> rule option
-(** Oracle: unindexed linear scan over all rules, bypassing both indexes
-    and the decision cache. Same winner as {!lookup}, but does not
-    increment [matched]. For tests and benchmarks. *)
 
 val find : t -> cookie:int -> rule option
 val rules : t -> rule list

@@ -394,12 +394,6 @@ let replay ?history sources =
   loop ();
   verdict t
 
-let merged_verdict ?history sources =
-  replay ?history
-    (List.map
-       (fun (shard, tr) -> (shard, Seq.init (Trace.length tr) (Trace.nth tr)))
-       sources)
-
 (* --- rendering --------------------------------------------------------------- *)
 
 let render findings =

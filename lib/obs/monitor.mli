@@ -88,9 +88,6 @@ val replay : ?history:int -> (int * Trace.ev Seq.t) list -> finding list
     tagged streams, invariant under permutation of the list, and
     nothing is buffered beyond one head per stream. *)
 
-val merged_verdict : ?history:int -> (int * Trace.t) list -> finding list
-(** {!replay} over per-shard trace buffers [(shard, trace)]. *)
-
 val clean : finding list -> bool
 (** [findings = []]. *)
 

@@ -9,68 +9,9 @@ type event = {
 (* Sentinel terminating every chain (compared with [==]). *)
 let rec nil = { time = 0.0; seq = 0; thunk = ignore; vb = 0; next = nil }
 
-(* Dispatch order, shared by both queue implementations: strictly by
-   (time, seq) — virtual time first, FIFO of scheduling on ties. *)
+(* Dispatch order: strictly by (time, seq) — virtual time first, FIFO
+   of scheduling on ties. *)
 let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-(* Array-based binary min-heap ordered by (time, seq). Retained as the
-   reference scheduler: O(log n) per operation, trivially correct. The
-   timing wheel below must dispatch in exactly this order (QCheck
-   equivalence in test_arena, scenario-level diff in bench_scale). *)
-module Heap = struct
-  type t = { mutable arr : event array; mutable size : int }
-
-  let create () = { arr = Array.make 64 nil; size = 0 }
-
-  let push t ev =
-    if t.size = Array.length t.arr then begin
-      let bigger = Array.make (2 * t.size) nil in
-      Array.blit t.arr 0 bigger 0 t.size;
-      t.arr <- bigger
-    end;
-    t.arr.(t.size) <- ev;
-    t.size <- t.size + 1;
-    (* Sift up. *)
-    let i = ref (t.size - 1) in
-    while
-      !i > 0
-      &&
-      let parent = (!i - 1) / 2 in
-      before t.arr.(!i) t.arr.(parent)
-    do
-      let parent = (!i - 1) / 2 in
-      let tmp = t.arr.(parent) in
-      t.arr.(parent) <- t.arr.(!i);
-      t.arr.(!i) <- tmp;
-      i := parent
-    done
-
-  let peek t = if t.size = 0 then None else Some t.arr.(0)
-
-  let pop t =
-    assert (t.size > 0);
-    let top = t.arr.(0) in
-    t.size <- t.size - 1;
-    t.arr.(0) <- t.arr.(t.size);
-    t.arr.(t.size) <- nil;
-    (* Sift down. *)
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < t.size && before t.arr.(l) t.arr.(!smallest) then smallest := l;
-      if r < t.size && before t.arr.(r) t.arr.(!smallest) then smallest := r;
-      if !smallest = !i then continue := false
-      else begin
-        let tmp = t.arr.(!smallest) in
-        t.arr.(!smallest) <- t.arr.(!i);
-        t.arr.(!i) <- tmp;
-        i := !smallest
-      end
-    done;
-    top
-end
 
 (* Calendar-queue timing wheel: O(1) amortized schedule and dispatch.
 
@@ -82,10 +23,10 @@ end
    first chain head whose [vb] matches the scanned slot — by
    construction the global minimum under (time, seq), because [vb] is
    monotone in [time] and equal times always share a bucket (so FIFO
-   seq ties are resolved inside one sorted chain, exactly as the heap
-   resolves them). If a whole rotation finds nothing in the current
-   year, a direct minimum over all chain heads (the safety net for any
-   distribution the geometry mispredicts) restores the invariant.
+   seq ties are resolved inside one sorted chain). If a whole rotation
+   finds nothing in the current year, a direct minimum over all chain
+   heads (the safety net for any distribution the geometry mispredicts)
+   restores the invariant.
 
    Far-future events — beyond [far_horizon] buckets ahead, including
    anything whose bucket number would overflow [int_of_float] — wait in
@@ -306,10 +247,8 @@ module Wheel = struct
     if ev == nil then None else Some ev
 end
 
-type queue = Qheap of Heap.t | Qwheel of Wheel.t
-
 type t = {
-  q : queue;
+  q : Wheel.t;
   mutable clock : float;
   mutable next_seq : int;
   mutable processed : int;
@@ -319,22 +258,10 @@ type t = {
   m_events : Opennf_obs.Metrics.counter;
 }
 
-(* The wheel is the default; OPENNF_SCHEDULER=heap flips every engine
-   in the process to the reference binary heap (the two dispatch
-   identically — that is what the bench-check smoke diff asserts). *)
-let default_queue () =
-  match Sys.getenv_opt "OPENNF_SCHEDULER" with
-  | Some ("heap" | "binheap") -> `Heap
-  | _ -> `Wheel
-
-let create ?(seed = 1) ?(obs = Opennf_obs.Hub.disabled) ?queue () =
-  let kind = match queue with Some k -> k | None -> default_queue () in
+let create ?(seed = 1) ?(obs = Opennf_obs.Hub.disabled) () =
   let t =
     {
-      q =
-        (match kind with
-        | `Heap -> Qheap (Heap.create ())
-        | `Wheel -> Qwheel (Wheel.create ()));
+      q = Wheel.create ();
       clock = 0.0;
       next_seq = 0;
       processed = 0;
@@ -361,26 +288,21 @@ let schedule_at t time thunk =
       (Printf.sprintf "Engine.schedule_at: time %g is in the past (now %g)"
          time t.clock);
   let ev = { time; seq = t.next_seq; thunk; vb = 0; next = nil } in
-  (match t.q with Qheap h -> Heap.push h ev | Qwheel w -> Wheel.push w ev);
+  Wheel.push t.q ev;
   t.next_seq <- t.next_seq + 1
 
 let schedule t ~delay thunk =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t (t.clock +. delay) thunk
 
-let peek t =
-  match t.q with Qheap h -> Heap.peek h | Qwheel w -> Wheel.peek_opt w
-
-let pop t = match t.q with Qheap h -> Heap.pop h | Qwheel w -> Wheel.pop w
-
+let peek t = Wheel.peek_opt t.q
 let next_time t = match peek t with None -> infinity | Some ev -> ev.time
 
-(* Dispatch exactly one event. Shared by [run], [step] and [run_until]:
-   both queue implementations pop in identical (time, seq) order, so
-   bounded stepping observes the same dispatch sequence as a free
-   [run] regardless of OPENNF_SCHEDULER. *)
+(* Dispatch exactly one event. Shared by [run], [step] and [run_until],
+   so bounded stepping observes the same dispatch sequence as a free
+   [run]. *)
 let dispatch_one t =
-  let ev = pop t in
+  let ev = Wheel.pop t.q in
   t.clock <- ev.time;
   t.processed <- t.processed + 1;
   Opennf_obs.Metrics.incr t.m_events;
@@ -425,7 +347,6 @@ let run ?(until = infinity) t =
   if until <> infinity && t.clock < until then t.clock <- until;
   t.running <- false
 
-let pending t =
-  match t.q with Qheap h -> h.Heap.size | Qwheel w -> w.Wheel.size
+let pending t = t.q.Wheel.size
 
 let processed t = t.processed

@@ -7,20 +7,15 @@
 
 type t
 
-val create :
-  ?seed:int -> ?obs:Opennf_obs.Hub.t -> ?queue:[ `Wheel | `Heap ] -> unit -> t
+val create : ?seed:int -> ?obs:Opennf_obs.Hub.t -> unit -> t
 (** [create ~seed ()] makes an engine whose clock is at 0.0 and whose
     root RNG is seeded with [seed] (default 1). [obs] (default
     {!Opennf_obs.Hub.disabled}) is the observability hub; the engine
     installs its virtual clock as the hub's trace timebase and counts
     dispatched events under ["engine.events"].
 
-    [queue] selects the event-queue implementation: [`Wheel] (default)
-    is an O(1)-amortized calendar-queue timing wheel; [`Heap] is the
-    reference O(log n) binary heap. Both dispatch in identical
-    (time, seq) order, so simulation results do not depend on the
-    choice. When [queue] is omitted, the [OPENNF_SCHEDULER] environment
-    variable picks ("heap" forces the reference heap). *)
+    The event queue is an O(1)-amortized calendar-queue timing wheel
+    that dispatches in strict (time, seq) order. *)
 
 val obs : t -> Opennf_obs.Hub.t
 (** The hub this engine was created with, for components to share. *)
@@ -47,11 +42,10 @@ val run : ?until:float -> t -> unit
     First-class bounded-advance entry points for external coordinators
     (see {!Par}): unlike piggybacking on [run ?until], they report why
     they stopped and never fast-forward the clock past the last
-    dispatched event. All three entry points share one dispatch path,
-    and both queue implementations ([`Wheel] and [`Heap]) pop in
-    identical (time, seq) order, so a simulation driven by [step] /
-    [run_until] observes exactly the event sequence a free [run] would
-    — bounded stepping cannot perturb determinism. *)
+    dispatched event. All three entry points share one dispatch path
+    over the one (time, seq)-ordered queue, so a simulation driven by
+    [step] / [run_until] observes exactly the event sequence a free
+    [run] would — bounded stepping cannot perturb determinism. *)
 
 val next_time : t -> float
 (** Virtual time of the earliest pending event, or [infinity] when the

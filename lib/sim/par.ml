@@ -144,8 +144,6 @@ let call t ~dst f =
         f (fun v -> post t ~dst:src (fun () -> Proc.Ivar.fill iv v)));
     Proc.Ivar.read iv
 
-let debug = Sys.getenv_opt "OPENNF_PAR_DEBUG" <> None
-
 let msg_before a b =
   a.m_time < b.m_time
   || (a.m_time = b.m_time
@@ -223,11 +221,6 @@ let run ?workers t =
         List.iter
           (fun m ->
             t.delivered <- t.delivered + 1;
-            if debug then
-              Printf.eprintf "[par] deliver t=%.6f %d->%d seq=%d (dst now=%.6f next=%.6f)\n%!"
-                m.m_time m.m_src m.m_dst m.m_seq
-                (Engine.now t.engines.(m.m_dst))
-                (Engine.next_time t.engines.(m.m_dst));
             Engine.schedule_at t.engines.(m.m_dst) m.m_time m.m_run)
           msgs;
         for i = 0 to n - 1 do
@@ -244,14 +237,6 @@ let run ?workers t =
             bounds.(j) <- !b
           done;
           t.rounds <- t.rounds + 1;
-          if debug then begin
-            Printf.eprintf "[par] round %d tmin=%.6f" t.rounds tmin;
-            for i = 0 to n - 1 do
-              Printf.eprintf " [%d: now=%.6f next=%.6f bound=%.6f]"
-                i (Engine.now t.engines.(i)) nexts.(i) bounds.(i)
-            done;
-            Printf.eprintf "\n%!"
-          end;
           if w_use = 1 then
             for j = 0 to n - 1 do
               window t j ~bound:bounds.(j) ~tmin

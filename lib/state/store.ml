@@ -6,9 +6,7 @@ open Opennf_net
    hash table (O(1) point lookups on the packet path) with an
    always-sorted mirror ({!Opennf_util.Omap}, O(log n) update), so a
    scoped enumeration is an in-order walk — never materialize-then-sort
-   on the query path. The [matching_reference] functions retain the
-   original fold-and-sort shape as oracles for the equivalence tests
-   (and as the bench baselines). *)
+   on the query path. *)
 
 module Perflow = struct
   (* Alongside the canonical-keyed value table, a secondary index maps
@@ -61,14 +59,6 @@ module Perflow = struct
     end
 
   let mem t k = Flow.Table.mem t.table (Flow.canonical k)
-
-  (* Reference path (and oracle for the equivalence tests): fold over
-     every entry, then sort — the seed's sort-per-call behavior. *)
-  let matching_reference t filter =
-    Flow.Table.fold
-      (fun k v acc -> if Filter.matches_flow filter k then (k, v) :: acc else acc)
-      t.table []
-    |> List.sort (fun (a, _) (b, _) -> Flow.compare a b)
 
   (* Candidate sets ({!Flow.Set}) already enumerate in [Flow.compare]
      order, so folding and reversing reproduces the sorted result with
@@ -385,14 +375,6 @@ module Per_host = struct
     let current = match find t ip with Some v -> v | None -> default () in
     set t ip (f current)
 
-  (* Oracle: the seed's fold-and-sort shape. *)
-  let matching_reference t filter =
-    Hashtbl.fold
-      (fun ip v acc ->
-        if Filter.matches_host filter ip then (ip, v) :: acc else acc)
-      t.table []
-    |> List.sort (fun (a, _) (b, _) -> Ipaddr.compare a b)
-
   (* When every address constraint pins a single host, probe the table
      instead of walking it. [matches_host] is satisfied by either
      endpoint constraint, so the candidates are the union of the pinned
@@ -438,13 +420,13 @@ module Keyed = struct
     sorted : ('k, 'a) Omap.t;
   }
 
-  (* [compare] orders enumeration; the default matches the polymorphic
-     ordering the seed's [List.sort compare] produced. *)
-  let create ?(compare = Stdlib.compare) ~relevant () =
+  (* Enumeration follows the polymorphic ordering, as the seed's
+     [List.sort compare] did. *)
+  let create ~relevant () =
     {
       table = Hashtbl.create 64;
       relevant;
-      sorted = Omap.create ~cmp:compare;
+      sorted = Omap.create ~cmp:Stdlib.compare;
     }
 
   let find t k = Hashtbl.find_opt t.table k
@@ -456,13 +438,6 @@ module Keyed = struct
   let remove t k =
     Hashtbl.remove t.table k;
     Omap.remove t.sorted k
-
-  (* Oracle: the seed's fold-and-sort shape. *)
-  let matching_reference t filter =
-    Hashtbl.fold
-      (fun k v acc -> if t.relevant filter k v then (k, v) :: acc else acc)
-      t.table []
-    |> List.sort compare
 
   let matching t filter =
     Omap.fold_desc

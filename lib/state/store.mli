@@ -28,10 +28,6 @@ module Perflow : sig
       instead of the whole store; only filters with no address
       constraint fall back to a full scan. *)
 
-  val matching_reference : 'a t -> Filter.t -> (Flow.key * 'a) list
-  (** Oracle: fold over every entry, ignoring the indexes. Same result
-      as {!matching}; for tests and benchmarks. *)
-
   val fold : 'a t -> init:'b -> f:(Flow.key -> 'a -> 'b -> 'b) -> 'b
   val size : 'a t -> int
 end
@@ -112,10 +108,6 @@ module Per_host : sig
       are answered by hash probes; anything else is an in-order walk of
       the sorted mirror (never a per-call sort). *)
 
-  val matching_reference : 'a t -> Filter.t -> (Ipaddr.t * 'a) list
-  (** Oracle: fold-and-sort over every entry. Same result as
-      {!matching}; for tests and benchmarks. *)
-
   val fold : 'a t -> init:'b -> f:(Ipaddr.t -> 'a -> 'b -> 'b) -> 'b
   val size : 'a t -> int
 end
@@ -125,25 +117,16 @@ module Keyed : sig
   (** Generic store for NF-specific keys (e.g. URLs in a cache) with a
       caller-supplied relevance test for filters. *)
 
-  val create :
-    ?compare:('k -> 'k -> int) ->
-    relevant:(Filter.t -> 'k -> 'a -> bool) ->
-    unit ->
-    ('k, 'a) t
-  (** [compare] orders {!matching} enumeration (default: the polymorphic
-      ordering, matching the historical sort-by-key behavior). *)
+  val create : relevant:(Filter.t -> 'k -> 'a -> bool) -> unit -> ('k, 'a) t
 
   val find : ('k, 'a) t -> 'k -> 'a option
   val set : ('k, 'a) t -> 'k -> 'a -> unit
   val remove : ('k, 'a) t -> 'k -> unit
 
   val matching : ('k, 'a) t -> Filter.t -> ('k * 'a) list
-  (** Relevant entries in ascending [compare] key order — an in-order
-      walk of the sorted mirror, never a per-call sort. *)
-
-  val matching_reference : ('k, 'a) t -> Filter.t -> ('k * 'a) list
-  (** Oracle: fold-and-sort with the polymorphic comparison. Same result
-      as {!matching} under the default [compare]. *)
+  (** Relevant entries in ascending key order (the polymorphic
+      [compare]) — an in-order walk of the sorted mirror, never a
+      per-call sort. *)
 
   val fold : ('k, 'a) t -> init:'b -> f:('k -> 'a -> 'b -> 'b) -> 'b
   val size : ('k, 'a) t -> int

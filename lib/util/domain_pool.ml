@@ -5,9 +5,9 @@
    domain-local scratch buffers) is untouched — parallelism only
    changes which wall-clock core a scenario occupies.
 
-   Tasks are claimed from a shared atomic counter; results land in
-   per-task slots, and [Domain.join] publishes them to the caller. An
-   exception in any task is re-raised after all domains finish. *)
+   Tasks are claimed from a shared atomic counter by the workers of a
+   transient {!Workers} pool; results land in per-task slots. An
+   exception in any task is re-raised after all workers finish. *)
 
 (* The runtime's recommendation can exceed what the process may
    actually use (containers and cpusets restrict affinity without
@@ -83,12 +83,14 @@ let pool_size ?domains ~tasks () =
 
    Each helper owns a slot with a published epoch counter: the caller
    writes the job, bumps [go], and the helper (spinning briefly, then
-   blocking on a condvar) runs it and bumps [done_]. Atomics give the
-   happens-before edges for the job closure and everything it touches;
+   blocking on a condvar) runs it, records any exception it raised in
+   [failed], and bumps [done_]. Atomics give the happens-before edges
+   for the job closure and everything it touches (including [failed]);
    the mutex/condvar pair only arbitrates sleep/wake. *)
 module Workers = struct
   type slot = {
     mutable job : int -> unit;
+    mutable failed : exn option; (* what this epoch's job raised *)
     go : int Atomic.t; (* epoch the helper should run next *)
     done_ : int Atomic.t; (* last epoch the helper completed *)
     m : Mutex.t;
@@ -106,6 +108,11 @@ module Workers = struct
   }
 
   let spin_budget = 2_000
+
+  (* The job [shutdown] posts. One closure compared with [==]: the
+     primitive [ignore] is eta-expanded afresh at every use, so two
+     mentions of it are never physically equal. *)
+  let stop : int -> unit = fun _ -> ()
 
   let helper_loop slot w =
     let epoch = ref 1 in
@@ -127,16 +134,8 @@ module Workers = struct
         Mutex.unlock slot.m
       end;
       let j = slot.job in
-      if j == ignore then continue := false
-      else begin
-        (try j w
-         with e ->
-           (* Parallel engine windows never raise in normal operation;
-              anything else is a bug we must not swallow silently. *)
-           prerr_endline
-             ("Domain_pool.Workers: worker raised " ^ Printexc.to_string e));
-        ()
-      end;
+      if j == stop then continue := false
+      else (try j w with e -> slot.failed <- Some e);
       Atomic.set slot.done_ !epoch;
       Mutex.lock slot.m;
       if slot.caller_asleep then Condition.broadcast slot.cv;
@@ -152,7 +151,8 @@ module Workers = struct
     let slots =
       Array.init (size - 1) (fun _ ->
           {
-            job = ignore;
+            job = stop;
+            failed = None;
             go = Atomic.make 0;
             done_ = Atomic.make 0;
             m = Mutex.create ();
@@ -199,54 +199,49 @@ module Workers = struct
         end)
       t.slots
 
+  (* The first exception in worker order: worker 0's, else the lowest
+     failing helper's. Every slot is cleared, so the pool stays usable. *)
   let run t f =
     if not t.live then invalid_arg "Domain_pool.Workers.run: shut down";
     post t f;
     (* The caller is worker 0 — run its share inline while helpers work. *)
-    f 0;
-    await t
+    let first = ref (try f 0; None with e -> Some e) in
+    await t;
+    Array.iter
+      (fun slot ->
+        if Option.is_none !first then first := slot.failed;
+        slot.failed <- None)
+      t.slots;
+    Option.iter raise !first
 
   let shutdown t =
     if t.live then begin
       t.live <- false;
-      post t ignore;
+      post t stop;
       Array.iter Domain.join t.domains
     end
 end
 
 (* [run ?domains tasks] evaluates every thunk and returns their results
-   in task order. [domains] caps the pool size (default: the runtime's
-   recommended domain count, never more than there are tasks). With a
-   one-domain pool there is nothing to dispatch: tasks run inline with
-   no atomics, no spawns and no join. *)
+   in task order, on a transient {!Workers} pool of {!pool_size}
+   workers that claim tasks from a shared counter. [domains] caps the
+   pool size (default: the usable domain count, never more than there
+   are tasks). A one-worker pool spawns nothing: the tasks run inline. *)
 let run ?domains (tasks : (unit -> 'a) array) : 'a array =
   let n = Array.length tasks in
-  let pool = pool_size ?domains ~tasks:n () in
-  if n = 0 then [||]
-  else if pool = 1 then Array.map (fun f -> f ()) tasks
-  else begin
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          results.(i) <- Some (tasks.(i) ());
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let helpers = Array.init (pool - 1) (fun _ -> Domain.spawn worker) in
-    let first_exn = ref None in
-    (try worker () with e -> first_exn := Some e);
-    Array.iter
-      (fun d ->
-        try Domain.join d
-        with e -> if Option.is_none !first_exn then first_exn := Some e)
-      helpers;
-    (match !first_exn with Some e -> raise e | None -> ());
-    Array.map
-      (function Some v -> v | None -> failwith "Domain_pool.run: missing result")
-      results
-  end
+  let results = Array.make n None in
+  let next = Atomic.make 0 in
+  let rec claim _ =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      results.(i) <- Some (tasks.(i) ());
+      claim 0
+    end
+  in
+  let pool = Workers.create ~domains:(pool_size ?domains ~tasks:n ()) () in
+  Fun.protect
+    ~finally:(fun () -> Workers.shutdown pool)
+    (fun () -> Workers.run pool claim);
+  Array.map
+    (function Some v -> v | None -> failwith "Domain_pool.run: missing result")
+    results

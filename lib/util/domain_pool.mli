@@ -20,9 +20,10 @@ val pool_size : ?domains:int -> tasks:int -> unit -> int
 
 val run : ?domains:int -> (unit -> 'a) array -> 'a array
 (** [run tasks] evaluates every thunk and returns their results in task
-    order. [domains] caps the pool size (default
-    {!default_domains}, never more than there are tasks). An exception
-    in any task is re-raised after all domains finish. *)
+    order, on a transient {!Workers} pool shut down before returning.
+    [domains] caps the pool size (default {!default_domains}, never
+    more than there are tasks). An exception in any task is re-raised
+    after all workers finish. *)
 
 (** Persistent pinned workers: spawn once, submit many rounds.
 
@@ -46,7 +47,10 @@ module Workers : sig
 
   val run : t -> (int -> unit) -> unit
   (** [run t f] executes [f w] on every worker [w] (0 inclusive) and
-      returns when all have finished. The atomics protecting the round
+      returns when all have finished. If any [f w] raised, [run]
+      re-raises the first exception in worker order once every worker
+      is done, so a raise on a helper domain propagates exactly as it
+      would at size 1; the pool stays usable. The atomics protecting the round
       hand-off give the usual happens-before edges: writes made before
       [run] are visible to every worker, and writes made by workers are
       visible to the caller after [run] returns. Helpers spin briefly

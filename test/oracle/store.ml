@@ -1,0 +1,21 @@
+(* The seed's fold-filter-sort enumeration over each store's hash-table
+   [fold], ignoring the ordered mirrors and the per-host index. Same
+   results as the stores' [matching]. *)
+
+open Opennf_net
+module S = Opennf_state.Store
+
+let perflow_matching store filter =
+  S.Perflow.fold store ~init:[] ~f:(fun k v acc ->
+      if Filter.matches_flow filter k then (k, v) :: acc else acc)
+  |> List.sort (fun (a, _) (b, _) -> Flow.compare a b)
+
+let per_host_matching store filter =
+  S.Per_host.fold store ~init:[] ~f:(fun ip v acc ->
+      if Filter.matches_host filter ip then (ip, v) :: acc else acc)
+  |> List.sort (fun (a, _) (b, _) -> Ipaddr.compare a b)
+
+let keyed_matching store ~relevant filter =
+  S.Keyed.fold store ~init:[] ~f:(fun k v acc ->
+      if relevant filter k v then (k, v) :: acc else acc)
+  |> List.sort compare

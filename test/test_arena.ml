@@ -9,9 +9,10 @@
    - an arena-backed per-flow store must be observationally identical
      to a boxed reference model under random churn
      (insert/mutate/delete/match);
-   - the timing-wheel scheduler must dispatch in exactly the reference
-     binary heap's (time, seq) order on random schedules, including
-     ties, zero delays, nested scheduling and far-future timers;
+   - the timing-wheel scheduler must dispatch in exactly the (time, seq)
+     order of the oracle binary heap ({!Oracle.Heap_engine}) on random
+     schedules, including ties, zero delays, nested scheduling and
+     far-future timers;
    - NAT port allocation must wrap within its configured range and
      recycle ports of Closed entries instead of marching past 65535. *)
 
@@ -225,11 +226,31 @@ let pfa_equiv =
 
 (* --- timing wheel vs binary heap --------------------------------------- *)
 
+(* The schedule/now/run surface both engines share. *)
+module type SIM = sig
+  type t
+
+  val create : unit -> t
+  val now : t -> float
+  val schedule : t -> delay:float -> (unit -> unit) -> unit
+  val run : t -> unit
+  val processed : t -> int
+end
+
+module Wheel : SIM = struct
+  include Engine
+
+  let create () = Engine.create ()
+  let run e = Engine.run e
+end
+
+module Heap : SIM = Oracle.Heap_engine
+
 (* Random schedules on a coarse grid (frequent exact ties), with zero
    delays and nested scheduling from inside thunks. Both engines must
    log the same ((time, seq-order) → id) dispatch sequence. *)
-let run_schedule queue ops =
-  let e = Engine.create ~queue () in
+let run_schedule (module Engine : SIM) ops =
+  let e = Engine.create () in
   let log = ref [] in
   let n = ref 0 in
   List.iter
@@ -256,8 +277,8 @@ let run_schedule queue ops =
 let wheel_heap_equiv =
   QCheck.Test.make ~name:"timing wheel == binary heap dispatch order (random)"
     ~count:120 ops_arb (fun ops ->
-      let heap = run_schedule `Heap ops in
-      let wheel = run_schedule `Wheel ops in
+      let heap = run_schedule (module Heap) ops in
+      let wheel = run_schedule (module Wheel) ops in
       if heap <> wheel then
         let (lh, ph, _), (lw, pw, _) = (heap, wheel) in
         QCheck.Test.fail_reportf
@@ -267,27 +288,26 @@ let wheel_heap_equiv =
       else true)
 
 let test_wheel_far_future () =
-  let e = Engine.create ~queue:`Wheel () in
-  let log = ref [] in
-  Engine.schedule e ~delay:2.0e9 (fun () -> log := "far" :: !log);
-  Engine.schedule e ~delay:0.5 (fun () -> log := "near" :: !log);
-  Engine.schedule e ~delay:1.0e6 (fun () -> log := "mid" :: !log);
-  Engine.run e;
+  let far (module Engine : SIM) =
+    let e = Engine.create () in
+    let log = ref [] in
+    Engine.schedule e ~delay:2.0e9 (fun () -> log := "far" :: !log);
+    Engine.schedule e ~delay:0.5 (fun () -> log := "near" :: !log);
+    Engine.schedule e ~delay:1.0e6 (fun () -> log := "mid" :: !log);
+    Engine.run e;
+    (List.rev !log, Engine.now e)
+  in
+  let by_wheel, clock = far (module Wheel) in
   Alcotest.(check (list string))
-    "overflow dispatch order" [ "near"; "mid"; "far" ] (List.rev !log);
-  Alcotest.(check (float 1e-3)) "clock at far event" 2.0e9 (Engine.now e)
+    "overflow dispatch order" [ "near"; "mid"; "far" ] by_wheel;
+  Alcotest.(check (float 1e-3)) "clock at far event" 2.0e9 clock;
+  Alcotest.(check (pair (list string) (float 0.0)))
+    "matches heap" (far (module Heap)) (by_wheel, clock)
 
 let test_wheel_many_ties () =
   (* Thousands of events at identical times: FIFO within each instant. *)
-  let e = Engine.create ~queue:`Wheel () in
-  let log = ref [] in
-  for i = 0 to 4_999 do
-    Engine.schedule e ~delay:(float_of_int (i mod 5) /. 10.0) (fun () ->
-        log := i :: !log)
-  done;
-  Engine.run e;
-  let by_heap =
-    let e = Engine.create ~queue:`Heap () in
+  let ties (module Engine : SIM) =
+    let e = Engine.create () in
     let log = ref [] in
     for i = 0 to 4_999 do
       Engine.schedule e ~delay:(float_of_int (i mod 5) /. 10.0) (fun () ->
@@ -296,7 +316,8 @@ let test_wheel_many_ties () =
     Engine.run e;
     List.rev !log
   in
-  Alcotest.(check (list int)) "tie order matches heap" by_heap (List.rev !log)
+  Alcotest.(check (list int))
+    "tie order matches heap" (ties (module Heap)) (ties (module Wheel))
 
 (* --- NAT port allocation (regression) ---------------------------------- *)
 

@@ -44,9 +44,10 @@ let test_opennf_op_move_does_not_reorder_same_setup () =
   let tb = H.prads_pair ~flows:50 ~rate:3000.0 ~packet_out_rate:800.0 () in
   H.run_with tb ~at:1.0 (fun () ->
       ignore
-        (Move.run_exn tb.H.fab.ctrl
-           (Move.spec ~src:tb.H.nf1 ~dst:tb.H.nf2 ~filter:Filter.any
-              ~guarantee:Move.Order_preserving ())));
+        (Op_error.ok_exn
+           (Move.run tb.H.fab.ctrl
+              (Move.spec ~src:tb.H.nf1 ~dst:tb.H.nf2 ~filter:Filter.any
+                 ~guarantee:Move.Order_preserving ()))));
   Alcotest.(check int) "no reordering" 0
     (List.length (Audit.arrival_order_violations tb.H.fab.audit));
   H.assert_loss_free tb

@@ -51,9 +51,10 @@ let inject_download fab gen body =
 let upgrade fab nf1 nf2 ~guarantee =
   Helpers.run_at fab ~at:0.5 (fun () ->
       ignore
-        (Move.run_exn fab.Fabric.ctrl
-           (Move.spec ~src:nf1 ~dst:nf2 ~filter:Filter.any ~guarantee
-              ~parallel:true ())))
+        (Op_error.ok_exn
+           (Move.run fab.Fabric.ctrl
+              (Move.spec ~src:nf1 ~dst:nf2 ~filter:Filter.any ~guarantee
+                 ~parallel:true ()))))
 
 let test_upgrade_without_guarantees_misses_malware () =
   let body, digest = Opennf_trace.Gen.malware_body 60_000 in

@@ -1,9 +1,9 @@
-(* Randomized equivalence of the indexed data path against retained
-   linear-scan references (ISSUE 1): under install/remove/query churn,
+(* Randomized equivalence of the indexed data path against linear-scan
+   oracles (ISSUE 1): under install/remove/query churn,
    [Flowtable.lookup] (exact hash + priority buckets + decision cache)
-   must always agree with [Flowtable.lookup_reference], and
+   must always agree with [Oracle.Flowtable.lookup], and
    [Store.Perflow.matching] (exact fast path + per-host index) with
-   [Store.Perflow.matching_reference]. *)
+   [Oracle.Store.perflow_matching]. *)
 
 module Rng = Opennf_util.Rng
 open Opennf_net
@@ -28,7 +28,7 @@ let cookie_of = Option.map (fun r -> r.Flowtable.cookie)
 let check_lookup table p =
   Alcotest.(check (option int))
     "indexed lookup agrees with linear reference"
-    (cookie_of (Flowtable.lookup_reference table p))
+    (cookie_of (Oracle.Flowtable.lookup table p))
     (cookie_of (Flowtable.lookup table p))
 
 let random_filter rng =
@@ -122,7 +122,7 @@ let test_perflow_churn () =
       let f = random_filter rng in
       Alcotest.check pairs
         ("indexed matching agrees with reference for " ^ Filter.to_string f)
-        (Store.Perflow.matching_reference store f)
+        (Oracle.Store.perflow_matching store f)
         (Store.Perflow.matching store f)
   done
 

@@ -123,9 +123,15 @@ let test_seeded_reorder () =
 
 (* --- column-fed verdict == hub-trace verdict ----------------------------------- *)
 
+(* Shard-tagged trace buffers as [Monitor.replay] streams. *)
+let trace_streams sources =
+  List.map
+    (fun (k, tr) -> (k, Seq.init (Trace.length tr) (Trace.nth tr)))
+    sources
+
 (* [Fabric.verdict] streams the audit columns (with the hub's op spans
-   interleaved when tracing); [Monitor.merged_verdict] over the hub
-   traces replays the mirrored instants instead. On a traced run the two
+   interleaved when tracing); [Monitor.replay] over the hub traces
+   replays the mirrored instants instead. On a traced run the two
    must agree finding for finding, op/phase context included; an
    untraced run of the same scenario must find the same violations, just
    without op context. Serial and 2-shard parallel, clean and seeded. *)
@@ -144,7 +150,9 @@ let equivalence_run ~par ?break_for_test ~traced () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "move failed: %a" Op_error.pp e);
   ( Fabric.verdict tb.H.fab,
-    Monitor.merged_verdict (List.mapi (fun k h -> (k, Hub.trace h)) (Array.to_list hubs)) )
+    Monitor.replay
+      (trace_streams
+         (List.mapi (fun k h -> (k, Hub.trace h)) (Array.to_list hubs))) )
 
 let without_op_context (f : Monitor.finding) =
   { f with Monitor.op_span = 0; op = ""; phase = ""; shard = 0 }
@@ -276,8 +284,8 @@ let prop_permutation_invariance =
     ~count:10 pconfig_arb (fun c ->
       let traces = par_traces c in
       let permuted = rotate c.rot (List.rev traces) in
-      let v1 = Monitor.merged_verdict traces in
-      let v2 = Monitor.merged_verdict permuted in
+      let v1 = Monitor.replay (trace_streams traces) in
+      let v2 = Monitor.replay (trace_streams permuted) in
       let c1 = Export.canonical (List.map snd traces) in
       let c2 = Export.canonical (List.map snd permuted) in
       Monitor.clean v1

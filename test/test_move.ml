@@ -14,7 +14,7 @@ let move_all tb ~guarantee ~parallel ~early_release =
         Move.spec ~src:tb.H.nf1 ~dst:tb.H.nf2 ~filter:Filter.any ~guarantee
           ~parallel ~early_release ()
       in
-      report := Some (Move.run_exn tb.H.fab.ctrl spec));
+      report := Some (Op_error.ok_exn (Move.run tb.H.fab.ctrl spec)));
   Option.get !report
 
 let test_no_guarantee_drops () =
@@ -120,7 +120,7 @@ let test_multiflow_scope () =
           ~scope:[ Opennf_state.Scope.Per; Opennf_state.Scope.Multi ]
           ~guarantee:Move.Loss_free ()
       in
-      ignore (Move.run_exn tb.H.fab.ctrl spec));
+      ignore (Op_error.ok_exn (Move.run tb.H.fab.ctrl spec)));
   Alcotest.(check int) "assets moved away from src" 0
     (Opennf_nfs.Prads.asset_count tb.H.prads1);
   Alcotest.(check bool)
@@ -137,7 +137,7 @@ let test_filtered_move_leaves_other_flows () =
         Move.spec ~src:tb.H.nf1 ~dst:tb.H.nf2 ~filter:(Filter.of_key the_flow)
           ~guarantee:Move.Loss_free ()
       in
-      let report = Move.run_exn tb.H.fab.ctrl spec in
+      let report = Op_error.ok_exn (Move.run tb.H.fab.ctrl spec) in
       Alcotest.(check int) "exactly one chunk" 1 report.Move.per_chunks);
   Alcotest.(check int) "src keeps the rest" 19
     (Opennf_nfs.Prads.connection_count tb.H.prads1);

@@ -19,9 +19,10 @@ let test_op_move_of_idle_flows_completes () =
   let finished_at = ref infinity in
   H.run_with tb ~at:2.0 (fun () ->
       let report =
-        Move.run_exn tb.H.fab.ctrl
-          (Move.spec ~src:tb.H.nf1 ~dst:tb.H.nf2 ~filter:Filter.any
-             ~guarantee:Move.Order_preserving ())
+        Op_error.ok_exn
+          (Move.run tb.H.fab.ctrl
+             (Move.spec ~src:tb.H.nf1 ~dst:tb.H.nf2 ~filter:Filter.any
+                ~guarantee:Move.Order_preserving ()))
       in
       finished_at := report.Move.finished);
   Alcotest.(check bool) "completed promptly (no first-packet wait)" true
@@ -33,10 +34,11 @@ let test_move_with_no_matching_state () =
   let tb = H.prads_pair ~flows:5 () in
   H.run_with tb ~at:1.0 (fun () ->
       let report =
-        Move.run_exn tb.H.fab.ctrl
-          (Move.spec ~src:tb.H.nf1 ~dst:tb.H.nf2
-             ~filter:(Filter.of_src_host (ip 203 0 113 250))
-             ~guarantee:Move.Loss_free ())
+        Op_error.ok_exn
+          (Move.run tb.H.fab.ctrl
+             (Move.spec ~src:tb.H.nf1 ~dst:tb.H.nf2
+                ~filter:(Filter.of_src_host (ip 203 0 113 250))
+                ~guarantee:Move.Loss_free ()))
       in
       Alcotest.(check int) "zero chunks" 0 report.Move.per_chunks;
       Alcotest.(check int) "zero bytes" 0 report.Move.state_bytes);
@@ -49,14 +51,16 @@ let test_ping_pong_move () =
   let tb = H.prads_pair ~flows:10 ~rate:500.0 ~duration:4.0 () in
   H.run_with tb ~at:1.0 (fun () ->
       ignore
-        (Move.run_exn tb.H.fab.ctrl
-           (Move.spec ~src:tb.H.nf1 ~dst:tb.H.nf2 ~filter:Filter.any
-              ~guarantee:Move.Loss_free ~parallel:true ()));
+        (Op_error.ok_exn
+           (Move.run tb.H.fab.ctrl
+              (Move.spec ~src:tb.H.nf1 ~dst:tb.H.nf2 ~filter:Filter.any
+                 ~guarantee:Move.Loss_free ~parallel:true ())));
       Proc.sleep 1.0;
       ignore
-        (Move.run_exn tb.H.fab.ctrl
-           (Move.spec ~src:tb.H.nf2 ~dst:tb.H.nf1 ~filter:Filter.any
-              ~guarantee:Move.Loss_free ~parallel:true ())));
+        (Op_error.ok_exn
+           (Move.run tb.H.fab.ctrl
+              (Move.spec ~src:tb.H.nf2 ~dst:tb.H.nf1 ~filter:Filter.any
+                 ~guarantee:Move.Loss_free ~parallel:true ()))));
   Alcotest.(check int) "state home again" 10
     (Opennf_nfs.Prads.connection_count tb.H.prads1);
   Alcotest.(check int) "none left behind" 0
@@ -71,16 +75,17 @@ let test_concurrent_disjoint_moves () =
   let half_b = Filter.of_src_prefix (Ipaddr.Prefix.of_string "10.1.0.128/25") in
   H.run_with tb ~at:1.0 (fun () ->
       let m1 =
-        Move.start_exn tb.H.fab.ctrl
+        Move.start tb.H.fab.ctrl
           (Move.spec ~src:tb.H.nf1 ~dst:tb.H.nf2 ~filter:half_a
              ~guarantee:Move.Loss_free ~parallel:true ())
       in
       let m2 =
-        Move.start_exn tb.H.fab.ctrl
+        Move.start tb.H.fab.ctrl
           (Move.spec ~src:tb.H.nf1 ~dst:tb.H.nf2 ~filter:half_b
              ~guarantee:Move.Loss_free ~parallel:true ())
       in
-      let r1 = Proc.Ivar.read m1 and r2 = Proc.Ivar.read m2 in
+      let read m = Op_error.ok_exn (Proc.Ivar.read m) in
+      let r1 = read m1 and r2 = read m2 in
       Alcotest.(check int) "all flows covered" 40
         (r1.Move.per_chunks + r2.Move.per_chunks));
   Alcotest.(check int) "all at destination" 40
@@ -91,9 +96,10 @@ let test_compressed_move_is_still_loss_free () =
   let tb = H.prads_pair ~flows:30 () in
   H.run_with tb ~at:1.0 (fun () ->
       ignore
-        (Move.run_exn tb.H.fab.ctrl
-           (Move.spec ~src:tb.H.nf1 ~dst:tb.H.nf2 ~filter:Filter.any
-              ~guarantee:Move.Loss_free ~parallel:true ~compress:true ())));
+        (Op_error.ok_exn
+           (Move.run tb.H.fab.ctrl
+              (Move.spec ~src:tb.H.nf1 ~dst:tb.H.nf2 ~filter:Filter.any
+                 ~guarantee:Move.Loss_free ~parallel:true ~compress:true ()))));
   H.assert_loss_free tb;
   Alcotest.(check int) "all state arrived intact" 30
     (Opennf_nfs.Prads.connection_count tb.H.prads2)
@@ -124,9 +130,10 @@ let test_move_under_source_overload () =
   Engine.schedule_at fab.engine 1.0 (fun () ->
       Proc.spawn fab.engine (fun () ->
           ignore
-            (Move.run_exn fab.ctrl
-               (Move.spec ~src:nf1 ~dst:nf2 ~filter:Filter.any
-                  ~guarantee:Move.Loss_free ~parallel:true ()))));
+            (Op_error.ok_exn
+               (Move.run fab.ctrl
+                  (Move.spec ~src:nf1 ~dst:nf2 ~filter:Filter.any
+                     ~guarantee:Move.Loss_free ~parallel:true ())))));
   Fabric.run fab;
   let lost = Audit.lost fab.audit ~nfs:[ "prads1"; "prads2" ] in
   Alcotest.(check (list int)) "loss-free under overload" [] lost;
@@ -136,10 +143,11 @@ let test_move_report_accounting () =
   let tb = H.prads_pair ~flows:25 () in
   H.run_with tb ~at:1.0 (fun () ->
       let report =
-        Move.run_exn tb.H.fab.ctrl
-          (Move.spec ~src:tb.H.nf1 ~dst:tb.H.nf2 ~filter:Filter.any
-             ~scope:[ Opennf_state.Scope.Per; Opennf_state.Scope.Multi ]
-             ~guarantee:Move.Loss_free ())
+        Op_error.ok_exn
+          (Move.run tb.H.fab.ctrl
+             (Move.spec ~src:tb.H.nf1 ~dst:tb.H.nf2 ~filter:Filter.any
+                ~scope:[ Opennf_state.Scope.Per; Opennf_state.Scope.Multi ]
+                ~guarantee:Move.Loss_free ()))
       in
       Alcotest.(check int) "per-flow chunks" 25 report.Move.per_chunks;
       Alcotest.(check bool) "multi-flow chunks present" true

@@ -41,9 +41,10 @@ let test_lf_move_keeps_connections_valid () =
   let b = nat_pair () in
   Helpers.run_at b.fab ~at:1.0 (fun () ->
       ignore
-        (Move.run_exn b.fab.ctrl
-           (Move.spec ~src:b.nf1 ~dst:b.nf2 ~filter:Filter.any
-              ~guarantee:Move.Loss_free ~parallel:true ())));
+        (Op_error.ok_exn
+           (Move.run b.fab.ctrl
+              (Move.spec ~src:b.nf1 ~dst:b.nf2 ~filter:Filter.any
+                 ~guarantee:Move.Loss_free ~parallel:true ()))));
   (* Every mid-flow packet found a conntrack entry at the destination. *)
   Alcotest.(check int) "no invalid packets at nat2" 0
     (Opennf_nfs.Nat.invalid_count b.nat2);

@@ -17,8 +17,9 @@ let test_copy_leaves_source_intact () =
   let tb = H.prads_pair ~flows:20 () in
   H.run_with tb ~at:1.0 (fun () ->
       let report =
-        Copy_op.run_exn tb.H.fab.ctrl ~src:tb.H.nf1 ~dst:tb.H.nf2 ~filter:Filter.any
-          ~scope:[ Scope.Per ] ()
+        Op_error.ok_exn
+          (Copy_op.run tb.H.fab.ctrl ~src:tb.H.nf1 ~dst:tb.H.nf2
+             ~filter:Filter.any ~scope:[ Scope.Per ] ())
       in
       Alcotest.(check int) "copied all flows" 20 report.Copy_op.chunks);
   Alcotest.(check int) "source keeps its state" 20
@@ -33,8 +34,9 @@ let test_copy_multiflow_and_allflows () =
   let tb = H.prads_pair ~flows:20 () in
   H.run_with tb ~at:1.0 (fun () ->
       ignore
-        (Copy_op.run_exn tb.H.fab.ctrl ~src:tb.H.nf1 ~dst:tb.H.nf2 ~filter:Filter.any
-           ~scope:[ Scope.Multi; Scope.All ] ());
+        (Op_error.ok_exn
+           (Copy_op.run tb.H.fab.ctrl ~src:tb.H.nf1 ~dst:tb.H.nf2
+              ~filter:Filter.any ~scope:[ Scope.Multi; Scope.All ] ()));
       (* Right after the copy the destination's global statistics reflect
          the source's (the source keeps counting afterwards). *)
       let p1, _, _ = Opennf_nfs.Prads.stats tb.H.prads1 in
@@ -50,13 +52,15 @@ let test_copy_repeated_is_eventually_consistent () =
   let tb = H.prads_pair ~flows:10 ~duration:3.0 () in
   H.run_with tb ~at:1.0 (fun () ->
       ignore
-        (Copy_op.run_exn tb.H.fab.ctrl ~src:tb.H.nf1 ~dst:tb.H.nf2 ~filter:Filter.any
-           ~scope:[ Scope.Multi ] ());
+        (Op_error.ok_exn
+           (Copy_op.run tb.H.fab.ctrl ~src:tb.H.nf1 ~dst:tb.H.nf2
+              ~filter:Filter.any ~scope:[ Scope.Multi ] ()));
       let early = Opennf_nfs.Prads.last_seen tb.H.prads2 (ip 10 1 0 1) in
       Proc.sleep 1.5;
       ignore
-        (Copy_op.run_exn tb.H.fab.ctrl ~src:tb.H.nf1 ~dst:tb.H.nf2 ~filter:Filter.any
-           ~scope:[ Scope.Multi ] ());
+        (Op_error.ok_exn
+           (Copy_op.run tb.H.fab.ctrl ~src:tb.H.nf1 ~dst:tb.H.nf2
+              ~filter:Filter.any ~scope:[ Scope.Multi ] ()));
       let late = Opennf_nfs.Prads.last_seen tb.H.prads2 (ip 10 1 0 1) in
       match (early, late) with
       | Some e, Some l ->
@@ -70,11 +74,12 @@ let test_notify_fires_on_matching_packets () =
   let seen = ref 0 in
   H.run_with tb ~at:0.5 (fun () ->
       let handle =
-        Notify.enable_exn tb.H.fab.ctrl tb.H.nf1
-          (Filter.make ~proto:Flow.Tcp ~tcp_flag:Packet.Syn ())
-          (fun p ->
-            Alcotest.(check bool) "only SYNs" true (Packet.is_syn p);
-            incr seen)
+        Op_error.ok_exn
+          (Notify.enable tb.H.fab.ctrl tb.H.nf1
+             (Filter.make ~proto:Flow.Tcp ~tcp_flag:Packet.Syn ())
+             (fun p ->
+               Alcotest.(check bool) "only SYNs" true (Packet.is_syn p);
+               incr seen))
       in
       Proc.sleep 0.5;
       Notify.disable tb.H.fab.ctrl handle);
@@ -87,9 +92,10 @@ let test_notify_catches_syns () =
   let seen = ref 0 in
   H.run_with tb ~at:0.02 (fun () ->
       ignore
-        (Notify.enable_exn tb.H.fab.ctrl tb.H.nf1
-           (Filter.make ~proto:Flow.Tcp ~tcp_flag:Packet.Syn ())
-           (fun _ -> incr seen)));
+        (Op_error.ok_exn
+           (Notify.enable tb.H.fab.ctrl tb.H.nf1
+              (Filter.make ~proto:Flow.Tcp ~tcp_flag:Packet.Syn ())
+              (fun _ -> incr seen))));
   Alcotest.(check int) "one event per SYN (both directions carry SYN flags)"
     10 !seen
 
@@ -97,9 +103,10 @@ let test_notify_packets_still_processed () =
   let tb = H.prads_pair ~flows:5 ~rate:100.0 ~duration:1.0 () in
   H.run_with tb ~at:0.02 (fun () ->
       ignore
-        (Notify.enable_exn tb.H.fab.ctrl tb.H.nf1
-           (Filter.make ~proto:Flow.Tcp ~tcp_flag:Packet.Syn ())
-           ignore));
+        (Op_error.ok_exn
+           (Notify.enable tb.H.fab.ctrl tb.H.nf1
+              (Filter.make ~proto:Flow.Tcp ~tcp_flag:Packet.Syn ())
+              ignore)));
   (* Notify uses the process action: nothing is dropped. *)
   H.assert_loss_free tb
 
@@ -128,8 +135,9 @@ let share_bed ~consistency () =
       Controller.set_route fab.ctrl Filter.any nf1;
       share :=
         Some
-          (Share.start_exn fab.ctrl ~instances:[ nf1; nf2 ] ~filter:Filter.any
-             ~scope:[ Scope.Multi ] ~consistency ()));
+          (Op_error.ok_exn
+             (Share.start fab.ctrl ~instances:[ nf1; nf2 ] ~filter:Filter.any
+                ~scope:[ Scope.Multi ] ~consistency ())));
   Engine.schedule_at fab.engine 6.5 (fun () ->
       Proc.spawn fab.engine (fun () -> Share.stop (Option.get !share)));
   Fabric.run fab;
@@ -200,8 +208,9 @@ let test_messages_are_counted () =
   let tb = H.prads_pair ~flows:5 ~rate:100.0 ~duration:0.5 () in
   H.run_with tb ~at:1.0 (fun () ->
       ignore
-        (Copy_op.run_exn tb.H.fab.ctrl ~src:tb.H.nf1 ~dst:tb.H.nf2 ~filter:Filter.any
-           ~scope:[ Scope.Per ] ()));
+        (Op_error.ok_exn
+           (Copy_op.run tb.H.fab.ctrl ~src:tb.H.nf1 ~dst:tb.H.nf2
+              ~filter:Filter.any ~scope:[ Scope.Per ] ())));
   Alcotest.(check bool) "controller handled messages" true
     (Controller.messages_handled tb.H.fab.ctrl > 5)
 

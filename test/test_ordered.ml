@@ -1,7 +1,7 @@
 (* Ordered-store equivalence (ISSUE 4): the always-sorted mirrors that
    replaced materialize-then-sort enumeration must be observationally
-   identical — same keys, same order, same values — to the retained
-   fold-and-sort references, under arbitrary insert/remove/get
+   identical — same keys, same order, same values — to the fold-and-sort
+   oracles ({!Oracle.Store}), under arbitrary insert/remove/get
    interleavings. Plus allocation-budget regressions for the
    getPerflow fast path: the point of the ordered stores and scratch
    buffers is that a scoped get neither sorts nor churns the minor
@@ -58,7 +58,7 @@ let perflow_equiv =
           | _ ->
             let f = filter_of c a b in
             let got = Store.Perflow.matching store f in
-            let want = Store.Perflow.matching_reference store f in
+            let want = Oracle.Store.perflow_matching store f in
             if got <> want then
               QCheck.Test.fail_reportf "filter %s: got [%s] want [%s]"
                 (Filter.to_string f) (show_pairs Flow.pp got)
@@ -87,7 +87,7 @@ let per_host_equiv =
           | _ ->
             let f = filter_of c a b in
             let got = Store.Per_host.matching store f in
-            let want = Store.Per_host.matching_reference store f in
+            let want = Oracle.Store.per_host_matching store f in
             if got <> want then
               QCheck.Test.fail_reportf "filter %s: got [%s] want [%s]"
                 (Filter.to_string f) (show_pairs Ipaddr.pp got)
@@ -119,7 +119,7 @@ let keyed_equiv =
               else Filter.make ~src_port:(1000 + (a land 3)) ()
             in
             Store.Keyed.matching store f
-            = Store.Keyed.matching_reference store f)
+            = Oracle.Store.keyed_matching store ~relevant f)
         ops)
 
 (* The ordered-map helper itself against the stdlib Map oracle. *)

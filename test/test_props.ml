@@ -54,9 +54,11 @@ let run_move_case c ~guarantee =
   let at = 0.05 +. (c.move_after *. trace_len) in
   H.run_with tb ~at (fun () ->
       ignore
-        (Move.run_exn tb.H.fab.ctrl
-           (Move.spec ~src:tb.H.nf1 ~dst:tb.H.nf2 ~filter:Filter.any ~guarantee
-              ~parallel:c.parallel ~early_release:c.early_release ())));
+        (Op_error.ok_exn
+           (Move.run tb.H.fab.ctrl
+              (Move.spec ~src:tb.H.nf1 ~dst:tb.H.nf2 ~filter:Filter.any
+                 ~guarantee ~parallel:c.parallel
+                 ~early_release:c.early_release ()))));
   tb
 
 let no_loss tb =
@@ -114,10 +116,11 @@ let prop_copy_is_non_disruptive =
       in
       H.run_with tb ~at:0.5 (fun () ->
           ignore
-            (Copy_op.run_exn tb.H.fab.ctrl ~src:tb.H.nf1 ~dst:tb.H.nf2
-               ~filter:Filter.any
-               ~scope:[ Opennf_state.Scope.Per; Opennf_state.Scope.Multi ]
-               ~parallel:c.parallel ()));
+            (Op_error.ok_exn
+               (Copy_op.run tb.H.fab.ctrl ~src:tb.H.nf1 ~dst:tb.H.nf2
+                  ~filter:Filter.any
+                  ~scope:[ Opennf_state.Scope.Per; Opennf_state.Scope.Multi ]
+                  ~parallel:c.parallel ())));
       no_loss tb
       && Audit.order_violations tb.H.fab.audit = []
       && Opennf_nfs.Prads.connection_count tb.H.prads1 > 0)
@@ -139,10 +142,11 @@ let prop_partial_move_respects_filter =
           List.iter
             (fun key ->
               ignore
-                (Move.run_exn tb.H.fab.ctrl
-                   (Move.spec ~src:tb.H.nf1 ~dst:tb.H.nf2
-                      ~filter:(Filter.of_key key) ~guarantee:Move.Loss_free
-                      ~parallel:c.parallel ())))
+                (Op_error.ok_exn
+                   (Move.run tb.H.fab.ctrl
+                      (Move.spec ~src:tb.H.nf1 ~dst:tb.H.nf2
+                         ~filter:(Filter.of_key key) ~guarantee:Move.Loss_free
+                         ~parallel:c.parallel ()))))
             moved);
       no_loss tb
       && Opennf_nfs.Prads.connection_count tb.H.prads1 = List.length kept

@@ -67,10 +67,11 @@ let run_case ~guarantee =
              it in the move's scope so the snapshot is taken after the
              source stops processing. *)
           ignore
-            (Move.run_exn fab.ctrl
-               (Move.spec ~src:nf1 ~dst:nf2 ~filter:Filter.any ~guarantee
-                  ~scope:[ Opennf_state.Scope.Per; Opennf_state.Scope.All ]
-                  ~parallel:true ()))));
+            (Op_error.ok_exn
+               (Move.run fab.ctrl
+                  (Move.spec ~src:nf1 ~dst:nf2 ~filter:Filter.any ~guarantee
+                     ~scope:[ Opennf_state.Scope.Per; Opennf_state.Scope.All ]
+                     ~parallel:true ())))));
   Fabric.run fab;
   ( Opennf_nfs.Re_codec.Decoder.desync_count dec1
     + Opennf_nfs.Re_codec.Decoder.desync_count dec2,

@@ -220,9 +220,9 @@ let test_share_hold_blocks_move () =
   Engine.schedule_at fab.Fabric.engine 0.1 (fun () ->
       Proc.spawn fab.Fabric.engine (fun () ->
           let share =
-            Share.start_exn fab.Fabric.ctrl ~sched
-              ~instances:[ p.src; p.dst ] ~filter:(two_sided 0)
-              ~consistency:Share.Strong ()
+            Op_error.ok_exn
+              (Share.start fab.Fabric.ctrl ~sched ~instances:[ p.src; p.dst ]
+                 ~filter:(two_sided 0) ~consistency:Share.Strong ())
           in
           let ivar = Move.submit sched (spec_for ~filter:(two_sided 0) p) in
           (* The move conflicts with the live share; give it time to run

@@ -1,11 +1,12 @@
 (* Unit and property tests for the utility layer: RNG, hashing, LZ,
-   statistics and binary I/O. *)
+   statistics, binary I/O and the domain pool. *)
 
 module Rng = Opennf_util.Rng
 module Hashing = Opennf_util.Hashing
 module Lz = Opennf_util.Lz
 module Stats = Opennf_util.Stats
 module Bytes_io = Opennf_util.Bytes_io
+module Domain_pool = Opennf_util.Domain_pool
 
 (* --- rng ----------------------------------------------------------------- *)
 
@@ -236,6 +237,33 @@ let bytes_io_int_prop =
       Bytes_io.Reader.int (Bytes_io.Reader.of_string (Bytes_io.Writer.contents w))
       = i)
 
+(* --- domain pool ---------------------------------------------------------- *)
+
+exception Boom of int
+
+(* A raise on a helper domain must surface from [run] exactly as it
+   would at one worker, leave the pool usable, and not stop [shutdown]
+   from joining the helper. *)
+let test_workers_helper_raise () =
+  let w = Domain_pool.Workers.create ~domains:2 () in
+  Alcotest.check_raises "helper's exception re-raised" (Boom 1) (fun () ->
+      Domain_pool.Workers.run w (fun i -> if i = 1 then raise (Boom i)));
+  let ran = Array.make 2 false in
+  Domain_pool.Workers.run w (fun i -> ran.(i) <- true);
+  Alcotest.(check (array bool))
+    "pool still runs every worker" [| true; true |] ran;
+  Domain_pool.Workers.shutdown w
+
+let test_pool_run () =
+  let tasks = Array.init 8 (fun i () -> i * i) in
+  Alcotest.(check (array int)) "results in task order"
+    (Array.init 8 (fun i -> i * i))
+    (Domain_pool.run ~domains:2 tasks);
+  Alcotest.check_raises "task exception re-raised" (Boom 5) (fun () ->
+      ignore
+        (Domain_pool.run ~domains:2
+           (Array.init 8 (fun i () -> if i = 5 then raise (Boom i) else i))))
+
 let suite =
   [
     Alcotest.test_case "rng: deterministic per seed" `Quick test_rng_deterministic;
@@ -268,4 +296,8 @@ let suite =
     Alcotest.test_case "bytes_io: bad length" `Quick test_bytes_io_bad_string_length;
     QCheck_alcotest.to_alcotest bytes_io_string_prop;
     QCheck_alcotest.to_alcotest bytes_io_int_prop;
+    Alcotest.test_case "domain_pool: helper raise propagates" `Quick
+      test_workers_helper_raise;
+    Alcotest.test_case "domain_pool: run on transient workers" `Quick
+      test_pool_run;
   ]
