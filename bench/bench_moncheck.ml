@@ -4,11 +4,11 @@
    Three claims, each enforced with [failwith] so @bench-check fails
    loudly:
 
-   1. {b Soundness on fault-free runs}: with the live monitors attached,
+   1. {b Soundness on fault-free runs}: with the live monitor attached,
       the §8-style scenarios — a loss-free and an order-preserving PRADS
       move (with and without a resilience policy armed), and the
-      shard-scaling workload at 1/2/4 shards, serial and [~par:true] —
-      report {e zero} violations.
+      shard-scaling workload at 1/2/4 shards — report {e zero}
+      violations.
 
    2. {b Pure observation}: a monitored run of the shard workload has
       the same virtual makespan and the same semantic digest as the
@@ -50,17 +50,15 @@ let clean_move ~label ?resilience ~guarantee () =
 
 (* --- fault-free shard workload, monitored vs not -------------------------- *)
 
-let clean_shards ~shards ~par () =
-  let label = Printf.sprintf "shards=%d%s" shards (if par then " par" else "") in
-  let baseline =
-    H.run_shard_workload ~ops:(2 * shards) ~flows:40 ~shards ~par ()
-  in
+let clean_shards ~shards () =
+  let label = Printf.sprintf "shards=%d" shards in
+  let baseline = H.run_shard_workload ~ops:(2 * shards) ~flows:40 ~shards () in
   let verdict = ref [] in
   let monitored =
-    H.run_shard_workload ~ops:(2 * shards) ~flows:40 ~shards ~par ~monitor:true
+    H.run_shard_workload ~ops:(2 * shards) ~flows:40 ~shards ~monitor:true
       ~on_fabric:(fun fab ->
         verdict := Fabric.verdict fab;
-        check (Fabric.monitored fab) "%s: monitors not attached" label)
+        check (Fabric.monitored fab) "%s: monitor not attached" label)
       ()
   in
   check
@@ -120,8 +118,7 @@ let run () =
         probe_period = 0.1;
       }
     ~guarantee:Move.Loss_free ();
-  List.iter (fun shards -> clean_shards ~shards ~par:false ()) [ 1; 2; 4 ];
-  List.iter (fun shards -> clean_shards ~shards ~par:true ()) [ 2; 4 ];
+  List.iter (fun shards -> clean_shards ~shards ()) [ 1; 2; 4 ];
   seeded_violation ();
   H.note "moncheck: all gates passed"
 

@@ -269,18 +269,14 @@ let bench_pool ~preload =
 
 type shard_row = {
   sh_run : H.shard_run;
-  sh_wall : H.timed; (* Serial engine: wall min-of-k for the whole sim. *)
-  sh_par : (H.shard_run * H.timed) option;
-      (* The same workload with one engine per shard on its own domain
-         (ISSUE 9); [None] at shards = 1, where parallel mode is inert. *)
+  sh_wall : H.timed; (* Wall min-of-k for the whole sim. *)
 }
 
 (* Scaling of the control plane itself: the same controller-bound
-   disjoint-move workload at growing shard counts, first with every
-   shard in one engine (virtual-time speedup only — parallelism of the
-   modeled control plane, not of the host), then with one engine per
-   shard on its own domain, where the same speedup must show up on the
-   wall clock. Wall numbers are min-of-k with the spread recorded. *)
+   disjoint-move workload at growing shard counts, every shard in one
+   engine. The speedup is in virtual time — parallelism of the modeled
+   control plane, not of the host. Wall numbers are min-of-k with the
+   spread recorded. *)
 let bench_shards () =
   List.map
     (fun shards ->
@@ -288,16 +284,7 @@ let bench_shards () =
         H.time_min_of (fun () ->
             H.run_shard_workload ~ops:8 ~flows:300 ~shards ())
       in
-      let sh_par =
-        if shards <= 1 then None
-        else
-          let t, r =
-            H.time_min_of (fun () ->
-                H.run_shard_workload ~ops:8 ~flows:300 ~shards ~par:true ())
-          in
-          Some (r, t)
-      in
-      { sh_run; sh_wall; sh_par })
+      { sh_run; sh_wall })
     (H.shard_counts ())
 
 (* --- driver -------------------------------------------------------------- *)
@@ -386,35 +373,19 @@ let run () =
     | first :: _ when first.sh_run.H.s_shards = 1 -> first.sh_run.H.s_makespan
     | _ -> 0.0
   in
-  let serial_wall =
-    match shard_rows with
-    | first :: _ when first.sh_run.H.s_shards = 1 -> first.sh_wall.H.t_min
-    | _ -> 0.0
-  in
   let shard_speedup row =
     if serial_span > 0.0 then serial_span /. row.sh_run.H.s_makespan else 1.0
-  in
-  let par_wall_speedup t =
-    if serial_wall > 0.0 then serial_wall /. t.H.t_min else 1.0
   in
   let digests_ok =
     match shard_rows with
     | first :: rest ->
       List.for_all
-        (fun r ->
-          r.sh_run.H.s_digest = first.sh_run.H.s_digest
-          && match r.sh_par with
-             | None -> true
-             | Some (p, _) -> p.H.s_digest = first.sh_run.H.s_digest)
+        (fun r -> r.sh_run.H.s_digest = first.sh_run.H.s_digest)
         rest
     | [] -> true
   in
   H.table
-    ~header:
-      [
-        "shards"; "virtual makespan (ms)"; "speedup"; "wall (ms)";
-        "par wall (ms)"; "domains"; "par wall speedup";
-      ]
+    ~header:[ "shards"; "virtual makespan (ms)"; "speedup"; "wall (ms)" ]
     (List.map
        (fun row ->
          [
@@ -422,38 +393,10 @@ let run () =
            H.ms row.sh_run.H.s_makespan;
            Printf.sprintf "%.2fx" (shard_speedup row);
            H.ms row.sh_wall.H.t_min;
-         ]
-         @
-         match row.sh_par with
-         | None -> [ "-"; "-"; "-" ]
-         | Some (p, t) ->
-           [
-             H.ms t.H.t_min; string_of_int p.H.s_domains;
-             Printf.sprintf "%.2fx" (par_wall_speedup t);
-           ])
+         ])
        shard_rows);
-  H.note "shard digests across counts and execution modes: %s"
+  H.note "shard digests across counts: %s"
     (if digests_ok then "identical" else "DIVERGED");
-  (* The wall-clock speedup claim needs real cores under the domains;
-     record applicability so a consumer gating on the ratio skips
-     honestly on small runners instead of failing or lying. *)
-  let usable = Opennf_util.Domain_pool.default_domains () in
-  if usable < 4 then
-    H.note
-      "parallel wall-clock gate: not applicable (%d usable domain%s < 4)"
-      usable
-      (if usable = 1 then "" else "s")
-  else
-    List.iter
-      (fun row ->
-        match row.sh_par with
-        | Some (p, t) when row.sh_run.H.s_shards = 4 ->
-          H.note "parallel wall-clock at 4 shards: %.2fx on %d domains%s"
-            (par_wall_speedup t) p.H.s_domains
-            (if par_wall_speedup t >= 2.0 then " -- ok (>= 2x)"
-             else " -- BELOW 2x")
-        | _ -> ())
-      shard_rows;
   let oc = open_out "BENCH_scale.json" in
   output_string oc "{\n  \"bench\": \"scale\",\n  \"rows\": [\n";
   output_string oc
@@ -463,26 +406,15 @@ let run () =
     (String.concat ",\n"
        (List.map
           (fun row ->
-            let par_fields =
-              match row.sh_par with
-              | None -> ""
-              | Some (p, t) ->
-                Printf.sprintf
-                  ", \"par_wall_min_ms\": %.1f, \"par_wall_spread_ms\": %.1f, \
-                   \"par_domains\": %d, \"par_wall_speedup_vs_serial\": %.2f"
-                  (1000.0 *. t.H.t_min)
-                  (1000.0 *. t.H.t_spread)
-                  p.H.s_domains (par_wall_speedup t)
-            in
             Printf.sprintf
               "    {\"shards\": %d, \"makespan_virtual_s\": %.6f, \
                \"speedup_vs_serial\": %.2f, \"wall_min_ms\": %.1f, \
                \"wall_spread_ms\": %.1f, \"wall_repeats\": %d, \
-               \"digest_identical\": %b%s}"
+               \"digest_identical\": %b}"
               row.sh_run.H.s_shards row.sh_run.H.s_makespan (shard_speedup row)
               (1000.0 *. row.sh_wall.H.t_min)
               (1000.0 *. row.sh_wall.H.t_spread)
-              row.sh_wall.H.t_repeats digests_ok par_fields)
+              row.sh_wall.H.t_repeats digests_ok)
           shard_rows));
   Printf.fprintf oc
     "  \"schedulers\": {\"heap_events\": %d, \"wheel_events\": %d, \"virtual_end\": %.6f, \"identical\": %b},\n"

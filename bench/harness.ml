@@ -111,10 +111,10 @@ let prads_bed ?(seed = 101) ?(flows = 500) ?(rate = 2500.0) ?duration
   { fab; nf1; nf2; rt1; rt2; keys; move_at }
 
 (* Run [body] at virtual time [at], then the whole simulation. *)
-let run_at ?workers fab ~at body =
+let run_at fab ~at body =
   Engine.schedule_at fab.Fabric.engine at (fun () ->
       Proc.spawn fab.Fabric.engine body);
-  Fabric.run ?workers fab
+  Fabric.run fab
 
 (* Added latency (s) of the packets a move affected: those carried in
    events or buffered at the destination. *)
@@ -148,22 +148,18 @@ type shard_run = {
   s_cross : int;  (* Operations admitted via the cross-shard handshake. *)
   s_messages : int;  (* Inbound controller messages, summed over shards. *)
   s_digest : int64;  (* Semantic outcome digest (reports + final stores). *)
-  s_domains : int;  (* Worker domains a parallel run stepped on; 0 serial. *)
 }
 
 (* The shard-scaling workload: [ops] disjoint loss-free moves between
    dummy pairs, pair [i] homed on shard [i mod shards]. Controller CPU
    dominates (3 inbound messages per flow), so the virtual makespan
    measures how well the control plane parallelizes; the digest proves
-   the sharded run computed the same thing as the serial one. [par]
-   runs each shard on its own engine/domain (the ISSUE 9 parallel
-   path); [obs]/[shard_obs] attach tracing hubs for canonical trace
-   comparison; [workers] caps the domains of a parallel run. *)
-(* [monitor] attaches the live guarantee checkers ({!Fabric.create});
-   [on_fabric] runs after the simulation completes, before the fabric is
-   dropped — the moncheck gate reads {!Fabric.verdict} through it. *)
-let run_shard_workload ?(seed = 42) ?obs ?shard_obs ?par ?workers ?monitor
-    ?on_fabric ~ops ~flows ~shards () =
+   the sharded run computed the same thing as the serial one.
+   [monitor] attaches the live guarantee checker ({!Fabric.create});
+   [on_fabric] runs after the simulation completes, before the fabric
+   is dropped — the moncheck gate reads {!Fabric.verdict} through it. *)
+let run_shard_workload ?(seed = 42) ?monitor ?on_fabric ~ops ~flows ~shards
+    () =
   let subnet i = Ipaddr.Prefix.make (Ipaddr.v 10 (160 + i) 0 0) 16 in
   let servers = Ipaddr.Prefix.make (Ipaddr.v 172 31 0 0) 16 in
   let filter i = Filter.make ~src:(subnet i) ~dst:servers () in
@@ -175,7 +171,7 @@ let run_shard_workload ?(seed = 42) ?obs ?shard_obs ?par ?workers ?monitor
           ~dst:(Ipaddr.v 172 31 0 1) ~proto:Flow.Tcp ~sport:(20000 + k)
           ~dport:443 ())
   in
-  let fab = Fabric.create ~seed ?obs ?shard_obs ?par ?monitor ~shards () in
+  let fab = Fabric.create ~seed ?monitor ~shards () in
   let pairs =
     List.init ops (fun i ->
         let d1 = Opennf_nfs.Dummy.create () in
@@ -201,7 +197,7 @@ let run_shard_workload ?(seed = 42) ?obs ?shard_obs ?par ?workers ?monitor
   let finished = ref 0.0 in
   let digest = ref (Opennf_util.Hashing.fnv1a64 "shards") in
   let fold i = digest := Opennf_util.Hashing.combine !digest (Int64.of_int i) in
-  run_at ?workers fab ~at:1.0 (fun () ->
+  run_at fab ~at:1.0 (fun () ->
       let ivars =
         List.map
           (fun (i, nf1, nf2, _, _) ->
@@ -231,10 +227,6 @@ let run_shard_workload ?(seed = 42) ?obs ?shard_obs ?par ?workers ?monitor
     s_cross = Opennf.Shard.cross_shard_ops fab.Fabric.group;
     s_messages = Opennf.Shard.messages_handled fab.Fabric.group;
     s_digest = !digest;
-    s_domains =
-      (match fab.Fabric.par with
-      | Some p -> Opennf_sim.Par.workers_used p
-      | None -> 0);
   }
 
 (* --- metrics snapshots --------------------------------------------------- *)

@@ -106,11 +106,6 @@ and t = {
   shards : int;  (** Shard count of the control plane this belongs to. *)
   mutable peers : t array;
       (** The full shard group, set by {!set_group}; [[||]] = just us. *)
-  mutable par : Opennf_sim.Par.t option;
-      (** Set by the parallel fabric: each shard runs on its own engine
-          and cross-shard touches must ride the {!Opennf_sim.Par}
-          channels. [None] (always, in a serial fabric) keeps every
-          path below the unchanged direct code. *)
   to_switch : Switch.to_switch Channel.t;
   inbox : (inbound * int) Proc.Mailbox.t;  (* message, wire size *)
   nfs : (string, nf) Hashtbl.t;
@@ -179,51 +174,6 @@ let group t = if Array.length t.peers = 0 then [| t |] else t.peers
 let set_group peers =
   if Array.length peers = 0 then invalid_arg "Controller.set_group: empty";
   Array.iter (fun p -> p.peers <- peers) peers
-
-let set_par t par = Array.iter (fun p -> p.par <- Some par) (group t)
-let par t = t.par
-
-(* --- parallel shard bridging ----------------------------------------------
-
-   In a parallel fabric every shard has its own engine on its own
-   domain, so any touch of another shard's mutable state (its channels,
-   counters, tables) must execute on that shard's engine. The helpers
-   below route such touches over the deterministic cross-engine
-   channels of {!Opennf_sim.Par}; cross-engine delivery is zero-latency
-   in virtual time, so bridged calls complete at the same virtual times
-   as the serial direct calls. In a serial fabric [par] is [None] and
-   every helper reduces to the unchanged direct code. *)
-
-(* [Some (par, src)] exactly when the calling code runs inside shard
-   [src]'s window of a parallel run and [h] lives on a different shard. *)
-let remote_ctx h =
-  match h.par with
-  | None -> None
-  | Some par -> (
-    match Opennf_sim.Par.self par with
-    | Some src when src <> h.shard -> Some (par, src)
-    | _ -> None)
-
-(* Run [f] on [h]'s engine: directly when local (or serial, or during
-   single-domain setup), via a post otherwise. Fire-and-forget. *)
-let on_home h f =
-  match remote_ctx h with
-  | None -> f ()
-  | Some (par, _) -> Opennf_sim.Par.post par ~dst:h.shard f
-
-(* Bridge a home-side async call: the caller gets an ivar on its own
-   shard's engine, filled at the same virtual time the home-side ivar
-   resolves. [make] runs on [h]'s engine and returns an ivar there. *)
-let bridged par ~src h make =
-  let result = Proc.Ivar.create (group h).(src).engine in
-  Opennf_sim.Par.post par ~dst:h.shard (fun () ->
-      let iv = make () in
-      Proc.spawn h.engine (fun () ->
-          let v = Proc.Ivar.read iv in
-          Opennf_sim.Par.post par ~dst:src (fun () ->
-              ignore (Proc.Ivar.fill_if_empty result v))));
-  result
-
 
 (* Subscriptions live in hashtables so unsubscribe is O(1); dispatch
    still visits them in subscription (id) order for determinism. *)
@@ -299,7 +249,7 @@ let cpu_loop t () =
   loop ()
 
 let create engine audit ~switch ?(config = default_config) ?faults ?resilience
-    ?(shard = 0) ?(shards = 1) ?conn () =
+    ?(shard = 0) ?(shards = 1) () =
   if shards < 1 then invalid_arg "Controller.create: shards must be >= 1";
   if shard < 0 || shard >= shards then
     invalid_arg "Controller.create: shard out of range";
@@ -329,7 +279,6 @@ let create engine audit ~switch ?(config = default_config) ?faults ?resilience
       shard;
       shards;
       peers = [||];
-      par = None;
       to_switch;
       inbox = Proc.Mailbox.create engine;
       nfs = Hashtbl.create 16;
@@ -365,16 +314,8 @@ let create engine audit ~switch ?(config = default_config) ?faults ?resilience
       Proc.Mailbox.send t.inbox (From_switch msg, size));
   (* Our connection id: barrier replies come back on it, and our
      flow-mods are fenced per connection (OpenFlow barrier semantics),
-     so shard barriers never wait on another shard's installs. A
-     parallel fabric pins the id ([?conn]) so every switch replica
-     agrees that controller [k] speaks on connection [k]. *)
-  let conn =
-    match conn with
-    | None -> Switch.register_controller switch from_switch
-    | Some c ->
-      Switch.register_controller_at switch ~conn:c from_switch;
-      c
-  in
+     so shard barriers never wait on another shard's installs. *)
+  let conn = Switch.register_controller switch from_switch in
   Channel.set_handler to_switch (Switch.control_from switch ~conn);
   Proc.spawn engine (cpu_loop t);
   t
@@ -462,34 +403,24 @@ let state_path _t ~src ~dst ~scope =
 
 (* --- liveness monitor ---------------------------------------------------- *)
 
-(* [nf.live] is written only on the home engine; a remote reader asks
-   the home shard (a same-virtual-time round trip) rather than racing
-   on the field. *)
-let nf_alive _t nf =
-  match remote_ctx nf.home with
-  | None -> nf.live
-  | Some (par, _) ->
-    Opennf_sim.Par.call par ~dst:nf.home.shard (fun fill -> fill nf.live)
+let nf_alive _t nf = nf.live
 
 (* Death callbacks register on every shard: a watcher (failover app,
    operation rollback) holds whichever controller it was built on, but
    the NF that dies fires its *home* shard's list. *)
 let on_nf_death t f =
-  Array.iter
-    (fun p -> on_home p (fun () -> p.on_death <- f :: p.on_death))
-    (group t)
+  Array.iter (fun p -> p.on_death <- f :: p.on_death) (group t)
 
 let declare_nf_dead _t nf =
-  on_home nf.home (fun () ->
-      let t = nf.home in
-      if nf.live then begin
-        nf.live <- false;
-        (* Callbacks may run blocking operations (reroutes); give each
-           its own process. *)
-        List.iter
-          (fun f -> Proc.spawn t.engine (fun () -> f nf.nf_name))
-          (List.rev t.on_death)
-      end)
+  let t = nf.home in
+  if nf.live then begin
+    nf.live <- false;
+    (* Callbacks may run blocking operations (reroutes); give each its
+       own process. *)
+    List.iter
+      (fun f -> Proc.spawn t.engine (fun () -> f nf.nf_name))
+      (List.rev t.on_death)
+  end
 
 let note_deadline_miss t nf r =
   nf.misses <- nf.misses + 1;
@@ -563,12 +494,10 @@ let supervise t nf ~req ~result ~resend r =
 (* --- the scope-indexed southbound API ------------------------------------ *)
 
 let enable_events _t nf filter action =
-  on_home nf.home (fun () ->
-      send_request nf.home nf (Protocol.Enable_events { filter; action }))
+  send_request nf.home nf (Protocol.Enable_events { filter; action })
 
 let disable_events _t nf filter =
-  on_home nf.home (fun () ->
-      send_request nf.home nf (Protocol.Disable_events { filter }))
+  send_request nf.home nf (Protocol.Disable_events { filter })
 
 let dead_result t err =
   let ivar = Proc.Ivar.create t.engine in
@@ -589,7 +518,7 @@ let start_call t nf ~req ~request ~pending_entry ~result =
   | Some r ->
     supervise t nf ~req ~result ~resend:(fun () -> send_request t nf request) r
 
-let get_async_home nf ~scope ?on_piece ?(late_lock = false) ?(compress = false)
+let get_async _t nf ~scope ?on_piece ?(late_lock = false) ?(compress = false)
     filter =
   let t = nf.home in
   if not nf.live then
@@ -611,22 +540,7 @@ let get_async_home nf ~scope ?on_piece ?(late_lock = false) ?(compress = false)
     result
   end
 
-let get_async _t nf ~scope ?on_piece ?late_lock ?compress filter =
-  match remote_ctx nf.home with
-  | None -> get_async_home nf ~scope ?on_piece ?late_lock ?compress filter
-  | Some (par, src) ->
-    (* The piece callback closes over caller-shard state (the op's
-       record sinks): dispatch posts it back to the caller's engine. *)
-    let on_piece =
-      Option.map
-        (fun f flowid chunk ->
-          Opennf_sim.Par.post par ~dst:src (fun () -> f flowid chunk))
-        on_piece
-    in
-    bridged par ~src nf.home (fun () ->
-        get_async_home nf ~scope ?on_piece ?late_lock ?compress filter)
-
-let put_async_home nf ~scope chunks =
+let put_async _t nf ~scope chunks =
   let t = nf.home in
   if not nf.live then
     dead_result t (Op_error.Nf_crashed { nf = nf.nf_name })
@@ -643,13 +557,7 @@ let put_async_home nf ~scope chunks =
     result
   end
 
-let put_async _t nf ~scope chunks =
-  match remote_ctx nf.home with
-  | None -> put_async_home nf ~scope chunks
-  | Some (par, src) ->
-    bridged par ~src nf.home (fun () -> put_async_home nf ~scope chunks)
-
-let del_async_home nf ~scope flowids =
+let del_async _t nf ~scope flowids =
   let t = nf.home in
   match (scope : Scope.t) with
   | Scope.All ->
@@ -671,19 +579,13 @@ let del_async_home nf ~scope flowids =
       result
     end
 
-let del_async _t nf ~scope flowids =
-  match remote_ctx nf.home with
-  | None -> del_async_home nf ~scope flowids
-  | Some (par, src) ->
-    bridged par ~src nf.home (fun () -> del_async_home nf ~scope flowids)
-
 let get t nf ~scope ?on_piece ?late_lock ?compress filter =
   Proc.Ivar.read (get_async t nf ~scope ?on_piece ?late_lock ?compress filter)
 
 let put t nf ~scope chunks = Proc.Ivar.read (put_async t nf ~scope chunks)
 let del t nf ~scope flowids = Proc.Ivar.read (del_async t nf ~scope flowids)
 
-let probe_async_home nf =
+let probe_async _t nf =
   let t = nf.home in
   if not nf.live then
     dead_result t (Op_error.Nf_crashed { nf = nf.nf_name })
@@ -694,11 +596,6 @@ let probe_async_home nf =
     start_call t nf ~req ~request ~pending_entry:(Write result) ~result;
     result
   end
-
-let probe_async _t nf =
-  match remote_ctx nf.home with
-  | None -> probe_async_home nf
-  | Some (par, src) -> bridged par ~src nf.home (fun () -> probe_async_home nf)
 
 let start_probes_local t r ~until =
   Proc.spawn t.engine (fun () ->
@@ -728,7 +625,7 @@ let start_probes t ~until =
     Array.iter
       (fun p ->
         match p.resilience with
-        | Some r -> on_home p (fun () -> start_probes_local p r ~until)
+        | Some r -> start_probes_local p r ~until
         | None -> ())
       (group t)
 
@@ -741,28 +638,13 @@ let fresh_sub t =
 
 (* Events from an NF arrive at its home shard's inbox, so the entry must
    live in the home shard's table — wherever the subscriber got its
-   controller handle. In a parallel run with a remote home, the entry is
-   installed by a same-virtual-time round trip (the sub id lives in the
-   home's counter), and the callback — which closes over caller-shard
-   state — is posted back to the subscriber's engine at dispatch. *)
+   controller handle. *)
 let subscribe_events t ~nf filter callback =
   let h = home_of_name t nf in
-  match remote_ctx h with
-  | None ->
-    let id = fresh_sub h in
-    Hashtbl.replace h.event_subs id
-      { es_nf = nf; es_filter = filter; es_callback = callback };
-    [ (h, id) ]
-  | Some (par, src) ->
-    let cb p d = Opennf_sim.Par.post par ~dst:src (fun () -> callback p d) in
-    let id =
-      Opennf_sim.Par.call par ~dst:h.shard (fun fill ->
-          let id = fresh_sub h in
-          Hashtbl.replace h.event_subs id
-            { es_nf = nf; es_filter = filter; es_callback = cb };
-          fill id)
-    in
-    [ (h, id) ]
+  let id = fresh_sub h in
+  Hashtbl.replace h.event_subs id
+    { es_nf = nf; es_filter = filter; es_callback = callback };
+  [ (h, id) ]
 
 (* Packet-ins are routed to shards by flow hash, and a subscription
    filter may span many shards' flowspace — register on every shard.
@@ -771,32 +653,17 @@ let subscribe_events t ~nf filter callback =
 let subscribe_packet_in t filter callback =
   Array.to_list (group t)
   |> List.map (fun p ->
-         match remote_ctx p with
-         | None ->
-           let id = fresh_sub p in
-           Hashtbl.replace p.pkt_in_subs id
-             { ps_filter = filter; ps_callback = callback };
-           (p, id)
-         | Some (par, src) ->
-           let cb pkt =
-             Opennf_sim.Par.post par ~dst:src (fun () -> callback pkt)
-           in
-           let id =
-             Opennf_sim.Par.call par ~dst:p.shard (fun fill ->
-                 let id = fresh_sub p in
-                 Hashtbl.replace p.pkt_in_subs id
-                   { ps_filter = filter; ps_callback = cb };
-                 fill id)
-           in
-           (p, id))
+         let id = fresh_sub p in
+         Hashtbl.replace p.pkt_in_subs id
+           { ps_filter = filter; ps_callback = callback };
+         (p, id))
 
 (* Sub ids are unique across both tables, so removing from both is safe. *)
 let unsubscribe _t subs =
   List.iter
     (fun (p, id) ->
-      on_home p (fun () ->
-          Hashtbl.remove p.event_subs id;
-          Hashtbl.remove p.pkt_in_subs id))
+      Hashtbl.remove p.event_subs id;
+      Hashtbl.remove p.pkt_in_subs id)
     subs
 
 (* --- forwarding state ----------------------------------------------------- *)

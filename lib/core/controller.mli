@@ -67,7 +67,7 @@ type nf
 val create :
   Opennf_sim.Engine.t -> Audit.t -> switch:Switch.t -> ?config:config ->
   ?faults:Opennf_sim.Faults.t -> ?resilience:resilience ->
-  ?shard:int -> ?shards:int -> ?conn:int -> unit -> t
+  ?shard:int -> ?shards:int -> unit -> t
 (** [faults] is consulted by every control channel the controller
     creates (switch and NF links), keyed by channel name.
 
@@ -76,12 +76,7 @@ val create :
     connection (per-connection barriers), stripes its rule cookies by
     shard id, and labels its channels and metrics with the shard. With
     the defaults every name and every virtual-time event is identical
-    to the single-controller controller.
-
-    [conn] pins the switch connection id instead of taking the next
-    free one ({!Switch.register_controller_at}) — the parallel fabric
-    uses it so every switch replica binds controller [k] at connection
-    [k]. *)
+    to the single-controller controller. *)
 
 val engine : t -> Opennf_sim.Engine.t
 
@@ -100,18 +95,8 @@ val set_group : t array -> unit
 (** Introduce the members of a shard group to each other (index =
     shard id). Cross-shard routing ({!find_nf}, subscription placement,
     {!on_nf_death}, {!start_probes}) spans the group afterwards.
-    Called by {!Fabric.create}; idempotent. *)
-
-val set_par : t -> Opennf_sim.Par.t -> unit
-(** Declare (to the whole group) that this control plane runs in
-    parallel mode: one engine per shard on the channels of [par].
-    Every cross-shard touch thereafter — southbound calls to NFs homed
-    elsewhere, subscription placement, liveness reads — rides those
-    channels instead of touching the peer's state directly. Called by
-    the parallel {!Fabric.create}. *)
-
-val par : t -> Opennf_sim.Par.t option
-(** The parallel-run handle, when {!set_par} was called. *)
+    Called by {!Fabric.create}; idempotent. All members share one
+    engine, so a cross-shard call touches the peer's state directly. *)
 
 val nf_home : nf -> t
 (** The controller shard that owns this NF: its channels, request-id

@@ -31,33 +31,17 @@ type t = {
           through this. *)
   faults : Opennf_sim.Faults.t;
   link_latency : float;
-  par : Opennf_sim.Par.t option;
-      (** The parallel-run handle when the fabric was created with
-          [~par:true] (round/delivery counts live on it); [None] in a
-          serial fabric. *)
-  engines : Engine.t array;
-      (** Per-shard engines. In a serial fabric every entry aliases
-          [engine]; in a parallel fabric entry [k] is shard [k]'s own
-          engine. *)
-  audits : Audit.t array;  (** Per-shard audits (see {!merged_audit}). *)
-  switches : Switch.t array;  (** Per-shard switch replicas. *)
-  shard_faults : Opennf_sim.Faults.t array;
-  ports : (string, int * Opennf_net.Packet.t Channel.t) Hashtbl.t;
-      (** NF port registry: name to (home shard, switch-side channel).
-          The parallel port proxy routes cross-replica forwards with
-          it. *)
-  monitors : Opennf_obs.Monitor.t array;
-      (** Live §5.1 guarantee checkers ({!Opennf_obs.Monitor}), one per
-          audit stream, when the fabric was created with [~monitor:true];
-          [[||]] otherwise. Online findings (order/duplicate) surface on
-          them during the run; use {!verdict} for the full end-of-run
+  monitor : Opennf_obs.Monitor.t option;
+      (** The live §5.1 guarantee checker ({!Opennf_obs.Monitor}) on the
+          fabric's audit stream, when the fabric was created with
+          [~monitor:true]. Online findings (order/duplicate) surface on
+          it during the run; use {!verdict} for the full end-of-run
           check. *)
 }
 
 val create :
   ?seed:int ->
   ?obs:Opennf_obs.Hub.t ->
-  ?shard_obs:(int -> Opennf_obs.Hub.t) ->
   ?config:Controller.config ->
   ?flow_mod_delay:float ->
   ?packet_out_rate:float ->
@@ -66,7 +50,6 @@ val create :
   ?resilience:Controller.resilience ->
   ?max_concurrent_ops:int ->
   ?shards:int ->
-  ?par:bool ->
   ?monitor:bool ->
   unit ->
   t
@@ -81,61 +64,36 @@ val create :
     partitions the control plane: [shards] controller instances share
     the one switch (one OpenFlow connection each), packet-ins are routed
     to the shard owning the packet's flow ({!Shard.of_key}), and each
-    shard has its own scheduler. By default all shards run in the same
-    engine, so the fabric stays one deterministic virtual-time
-    simulation. With [shards = 1] every event is bit-identical to
-    earlier fabrics.
-
-    [par] (default: the [OPENNF_PAR] environment variable, else false;
-    only meaningful with [shards > 1]) runs each shard on its own
-    engine, on its own domain, connected by the deterministic
-    cross-engine channels of {!Opennf_sim.Par}: one switch replica,
-    audit ledger and faults handle per shard, stitched back into one
-    logical fabric. Results are independent of how many domains
-    actually run the shards; semantic digests and virtual-time trace
-    content match the serial run of the same scenario (same-timestamp
-    micro-ordering may differ — compare with {!merged_audit} and
-    {!Opennf_obs.Export.canonical}). Random link faults draw from
-    per-shard RNG streams in parallel mode, so serial-vs-parallel
-    equivalence holds for deterministic fault plans ([crash_at]), not
-    random drop profiles. A single [obs] hub cannot span engines: pass
-    [shard_obs] (one hub per shard index) to trace a parallel run.
+    shard has its own scheduler. All shards run in the one engine, so
+    the fabric stays one deterministic virtual-time simulation: shards
+    overlap their controller CPU in virtual time, not on host cores.
+    With [shards = 1] every event is bit-identical to earlier fabrics.
 
     [monitor] (default: the [OPENNF_MONITOR] environment variable, else
-    false) attaches one {!Opennf_obs.Monitor} per audit stream — a pure
-    observer, so monitored runs keep virtual-time results byte-identical
-    to unmonitored ones. *)
+    false) attaches an {!Opennf_obs.Monitor} to the audit stream — a
+    pure observer, so monitored runs keep virtual-time results
+    byte-identical to unmonitored ones. *)
 
 val shards : t -> int
 
-val parallel : t -> bool
-(** Whether this fabric runs one engine per shard ([par]). *)
-
-val merged_audit : t -> Audit.t
-(** The fabric's audit ledger for queries: the single ledger of a
-    serial fabric, or the deterministic merge of the per-shard ledgers
-    ({!Audit.merged}) of a parallel one. *)
-
 val monitored : t -> bool
-(** Whether live guarantee monitors are attached ([~monitor:true]). *)
+(** Whether a live guarantee monitor is attached ([~monitor:true]). *)
 
 val verdict :
   ?history:int -> t -> Opennf_obs.Monitor.finding list
-(** End-of-run guarantee check: streams each shard's audit columns
+(** End-of-run guarantee check: streams the audit columns
     ({!Audit.events}, with the hub's op spans interleaved when the run
     was traced, so findings keep their op/phase context) through
-    {!Opennf_obs.Monitor.replay}, a k-way merge in (time, shard, row)
-    order. The result is deterministic regardless of shard count or
-    parallelism, equal to {!Opennf_obs.Monitor.replay} over the hub
-    traces of a traced run, and available on {e any} fabric,
-    monitored or not (the audit ledger is always on). Nothing is
-    materialized: no trace, no sorted event list. Call after {!run}
-    returns. *)
+    {!Opennf_obs.Monitor.replay}. The result is deterministic, equal to
+    {!Opennf_obs.Monitor.replay} over the hub trace of a traced run,
+    and available on {e any} fabric, monitored or not (the audit ledger
+    is always on). Nothing is materialized: no trace, no sorted event
+    list. Call after {!run} returns. *)
 
 val live_findings : t -> Opennf_obs.Monitor.finding list
 (** Online findings (order/duplicate violations) streamed by the live
-    monitors so far; [[]] when {!monitored} is false. Per-shard
-    detection order — use {!verdict} for the canonical list. *)
+    monitor so far, in detection order; [[]] when {!monitored} is
+    false. *)
 
 val ctrl_of : t -> int -> Controller.t
 val sched_of : t -> int -> Sched.t
@@ -165,13 +123,9 @@ val inject : t -> Packet.t -> unit
 val inject_at : t -> float -> Packet.t -> unit
 (** Deliver a packet to the switch at an absolute virtual time. *)
 
-val run : ?until:float -> ?workers:int -> t -> unit
-(** Run the simulation: [Engine.run] on a serial fabric, the parallel
-    coordinator ({!Opennf_sim.Par.run}) on a parallel one. [workers]
-    caps the domains a parallel run uses (default: the machine's usable
-    cores, never more than there are shards; ignored on a serial
-    fabric); [until] is not supported in parallel mode. *)
+val run : ?until:float -> t -> unit
+(** Run the simulation ([Engine.run]). *)
 
-val run_proc : ?workers:int -> t -> (unit -> unit) -> unit
+val run_proc : t -> (unit -> unit) -> unit
 (** Spawn a simulation process (for calling blocking northbound
-    operations) on shard 0's engine and run until quiescent. *)
+    operations) and run until quiescent. *)

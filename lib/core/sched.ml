@@ -223,13 +223,6 @@ let release_flow t ~footprint key =
   Footprint.release footprint key;
   pump t
 
-(* Re-scan after an external footprint change. The parallel sharded
-   fabric mutates a cross-shard footprint exactly once (on the shard
-   that owns the operation) and sends the other involved schedulers a
-   repump instead of a second mutation — the footprint record must
-   never be written from two engines. *)
-let repump t = pump t
-
 (* --- long-lived holds (Share, Notify-style setups) ------------------------ *)
 
 type handle = {

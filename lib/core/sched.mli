@@ -81,12 +81,6 @@ val release_flow : t -> footprint:Footprint.t -> Flow.key -> unit
     exact-flow waiters on it may be admitted now. No-op on footprints
     that are not currently held. *)
 
-val repump : t -> unit
-(** Re-scan the admission queue after a footprint was shrunk elsewhere
-    ({!Footprint.release} without this scheduler's involvement). The
-    parallel sharded fabric mutates a cross-shard footprint once, on
-    the owning shard, and repumps the other involved schedulers. *)
-
 (** {1 Long-lived holds}
 
     {!Share} (and similar standing services) own their instances' state

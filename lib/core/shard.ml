@@ -71,57 +71,11 @@ let messages_handled g =
 let shard_ids g nfs =
   List.sort_uniq Int.compare (List.map (home g) nfs)
 
-(* --- parallel bridging ----------------------------------------------------
-
-   In a parallel fabric each shard's scheduler lives on its own engine;
-   submissions, acquisitions and releases aimed at another shard ride
-   the {!Opennf_sim.Par} channels (zero virtual latency), so admission
-   times match the serial single-engine run. [par g] is [None] in a
-   serial fabric and every path below is the unchanged direct code. *)
-
-let par g = Controller.par g.ctrls.(0)
-
-(* [Some (par, src)] when called from inside shard [src]'s window of a
-   parallel run and the target shard [s] is a different one. *)
-let remote g s =
-  match par g with
-  | None -> None
-  | Some p -> (
-    match Opennf_sim.Par.self p with
-    | Some src when src <> s -> Some (p, src)
-    | _ -> None)
-
 let note_cross g =
-  let bump () =
-    g.cross_ops <- g.cross_ops + 1;
-    match g.m_cross with
-    | Some c -> Opennf_obs.Metrics.incr c
-    | None -> ()
-  in
-  (* The counter (and its metric, registered on shard 0's hub) is
-     single-writer: shard 0's engine. *)
-  match remote g 0 with
-  | None -> bump ()
-  | Some (p, _) -> Opennf_sim.Par.post p ~dst:0 bump
-
-(* Blocking acquire on shard [s]'s scheduler from wherever the caller
-   runs: direct when local, else a round trip that parks a proc on the
-   owning engine and resumes the caller at the admission's virtual
-   time. *)
-let acquire_on g s ~footprint =
-  match remote g s with
-  | None -> Sched.acquire g.scheds.(s) ~footprint
-  | Some (p, _) ->
-    Opennf_sim.Par.call p ~dst:s (fun fill ->
-        Opennf_sim.Proc.spawn
-          (Controller.engine g.ctrls.(s))
-          (fun () -> fill (Sched.acquire g.scheds.(s) ~footprint)))
-
-let release_on g s h =
-  match remote g s with
-  | None -> Sched.release g.scheds.(s) h
-  | Some (p, _) ->
-    Opennf_sim.Par.post p ~dst:s (fun () -> Sched.release g.scheds.(s) h)
+  g.cross_ops <- g.cross_ops + 1;
+  match g.m_cross with
+  | Some c -> Opennf_obs.Metrics.incr c
+  | None -> ()
 
 (* --- cross-shard admission ------------------------------------------------- *)
 
@@ -138,114 +92,44 @@ let release_on g s h =
    order. Each shard's scheduler sees the footprint in its own queue, so
    per-shard operations conflict with the cross-shard one exactly as
    they would with a local one. *)
-(* Ship a single-home submission to the owning engine and bridge the
-   result ivar back to the caller's. The body runs in a proc on the
-   home engine — exactly where its southbound calls are local. *)
-let submit_remote g p ~src s ~footprint body =
-  let result = Proc.Ivar.create (Controller.engine g.ctrls.(src)) in
-  Opennf_sim.Par.post p ~dst:s (fun () ->
-      let iv = Sched.submit g.scheds.(s) ~footprint body in
-      Proc.spawn
-        (Controller.engine g.ctrls.(s))
-        (fun () ->
-          let v = Proc.Ivar.read iv in
-          Opennf_sim.Par.post p ~dst:src (fun () ->
-              ignore (Proc.Ivar.fill_if_empty result v))));
-  result
-
-(* The multi-shard handshake of a parallel run. The coordinator proc
-   lives on the leader — the home of the operation's first instance, so
-   the body (whose southbound calls route to that leader) runs on its
-   own engine — and acquires ascending through [acquire_on], which
-   bridges the non-leader schedulers. *)
-let submit_cross_par g p ~footprint ss nfs body =
-  let lead = match nfs with [] -> List.hd ss | nf :: _ -> home g nf in
-  let src = Opennf_sim.Par.self p in
-  let caller_engine =
-    match src with
-    | Some s -> Controller.engine g.ctrls.(s)
-    | None -> Controller.engine g.ctrls.(lead)
-  in
-  let ivar = Proc.Ivar.create caller_engine in
-  let fill_back result =
-    match src with
-    | Some s when s <> lead ->
-      Opennf_sim.Par.post p ~dst:s (fun () -> Proc.Ivar.fill ivar result)
-    | _ -> Proc.Ivar.fill ivar result
-  in
-  let spawn_coordinator () =
-    Proc.spawn
-      (Controller.engine g.ctrls.(lead))
-      (fun () ->
-        let holds = List.map (fun s -> (s, acquire_on g s ~footprint)) ss in
-        let result = body () in
-        List.iter (fun (s, h) -> release_on g s h) (List.rev holds);
-        fill_back result)
-  in
-  (match src with
-  | Some s when s <> lead ->
-    Opennf_sim.Par.post p ~dst:lead spawn_coordinator
-  | _ -> spawn_coordinator ());
-  ivar
-
 let submit g ~footprint ~nfs body =
   match shard_ids g nfs with
   | [] -> Sched.submit g.scheds.(0) ~footprint body
-  | [ s ] -> (
-    match remote g s with
-    | None -> Sched.submit g.scheds.(s) ~footprint body
-    | Some (p, src) -> submit_remote g p ~src s ~footprint body)
-  | ss -> (
+  | [ s ] -> Sched.submit g.scheds.(s) ~footprint body
+  | ss ->
     note_cross g;
-    match par g with
-    | Some p -> submit_cross_par g p ~footprint ss nfs body
-    | None ->
-      let engine = Controller.engine g.ctrls.(0) in
-      let ivar = Proc.Ivar.create engine in
-      Proc.spawn engine (fun () ->
-          let holds =
-            List.map
-              (fun s -> (g.scheds.(s), Sched.acquire g.scheds.(s) ~footprint))
-              ss
-          in
-          let result = body () in
-          List.iter (fun (sch, h) -> Sched.release sch h) (List.rev holds);
-          Proc.Ivar.fill ivar result);
-      ivar)
+    let engine = Controller.engine g.ctrls.(0) in
+    let ivar = Proc.Ivar.create engine in
+    Proc.spawn engine (fun () ->
+        let holds =
+          List.map
+            (fun s -> (g.scheds.(s), Sched.acquire g.scheds.(s) ~footprint))
+            ss
+        in
+        let result = body () in
+        List.iter (fun (sch, h) -> Sched.release sch h) (List.rev holds);
+        Proc.Ivar.fill ivar result);
+    ivar
 
 let run g ~footprint ~nfs body = Proc.Ivar.read (submit g ~footprint ~nfs body)
 
 (* Early release must reach every scheduler holding the footprint: the
    released-key list lives in the footprint itself (shared across the
    holds), so releasing through each involved scheduler just re-pumps
-   the right queues. In a parallel run the footprint record is mutated
-   exactly once — on the calling (owning) shard — and the other
-   schedulers get a repump message: a footprint must never be written
-   from two engines. *)
+   the right queues. *)
 let release_flow g ~footprint ~nfs key =
-  match par g with
-  | None ->
-    List.iter
-      (fun s -> Sched.release_flow g.scheds.(s) ~footprint key)
-      (shard_ids g nfs)
-  | Some p ->
-    Sched.Footprint.release footprint key;
-    List.iter
-      (fun s ->
-        match remote g s with
-        | None -> Sched.repump g.scheds.(s)
-        | Some _ ->
-          Opennf_sim.Par.post p ~dst:s (fun () -> Sched.repump g.scheds.(s)))
-      (shard_ids g nfs)
+  List.iter
+    (fun s -> Sched.release_flow g.scheds.(s) ~footprint key)
+    (shard_ids g nfs)
 
 (* --- long-lived multi-shard holds (Share) ---------------------------------- *)
 
-type hold = { hg : t; hss : (int * Sched.handle) list }
+type hold = (Sched.t * Sched.handle) list
 
 let acquire g ~footprint ~nfs =
   let ss = shard_ids g nfs in
   (match ss with _ :: _ :: _ -> note_cross g | _ -> ());
-  { hg = g; hss = List.map (fun s -> (s, acquire_on g s ~footprint)) ss }
+  List.map (fun s -> (g.scheds.(s), Sched.acquire g.scheds.(s) ~footprint)) ss
 
-let release_hold { hg; hss } =
-  List.iter (fun (s, h) -> release_on hg s h) (List.rev hss)
+let release_hold hold =
+  List.iter (fun (sch, h) -> Sched.release sch h) (List.rev hold)

@@ -21,7 +21,7 @@ let kind_names =
    array stores and the ledger stays out of the minor heap and off the
    major GC's mark work. The columns are the only storage: when the
    engine's hub is tracing, each row is also mirrored as a [cat:"audit"]
-   trace instant (so the Chrome export and canonical traces still show
+   trace instant (so the Chrome export and the timeline still show
    packets interleaved with op spans), but queries never read the
    mirror. *)
 type t = {
@@ -51,7 +51,13 @@ type t = {
   mutable indexed : int;
 }
 
-let make engine hub cap =
+let create engine =
+  let obs = Engine.obs engine in
+  let hub =
+    if Opennf_obs.Hub.tracing obs then Opennf_obs.Hub.trace obs
+    else Trace.disabled
+  in
+  let cap = 1024 in
   {
     engine;
     hub;
@@ -75,14 +81,6 @@ let make engine hub cap =
     first_process = Hashtbl.create 16;
     indexed = 0;
   }
-
-let create engine =
-  let obs = Engine.obs engine in
-  let hub =
-    if Opennf_obs.Hub.tracing obs then Opennf_obs.Hub.trace obs
-    else Trace.disabled
-  in
-  make engine hub 1024
 
 (* --- columns ---------------------------------------------------------------- *)
 
@@ -270,39 +268,6 @@ let snapshot t =
     Trace.instant tr ~cat:"audit" ~name:kind_names.(kind_at t i) ~attrs:(attrs_at t i) ()
   done;
   tr
-
-(* Read-only union of several shard audits (parallel shard execution
-   keeps one audit per shard engine): a k-way merge of the columns in
-   (virtual time, shard index, row) order — a pure function of the
-   per-shard ledgers, so the merged ledger is as deterministic as its
-   parts. Per-key relative order matches a serial run's: one flow's
-   packets all live on one shard, so their relative order is that
-   shard's row order. *)
-let merged engine sources =
-  let srcs = Array.of_list sources in
-  let total = Array.fold_left (fun n a -> n + a.len) 0 srcs in
-  let t = make engine Trace.disabled (Stdlib.max 1 total) in
-  let next = Array.make (Array.length srcs) 0 in
-  for i = 0 to total - 1 do
-    let best = ref (-1) in
-    Array.iteri
-      (fun s a ->
-        if next.(s) < a.len then
-          if !best < 0 || vt_at a next.(s) < vt_at srcs.(!best) next.(!best) then
-            best := s)
-      srcs;
-    let a = srcs.(!best) and j = next.(!best) in
-    next.(!best) <- j + 1;
-    Bytes.set t.kinds i (Bytes.get a.kinds j);
-    t.pkts.(i) <- a.pkts.(j);
-    t.nfs.(i) <- intern t (nf_at a j);
-    t.srcs.(i) <- a.srcs.(j);
-    t.dsts.(i) <- a.dsts.(j);
-    t.ports.(i) <- a.ports.(j);
-    Float.Array.set t.vts i (vt_at a j)
-  done;
-  t.len <- total;
-  t
 
 (* --- queries ------------------------------------------------------------------- *)
 

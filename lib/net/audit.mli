@@ -15,21 +15,14 @@
     [Float.Array]): logging a record allocates nothing, and every query
     scans the columns. When the engine's hub is tracing, each record is
     also mirrored into the hub trace as a [cat:"audit"] instant, so the
-    Chrome export and {!Opennf_obs.Export.canonical} show packets
-    interleaved with op spans; the mirror is an export, never read back
+    Chrome export and the timeline show packets interleaved with op
+    spans; the mirror is an export, never read back
     by queries. *)
 
 type t
 
 val create : Opennf_sim.Engine.t -> t
 (** Mirrors records into the engine hub's tracer when it is tracing. *)
-
-val merged : Opennf_sim.Engine.t -> t list -> t
-(** Read-only union of several shard audits (the parallel fabric keeps
-    one audit per shard engine): a k-way merge of their columns in
-    (virtual time, shard index, row) order — deterministic, and per-key
-    order identical to a serial run's, since one flow's packets all live
-    on one shard. A query snapshot: do not log to it. *)
 
 type record = { pkt : int; key : Flow.key; nf : string; time : float }
 

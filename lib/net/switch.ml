@@ -35,15 +35,6 @@ type t = {
       (** Next instant the packet-out path is idle. *)
   mutable packet_out_backlog : int;
   mutable table_misses : int;
-  (* Replica hooks (parallel shard execution). A sharded-parallel
-     fabric runs one switch replica per shard; the three hooks stitch
-     the replicas back into one logical switch: flow-mods received on
-     one replica are re-applied on the others (tap), and traffic aimed
-     at a connection or port homed on another replica is routed there
-     (proxies). All [None] in the single-switch wiring. *)
-  mutable mod_tap : (conn:int -> to_switch -> unit) option;
-  mutable conn_proxy : (conn:int -> from_switch -> bool) option;
-  mutable port_proxy : (port:string -> Packet.t -> bool) option;
 }
 
 let create engine audit ~name ?(flow_mod_delay = 0.010)
@@ -62,9 +53,6 @@ let create engine audit ~name ?(flow_mod_delay = 0.010)
     packet_out_free_at = 0.0;
     packet_out_backlog = 0;
     table_misses = 0;
-    mod_tap = None;
-    conn_proxy = None;
-    port_proxy = None;
   }
 
 let attach_port t ~name chan = Hashtbl.replace t.ports name chan
@@ -98,19 +86,7 @@ let set_controller t chan =
   ensure_conn t 0;
   t.controllers.(0) <- Some chan
 
-let register_controller_at t ~conn chan =
-  ensure_conn t conn;
-  (match t.controllers.(conn) with
-  | Some _ ->
-    invalid_arg
-      (Printf.sprintf "Switch %s: connection %d already bound" t.name conn)
-  | None -> ());
-  t.controllers.(conn) <- Some chan
-
 let set_packet_in_router t f = t.pick_conn <- Some f
-let set_mod_tap t f = t.mod_tap <- Some f
-let set_conn_proxy t f = t.conn_proxy <- Some f
-let set_port_proxy t f = t.port_proxy <- Some f
 
 let connections t =
   Array.fold_left
@@ -118,18 +94,14 @@ let connections t =
     0 t.controllers
 
 let send_on t ~conn msg =
-  let local =
+  match
     if conn >= 0 && conn < Array.length t.controllers then t.controllers.(conn)
     else None
-  in
-  match local with
+  with
   | Some chan -> Channel.send chan ~size:128 msg
-  | None -> (
-    match t.conn_proxy with
-    | Some proxy -> ignore (proxy ~conn msg)
-    | None -> ())
-
-let emit_to t ~conn msg = send_on t ~conn msg
+  | None ->
+    invalid_arg
+      (Printf.sprintf "Switch %s: no controller on connection %d" t.name conn)
 
 let send_packet_in t packet cookie =
   let conn = match t.pick_conn with None -> 0 | Some f -> f packet in
@@ -137,10 +109,7 @@ let send_packet_in t packet cookie =
 
 let forward t (p : Packet.t) port =
   match Hashtbl.find_opt t.ports port with
-  | None -> (
-    match t.port_proxy with
-    | Some proxy when proxy ~port p -> ()
-    | _ -> invalid_arg (Printf.sprintf "Switch %s: no port %s" t.name port))
+  | None -> invalid_arg (Printf.sprintf "Switch %s: no port %s" t.name port)
   | Some chan ->
     Audit.log_forward t.audit p ~dst:port;
     Channel.send chan ~size:p.Packet.wire_size p
@@ -159,12 +128,7 @@ let inject t p =
   | None -> t.table_misses <- t.table_misses + 1
   | Some rule -> apply_actions t p rule.Flowtable.cookie rule.Flowtable.actions
 
-(* A flow-mod's table mutation, shared by the receiving replica and any
-   peer replica it is mirrored to ([apply_mod] never re-fires the tap,
-   so mirroring cannot loop). Both run it at the same virtual [now], so
-   every replica's table and per-conn barrier clock evolve
-   identically. *)
-let apply_mod t ~conn msg =
+let control_from t ~conn msg =
   let now = Engine.now t.engine in
   ensure_conn t conn;
   match msg with
@@ -178,15 +142,6 @@ let apply_mod t ~conn msg =
     t.mods_applied_by.(conn) <- Float.max t.mods_applied_by.(conn) apply_at;
     Engine.schedule_at t.engine apply_at (fun () ->
         Flowtable.remove t.table ~cookie)
-  | Packet_out _ | Barrier _ -> invalid_arg "Switch.apply_mod: not a flow-mod"
-
-let control_from t ~conn msg =
-  let now = Engine.now t.engine in
-  ensure_conn t conn;
-  match msg with
-  | Install _ | Remove _ ->
-    apply_mod t ~conn msg;
-    (match t.mod_tap with Some tap -> tap ~conn msg | None -> ())
   | Packet_out { port; packet } ->
     let start = Float.max now t.packet_out_free_at in
     t.packet_out_free_at <- start +. (1.0 /. t.packet_out_rate);

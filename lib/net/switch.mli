@@ -59,45 +59,9 @@ val register_controller : t -> from_switch Channel.t -> int
 val set_packet_in_router : t -> (Packet.t -> int) -> unit
 (** Route packet-ins by packet (e.g. a flowspace-shard hash). Replies
     to barriers are unaffected — those always return to the issuing
-    connection. *)
-
-(** {2 Replica stitching}
-
-    A parallel sharded fabric runs one switch replica per shard (each
-    on its own engine) standing in for one logical switch. The hooks
-    below stitch them together; none are set in single-switch wiring.
-    See {!Opennf.Fabric}. *)
-
-val register_controller_at : t -> conn:int -> from_switch Channel.t -> unit
-(** Bind a controller at a {e specific} connection id, so replicas can
-    agree on the global conn numbering (replica [k] binds controller
-    [k] at conn [k]; the other slots stay empty and route through the
-    conn proxy). Raises if the slot is taken. *)
-
-val set_mod_tap : t -> (conn:int -> to_switch -> unit) -> unit
-(** Called for every Install/Remove this replica receives, after local
-    application — the parallel fabric mirrors it to the other replicas
-    (via {!apply_mod}) at the same virtual time. *)
-
-val apply_mod : t -> conn:int -> to_switch -> unit
-(** Apply a mirrored Install/Remove exactly as {!control_from} would —
-    same [flow_mod_delay], same per-conn barrier clock — but without
-    re-firing the mod tap. Raises on non-flow-mod messages. *)
-
-val set_conn_proxy : t -> (conn:int -> from_switch -> bool) -> unit
-(** Fallback for switch→controller messages aimed at a connection not
-    bound on this replica (e.g. a packet-in hashed to another shard);
-    returns whether the proxy delivered it. *)
-
-val set_port_proxy : t -> (port:string -> Packet.t -> bool) -> unit
-(** Fallback for forwards out a port not attached on this replica (an
-    NF homed on another shard); returns whether the proxy took the
-    packet. When it declines, forward raises as for an unknown port. *)
-
-val emit_to : t -> conn:int -> from_switch -> unit
-(** Emit a switch→controller message on a connection, exactly as the
-    switch itself would (the bound channel, or the conn proxy). A conn
-    proxy calls this on the replica that owns the connection. *)
+    connection. A switch→controller message (packet-in or barrier
+    reply) aimed at a connection with no bound channel raises
+    [Invalid_argument], as a forward out an unknown port does. *)
 
 val connections : t -> int
 (** Number of registered controller connections. *)

@@ -114,53 +114,6 @@ let timeline tr =
       Buffer.add_char b '\n');
   Buffer.contents b
 
-(* Canonical virtual-time content of one or more trace buffers: one
-   line per event carrying everything deterministic — virtual time,
-   kind, cat, name, attrs — and nothing incidental (span ids, parents
-   and wall stamps are numbering/profiling artifacts that legitimately
-   differ between a single-engine run and a per-shard-engine run of
-   the same simulation). Lines sort by (vt, text), so any interleaving
-   of independently-buffered shards canonicalizes to the same string:
-   serial-vs-parallel trace equivalence is [canonical a = canonical b].
-   End events inherit their opening span's cat/name (resolved within
-   the event's own buffer) for the same reason ids are dropped. *)
-let canonical trs =
-  let lines = ref [] in
-  List.iter
-    (fun tr ->
-      let opens = Hashtbl.create 64 in
-      Trace.iter tr (fun ev ->
-          if ev.Trace.kind = Trace.Begin then
-            Hashtbl.replace opens ev.Trace.id ev);
-      Trace.iter tr (fun ev ->
-          let tag, cat, name =
-            match ev.Trace.kind with
-            | Trace.Begin -> ("open", ev.Trace.cat, ev.Trace.name)
-            | Trace.End -> (
-              match Hashtbl.find_opt opens ev.Trace.id with
-              | Some o -> ("close", o.Trace.cat, o.Trace.name)
-              | None -> ("close", "?", "?"))
-            | Trace.Instant -> ("inst", ev.Trace.cat, ev.Trace.name)
-          in
-          let b = Buffer.create 96 in
-          Buffer.add_string b
-            (Printf.sprintf "%.9f %s %s %s" ev.Trace.vt tag cat name);
-          Array.iter
-            (fun (k, v) ->
-              Buffer.add_string b
-                (Format.asprintf " %s=%a" k Trace.pp_value v))
-            ev.Trace.attrs;
-          lines := (ev.Trace.vt, Buffer.contents b) :: !lines))
-    trs;
-  let lines = List.sort compare !lines in
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun (_, l) ->
-      Buffer.add_string b l;
-      Buffer.add_char b '\n')
-    lines;
-  Buffer.contents b
-
 let metrics_json m =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n  \"counters\": {";

@@ -11,14 +11,6 @@ val chrome : ?wall:bool -> Trace.t -> string
 val timeline : Trace.t -> string
 (** Human-readable one-line-per-event dump in emission order. *)
 
-val canonical : Trace.t list -> string
-(** Canonical virtual-time content of one or more trace buffers: one
-    line per event — vt, kind, cat, name, attrs — sorted by (vt, text),
-    with span ids, parents and wall stamps (numbering and profiling
-    artifacts) dropped. Any interleaving of independently-buffered
-    shards canonicalizes to the same string, so serial-vs-parallel
-    trace equivalence is string equality of [canonical]. *)
-
 val metrics_json : Metrics.t -> string
 (** Counters/gauges/histogram summaries as JSON, sorted by name.
     Histograms carry count, exact sum, mean, p50/p90/p99 (log-bucket

@@ -65,27 +65,21 @@ type op_info = { o_name : string; o_shard : int }
 
 type t = {
   k : int;
-  shard : int;
-  mutable cur_shard : int;  (* Stream tag; only merged replay varies it. *)
   flows : (string, flow_state) Hashtbl.t;
   pkts : (int, pkt_state) Hashtbl.t;
-  (* Op-context tracking, keyed by (shard, span id): span ids are
-     per-tracer counters, so merged replays of several shard buffers
-     would collide on the bare id. *)
-  roots : (int * int, op_info) Hashtbl.t;
-  children : (int * int, int * int) Hashtbl.t;  (* child -> its root *)
-  mutable open_roots : (int * int) list;  (* Newest first. *)
-  phases : (int * int, string) Hashtbl.t;  (* root -> last phase mark *)
+  (* Op-context tracking, keyed by span id. *)
+  roots : (int, op_info) Hashtbl.t;
+  children : (int, int) Hashtbl.t;  (* child -> its root *)
+  mutable open_roots : int list;  (* Newest first. *)
+  phases : (int, string) Hashtbl.t;  (* root -> last phase mark *)
   mutable streamed : finding list;  (* Newest first. *)
   mutable events : int;
   mutable taps : (finding -> unit) list;
 }
 
-let create ?(shard = 0) ?(history = 8) () =
+let create ?(history = 8) () =
   {
     k = Stdlib.max 1 history;
-    shard;
-    cur_shard = shard;
     flows = Hashtbl.create 256;
     pkts = Hashtbl.create 1024;
     roots = Hashtbl.create 16;
@@ -173,7 +167,7 @@ let pkt_state t fs pkt =
         p_processed = false;
         p_nf = "";
         p_vt = 0.0;
-        p_shard = t.cur_shard;
+        p_shard = 0;
         p_op = 0;
         p_op_name = "";
         p_phase = "";
@@ -187,22 +181,13 @@ let pkt_state t fs pkt =
 let root_of t key =
   if Hashtbl.mem t.roots key then Some key else Hashtbl.find_opt t.children key
 
-(* The op an audit event "occurred under": the newest still-open root op
-   span on the event's own shard (ops from other shards — merged replay
-   only — are someone else's context). *)
-let current_op t =
-  List.find_opt (fun (sh, _) -> sh = t.cur_shard) t.open_roots
-
 let op_open t (ev : Trace.ev) =
-  let key = (t.cur_shard, ev.Trace.id) in
-  match
-    if ev.Trace.parent = 0 then None
-    else root_of t (t.cur_shard, ev.Trace.parent)
-  with
+  let key = ev.Trace.id in
+  match if ev.Trace.parent = 0 then None else root_of t ev.Trace.parent with
   | Some root -> Hashtbl.replace t.children key root
   | None ->
     let o_shard =
-      let s = ref t.cur_shard in
+      let s = ref 0 in
       Array.iter
         (fun (k, v) ->
           match v with
@@ -215,7 +200,7 @@ let op_open t (ev : Trace.ev) =
     t.open_roots <- key :: t.open_roots
 
 let span_close t (ev : Trace.ev) =
-  let key = (t.cur_shard, ev.Trace.id) in
+  let key = ev.Trace.id in
   if Hashtbl.mem t.roots key then begin
     Hashtbl.remove t.roots key;
     Hashtbl.remove t.phases key;
@@ -224,7 +209,7 @@ let span_close t (ev : Trace.ev) =
   else Hashtbl.remove t.children key
 
 let phase_mark t (ev : Trace.ev) =
-  match root_of t (t.cur_shard, ev.Trace.parent) with
+  match root_of t ev.Trace.parent with
   | Some root -> Hashtbl.replace t.phases root ev.Trace.name
   | None -> ()
 
@@ -260,18 +245,20 @@ let audit_event t (ev : Trace.ev) =
     let ps = pkt_state t fs pkt in
     ps.p_vt <- ev.Trace.vt;
     ps.p_nf <- nf;
-    ps.p_shard <- t.cur_shard;
-    (match current_op t with
-    | Some ((_, id) as key) ->
+    ps.p_shard <- 0;
+    (* The op an audit event "occurred under": the newest still-open
+       root op span. *)
+    (match t.open_roots with
+    | key :: _ ->
       (match Hashtbl.find_opt t.roots key with
       | Some info ->
-        ps.p_op <- id;
+        ps.p_op <- key;
         ps.p_op_name <- info.o_name;
         ps.p_shard <- info.o_shard;
         ps.p_phase <-
           (match Hashtbl.find_opt t.phases key with Some p -> p | None -> "")
       | None -> ())
-    | None -> ());
+    | [] -> ());
     match ev.Trace.name with
     | "forward" ->
       (* First forwarding assigns the flow-order sequence; relays of the
@@ -359,39 +346,9 @@ let verdict t =
     (fun a b -> compare (finding_key a) (finding_key b))
     (List.rev_append t.streamed !pending)
 
-(* A k-way merge of the shard-tagged streams in (virtual time, shard
-   tag, stream position) order: each step feeds the head with the least
-   (time, tag). Every stream comes from one engine, so its times never
-   decrease and the merge needs no sort and no buffer of its own. *)
-let replay ?history sources =
+let replay ?history events =
   let t = create ?history () in
-  let tags = Array.of_list (List.map fst sources) in
-  let heads = Array.of_list (List.map (fun (_, s) -> s ()) sources) in
-  let rec loop () =
-    let best = ref (-1) and best_vt = ref 0.0 in
-    Array.iteri
-      (fun i node ->
-        match node with
-        | Seq.Nil -> ()
-        | Seq.Cons ((ev : Trace.ev), _) ->
-          if
-            !best < 0 || ev.Trace.vt < !best_vt
-            || (ev.Trace.vt = !best_vt && tags.(i) < tags.(!best))
-          then begin
-            best := i;
-            best_vt := ev.Trace.vt
-          end)
-      heads;
-    if !best >= 0 then
-      match heads.(!best) with
-      | Seq.Nil -> ()
-      | Seq.Cons (ev, rest) ->
-        t.cur_shard <- tags.(!best);
-        feed t ev;
-        heads.(!best) <- rest ();
-        loop ()
-  in
-  loop ();
+  Seq.iter (feed t) events;
   verdict t
 
 (* --- rendering --------------------------------------------------------------- *)

@@ -25,11 +25,9 @@
     pending packets at end of stream. Order and duplicate violations
     are detected online and also delivered to {!on_finding} taps.
 
-    Shard-awareness: in [~par:true] fabrics one monitor rides each
-    shard's audit stream; {!replay} merges the shard-tagged streams in
-    the same [(time, source, sequence)] order as [Audit.merged], so the
-    combined verdict is deterministic and invariant under permutation of
-    the per-shard list. *)
+    A fabric has one audit stream however many control-plane shards it
+    runs, so one monitor sees every packet; a finding's shard comes from
+    the [shard] attribute of the op span it occurred under. *)
 
 type property = Loss | Order | Duplicate | Buffer_conservation
 
@@ -40,7 +38,9 @@ type finding = {
   property : property;
   flow : string;  (** Canonical 5-tuple, e.g. ["10.0.0.1:20000->172.31.0.1:443/tcp"]. *)
   pkt : int;  (** Packet id. *)
-  shard : int;  (** Shard whose audit stream witnessed the violation. *)
+  shard : int;
+      (** Shard of the op the violation occurred under (its span's
+          [shard] attribute); 0 outside any op. *)
   vt : float;  (** Virtual time of the packet's last relevant event. *)
   op_span : int;  (** Trace span id of the op it occurred under; 0 if none. *)
   op : string;  (** That op's name (["move"], ["copy"], …); [""] if none. *)
@@ -51,9 +51,8 @@ type finding = {
 
 type t
 
-val create : ?shard:int -> ?history:int -> unit -> t
-(** [shard] (default 0) tags this monitor's findings; [history]
-    (default 8) is the per-flow last-k event ring size. *)
+val create : ?history:int -> unit -> t
+(** [history] (default 8) is the per-flow last-k event ring size. *)
 
 val feed : t -> Trace.ev -> unit
 (** Push one event, in stream order. A fabric subscribes [feed m]
@@ -78,15 +77,11 @@ val verdict : t -> finding list
     (time, shard, packet, property). Does not mutate the monitor — it
     may be called repeatedly, and more events may still be fed after. *)
 
-val replay : ?history:int -> (int * Trace.ev Seq.t) list -> finding list
-(** Deterministic combined verdict over shard-tagged event streams
-    [(shard, events)] — typically each shard audit's
-    [Opennf_net.Audit.events]: a fresh monitor is fed a k-way merge of
-    the streams in ((virtual time, shard tag, stream position)) order,
-    the [Audit.merged] discipline. Each stream's times must not
-    decrease (one engine's clock). The result is a pure function of the
-    tagged streams, invariant under permutation of the list, and
-    nothing is buffered beyond one head per stream. *)
+val replay : ?history:int -> Trace.ev Seq.t -> finding list
+(** Deterministic verdict over one event stream — typically
+    [Opennf_net.Audit.events] or a hub trace: a fresh monitor is fed
+    the stream in order and its {!verdict} returned. A pure function of
+    the stream; nothing is buffered. *)
 
 val clean : finding list -> bool
 (** [findings = []]. *)

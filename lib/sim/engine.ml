@@ -296,10 +296,9 @@ let schedule t ~delay thunk =
   schedule_at t (t.clock +. delay) thunk
 
 let peek t = Wheel.peek_opt t.q
-let next_time t = match peek t with None -> infinity | Some ev -> ev.time
 
-(* Dispatch exactly one event. Shared by [run], [step] and [run_until],
-   so bounded stepping observes the same dispatch sequence as a free
+(* Dispatch exactly one event. Shared by [run] and [run_until], so
+   bounded stepping observes the same dispatch sequence as a free
    [run]. *)
 let dispatch_one t =
   let ev = Wheel.pop t.q in
@@ -307,16 +306,6 @@ let dispatch_one t =
   t.processed <- t.processed + 1;
   Opennf_obs.Metrics.incr t.m_events;
   ev.thunk ()
-
-let step t =
-  if t.running then invalid_arg "Engine.step: engine is already running";
-  match peek t with
-  | None -> false
-  | Some _ ->
-    t.running <- true;
-    Fun.protect ~finally:(fun () -> t.running <- false) (fun () ->
-        dispatch_one t);
-    true
 
 type stop = Empty | Reached_until
 

@@ -37,34 +37,19 @@ val run : ?until:float -> t -> unit
 (** Process events until the queue is empty, or the clock would pass
     [until]. Re-entrant calls are not allowed. *)
 
-(** {2 Bounded stepping}
-
-    First-class bounded-advance entry points for external coordinators
-    (see {!Par}): unlike piggybacking on [run ?until], they report why
-    they stopped and never fast-forward the clock past the last
-    dispatched event. All three entry points share one dispatch path
-    over the one (time, seq)-ordered queue, so a simulation driven by
-    [step] / [run_until] observes exactly the event sequence a free
-    [run] would — bounded stepping cannot perturb determinism. *)
-
-val next_time : t -> float
-(** Virtual time of the earliest pending event, or [infinity] when the
-    queue is empty. Never dispatches anything. *)
-
-val step : t -> bool
-(** Dispatch exactly one event (the (time, seq) minimum). Returns
-    [false] if the queue was empty. Raises [Invalid_argument
-    "Engine.step: engine is already running"] when called from inside
-    an executing event or a live [run]. *)
+(** {2 Bounded stepping} *)
 
 type stop = Empty | Reached_until
 
 val run_until : t -> until:float -> stop
-(** Dispatch events while their time is [<= until]. Returns [Empty]
-    when the queue ran dry, [Reached_until] when the next pending event
-    lies beyond [until] (the clock is left at the last dispatched
-    event, NOT advanced to [until] — the caller owns the horizon).
-    Raises [Invalid_argument] on re-entrant use, like {!step}. *)
+(** Dispatch events while their time is [<= until]. Unlike
+    [run ?until], it reports why it stopped and never fast-forwards the
+    clock: it returns [Empty] when the queue ran dry, [Reached_until]
+    when the next pending event lies beyond [until] (the clock is left
+    at the last dispatched event, NOT advanced to [until] — the caller
+    owns the horizon). It shares [run]'s dispatch path, so it observes
+    exactly the event sequence a free [run] would. Raises
+    [Invalid_argument] on re-entrant use. *)
 
 val pending : t -> int
 (** Number of queued events. *)

@@ -2,8 +2,7 @@
    trace-backed design. Every record is a boxed [cat:"audit"] trace
    instant with positional attributes; every query folds the trace
    buffer, decoding records as it goes; the first-time indexes are
-   hashtables filled at log time; shard ledgers merge by sorting all
-   instants on (virtual time, shard, position). Slow and allocation
+   hashtables filled at log time. Slow and allocation
    heavy, but each query is a direct transcription of its §5.1
    definition, which is what the columnar {!Opennf_net.Audit} is
    checked against. *)
@@ -23,7 +22,9 @@ type t = {
   first_process : (int, float) Hashtbl.t;
 }
 
-let make engine trace =
+let create engine =
+  let trace = Trace.create () in
+  Trace.set_clock trace (fun () -> Engine.now engine);
   {
     engine;
     trace;
@@ -32,11 +33,6 @@ let make engine trace =
     first_arrival = Hashtbl.create 64;
     first_process = Hashtbl.create 64;
   }
-
-let create engine =
-  let tr = Trace.create () in
-  Trace.set_clock tr (fun () -> Engine.now engine);
-  make engine tr
 
 let trace t = t.trace
 
@@ -108,34 +104,6 @@ let log_process t p ~nf =
 let log_drop t p ~nf = log t "drop" p nf
 let log_evented t p ~nf = log t "event" p nf
 let log_buffered t p ~nf = log t "buffer" p nf
-
-(* Sort-based merge: tag every instant with (time, shard, position),
-   sort, and re-log in that order. *)
-let merged engine sources =
-  let cursor = ref 0.0 in
-  let tr = Trace.create () in
-  Trace.set_clock tr (fun () -> !cursor);
-  let t = make engine tr in
-  let evs = ref [] in
-  List.iteri
-    (fun src a ->
-      let pos = ref 0 in
-      Trace.iter a.trace (fun ev ->
-          evs := (ev.Trace.vt, src, !pos, ev) :: !evs;
-          incr pos))
-    sources;
-  List.iter
-    (fun ((vt : float), _, _, (ev : Trace.ev)) ->
-      cursor := vt;
-      Trace.instant tr ~cat:"audit" ~name:ev.Trace.name ~attrs:ev.Trace.attrs ();
-      let r = decode ev in
-      match ev.Trace.name with
-      | "forward" -> remember t.first_forward r.pkt vt
-      | "nf_arrival" -> remember t.first_arrival r.pkt vt
-      | "process" -> remember t.first_process r.pkt vt
-      | _ -> ())
-    (List.sort compare !evs);
-  t
 
 let in_filter filter (r : record) =
   match filter with None -> true | Some f -> Filter.matches_flow f r.key

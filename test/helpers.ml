@@ -24,10 +24,9 @@ type testbed = {
    With [shards], nf1 homes on shard 0 and nf2 on the last shard, so a
    move between them exercises the cross-shard path. *)
 let prads_pair ?(seed = 7) ?(flows = 50) ?(rate = 1000.0) ?(duration = 2.0)
-    ?packet_out_rate ?resilience ?shards ?obs ?shard_obs ?par ?monitor () =
+    ?packet_out_rate ?resilience ?shards ?obs ?monitor () =
   let fab =
-    Fabric.create ~seed ?packet_out_rate ?resilience ?shards ?obs ?shard_obs ?par
-      ?monitor ()
+    Fabric.create ~seed ?packet_out_rate ?resilience ?shards ?obs ?monitor ()
   in
   let prads1 = Opennf_nfs.Prads.create () in
   let prads2 = Opennf_nfs.Prads.create () in

@@ -23,7 +23,6 @@ let () =
       ("properties", Test_props.suite);
       ("sched", Test_sched.suite);
       ("shard", Test_shard.suite);
-      ("par", Test_par.suite);
       ("faults", Test_faults.suite);
       ("backend", Test_backend.suite);
       ("obs", Test_obs.suite);

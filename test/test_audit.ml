@@ -286,20 +286,6 @@ let prop_oracle =
         QCheck.Test.fail_report "hub mirror differs";
       true)
 
-(* Shard ledgers on their own engines, merged: the k-way column merge
-   must equal the oracle's sort-based merge, query for query. *)
-let prop_merged =
-  QCheck.Test.make ~name:"Audit.merged == oracle sort-based merge (1-4 shards)" ~count:150
-    (QCheck.list_of_size (QCheck.Gen.int_range 1 4) ops_arb) (fun shard_ops ->
-      let runs = List.map (fun ops -> run_both ops) shard_ops in
-      let e = Engine.create () in
-      let m = Audit.merged e (List.map (fun (_, a, _, _) -> a) runs) in
-      let mo = Oracle.merged e (List.map (fun (_, _, o, _) -> o) runs) in
-      ignore (agree ~what:"merged queries" (Dump_audit.dump m) (Dump_oracle.dump mo));
-      if audit_instants (Audit.snapshot m) <> audit_instants (Oracle.trace mo) then
-        QCheck.Test.fail_report "merged instants differ";
-      true)
-
 (* --- allocation budget ---------------------------------------------------- *)
 
 let minor_words_per ~iters f =
@@ -344,5 +330,4 @@ let suite =
       test_evented_and_buffered_ids;
     Alcotest.test_case "log allocation budget" `Quick test_log_alloc_budget;
     QCheck_alcotest.to_alcotest prop_oracle;
-    QCheck_alcotest.to_alcotest prop_merged;
   ]

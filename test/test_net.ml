@@ -359,6 +359,33 @@ let test_switch_barrier_after_mods () =
   Alcotest.(check bool) "reply seen" true !saw;
   Alcotest.(check bool) "after flow-mod applied" true (!reply_at >= 0.010)
 
+(* A switch->controller message for a connection with no bound channel
+   is a wiring error, like a forward out an unknown port: it raises
+   instead of vanishing. *)
+let test_switch_unbound_connection_raises () =
+  let b = switch_bed () in
+  Switch.control b.sw
+    (Switch.Install
+       { cookie = 1; priority = 100; filters = [ Filter.any ];
+         actions = [ Flowtable.To_controller ] });
+  Engine.run b.e;
+  Switch.set_packet_in_router b.sw (fun _ -> 1);
+  Alcotest.check_raises "packet-in to unbound connection"
+    (Invalid_argument "Switch sw: no controller on connection 1") (fun () ->
+      Switch.inject b.sw (Packet.create ~id:3 ~key ~sent_at:0.0 ()));
+  Switch.control_from b.sw ~conn:2 (Switch.Barrier { id = 1 });
+  Alcotest.check_raises "barrier reply to unbound connection"
+    (Invalid_argument "Switch sw: no controller on connection 2") (fun () ->
+      Engine.run b.e);
+  Alcotest.(check int) "nothing reached the bound controller" 0
+    (List.length !(b.ctrl_msgs));
+  let b = switch_bed () in
+  Switch.control b.sw
+    (Switch.Packet_out
+       { port = "nf9"; packet = Packet.create ~id:4 ~key ~sent_at:0.0 () });
+  Alcotest.check_raises "forward out an unknown port"
+    (Invalid_argument "Switch sw: no port nf9") (fun () -> Engine.run b.e)
+
 let test_switch_packet_out_rate_limit () =
   let e = Engine.create () in
   let audit = Audit.create e in
@@ -425,4 +452,6 @@ let suite =
       test_switch_barrier_after_mods;
     Alcotest.test_case "switch: packet-out rate limit" `Quick
       test_switch_packet_out_rate_limit;
+    Alcotest.test_case "switch: unbound connection raises" `Quick
+      test_switch_unbound_connection_raises;
   ]

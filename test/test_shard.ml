@@ -393,6 +393,50 @@ let test_one_shard_smoke () =
         false shardish)
     metric_names
 
+(* --- shares across shards --------------------------------------------------- *)
+
+(* A strong-consistency share between a source and a destination homed
+   on different shards holds its footprint on both schedulers through
+   the cross-shard handshake. Its outcome must equal the same share on
+   a 1-shard fabric. *)
+let share_outcome ~shards =
+  let fab = Fabric.create ~seed:5 ~shards () in
+  let d1 = Dummy.create () and d2 = Dummy.create () in
+  Dummy.seed_flows d1 (List.init 4 (key_in_subnet 0));
+  let src, _ =
+    Fabric.add_nf fab ~shard:0 ~name:"src0" ~impl:(Dummy.impl d1)
+      ~costs:Costs.dummy
+  in
+  let dst, _ =
+    Fabric.add_nf fab ~shard:(shards - 1) ~name:"dst0" ~impl:(Dummy.impl d2)
+      ~costs:Costs.dummy
+  in
+  Proc.spawn fab.engine (fun () ->
+      Controller.set_route fab.ctrl (two_sided 0) src);
+  let synced = ref (-1) in
+  Engine.schedule_at fab.Fabric.engine 0.1 (fun () ->
+      Proc.spawn fab.Fabric.engine (fun () ->
+          match
+            Share.start fab.Fabric.ctrl ~shard_group:fab.Fabric.group
+              ~instances:[ src; dst ] ~filter:(two_sided 0)
+              ~consistency:Share.Strong ()
+          with
+          | Error e -> Alcotest.fail (Op_error.to_string e)
+          | Ok share ->
+            Share.stop share;
+            synced := (Share.stats share).Share.updates_synced));
+  Fabric.run fab;
+  ( (!synced, Dummy.flow_count d1, Dummy.flow_count d2),
+    Shard.cross_shard_ops fab.Fabric.group )
+
+let test_cross_shard_share () =
+  let serial, serial_cross = share_outcome ~shards:1 in
+  let sharded, sharded_cross = share_outcome ~shards:2 in
+  Alcotest.(check (triple int int int)) "share outcome matches 1 shard" serial
+    sharded;
+  Alcotest.(check int) "1-shard share crosses nothing" 0 serial_cross;
+  Alcotest.(check int) "2-shard share takes the handshake" 1 sharded_cross
+
 let test_sharded_metrics_namespaced () =
   let obs = Opennf_obs.Hub.create ~metrics:true () in
   let fab = Fabric.create ~seed:5 ~shards:2 ~obs () in
@@ -441,6 +485,8 @@ let suite =
       test_crash_contained_to_one_shard;
     Alcotest.test_case "one-shard smoke: plumbing only" `Quick
       test_one_shard_smoke;
+    Alcotest.test_case "cross-shard share == one shard" `Quick
+      test_cross_shard_share;
     Alcotest.test_case "sharded metric namespace" `Quick
       test_sharded_metrics_namespaced;
   ]

@@ -241,19 +241,6 @@ let bytes_io_int_prop =
 
 exception Boom of int
 
-(* A raise on a helper domain must surface from [run] exactly as it
-   would at one worker, leave the pool usable, and not stop [shutdown]
-   from joining the helper. *)
-let test_workers_helper_raise () =
-  let w = Domain_pool.Workers.create ~domains:2 () in
-  Alcotest.check_raises "helper's exception re-raised" (Boom 1) (fun () ->
-      Domain_pool.Workers.run w (fun i -> if i = 1 then raise (Boom i)));
-  let ran = Array.make 2 false in
-  Domain_pool.Workers.run w (fun i -> ran.(i) <- true);
-  Alcotest.(check (array bool))
-    "pool still runs every worker" [| true; true |] ran;
-  Domain_pool.Workers.shutdown w
-
 let test_pool_run () =
   let tasks = Array.init 8 (fun i () -> i * i) in
   Alcotest.(check (array int)) "results in task order"
@@ -296,8 +283,6 @@ let suite =
     Alcotest.test_case "bytes_io: bad length" `Quick test_bytes_io_bad_string_length;
     QCheck_alcotest.to_alcotest bytes_io_string_prop;
     QCheck_alcotest.to_alcotest bytes_io_int_prop;
-    Alcotest.test_case "domain_pool: helper raise propagates" `Quick
-      test_workers_helper_raise;
     Alcotest.test_case "domain_pool: run on transient workers" `Quick
       test_pool_run;
   ]
