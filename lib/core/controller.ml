@@ -57,6 +57,7 @@ let call_budget r =
 type pending =
   | Get of {
       mutable chunks : (Filter.t * Chunk.t) list;  (* Reverse order. *)
+      seen : unit Filter.Table.t;  (* Flow ids in [chunks]: O(1) dedup. *)
       on_piece : (Filter.t -> Chunk.t -> unit) option;
       result : ((Filter.t * Chunk.t) list, Op_error.t) result Proc.Ivar.t;
     }
@@ -189,8 +190,8 @@ let rec dispatch_reply t (reply : Protocol.reply) =
     | Some (Get g) ->
       (* A retried or duplicated streaming get may replay a piece;
          idempotent request ids mean replays are ignored. *)
-      if not (List.exists (fun (f, _) -> Filter.equal f flowid) g.chunks)
-      then begin
+      if not (Filter.Table.mem g.seen flowid) then begin
+        Filter.Table.replace g.seen flowid ();
         g.chunks <- (flowid, chunk) :: g.chunks;
         Option.iter (fun f -> f flowid chunk) g.on_piece
       end
@@ -535,7 +536,8 @@ let get_async _t nf ~scope ?on_piece ?(late_lock = false) ?(compress = false)
     in
     let result = Proc.Ivar.create t.engine in
     start_call t nf ~req ~request
-      ~pending_entry:(Get { chunks = []; on_piece; result })
+      ~pending_entry:
+        (Get { chunks = []; seen = Filter.Table.create 16; on_piece; result })
       ~result;
     result
   end

@@ -82,3 +82,34 @@ let assert_order_preserved_per_flow tb =
 let total_processed tb =
   Opennf_sb.Runtime.processed_count tb.rt1
   + Opennf_sb.Runtime.processed_count tb.rt2
+
+(* Two dummy instances ("src" seeded with [flows] distinct flows, "dst"
+   empty) and no traffic: a bed for southbound gets and moves in
+   isolation. *)
+type dummy_bed = {
+  dfab : Fabric.t;
+  src : Controller.nf;
+  dst : Controller.nf;
+  d_src : Opennf_nfs.Dummy.t;
+  d_dst : Opennf_nfs.Dummy.t;
+}
+
+let dummy_key k =
+  Flow.make
+    ~src:(Ipaddr.of_int (Ipaddr.to_int (Ipaddr.v 10 80 0 0) + (k mod 250) + 1))
+    ~dst:(Ipaddr.v 172 31 (k / 250) 1)
+    ~proto:Flow.Tcp ~sport:(20000 + k) ~dport:443 ()
+
+let dummy_pair ?obs ~flows () =
+  let dfab = Fabric.create ~seed:7 ?obs () in
+  let d_src = Opennf_nfs.Dummy.create () in
+  let d_dst = Opennf_nfs.Dummy.create () in
+  Opennf_nfs.Dummy.seed_flows d_src (List.init flows dummy_key);
+  let add name d =
+    fst
+      (Fabric.add_nf dfab ~name ~impl:(Opennf_nfs.Dummy.impl d)
+         ~costs:Costs.dummy)
+  in
+  let src = add "src" d_src in
+  let dst = add "dst" d_dst in
+  { dfab; src; dst; d_src; d_dst }

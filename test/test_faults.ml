@@ -227,6 +227,97 @@ let test_fault_free_resilient_move_is_clean () =
   Alcotest.(check int) "state moved" 10
     (Opennf_nfs.Prads.connection_count tb.H.prads2)
 
+(* --- streaming-get dedup under a duplicating link ------------------------ *)
+
+(* Every message the source sends the controller arrives twice. *)
+let duplicate_replies b =
+  Faults.set_link b.H.dfab.faults ~name:"src->ctrl" ~dup:1.0 ()
+
+let test_streaming_get_drops_replayed_pieces () =
+  let flows = 60 in
+  let obs = Opennf_obs.Hub.create ~metrics:true () in
+  let b = H.dummy_pair ~obs ~flows () in
+  duplicate_replies b;
+  let export_order =
+    List.map Filter.to_string
+      ((Opennf_nfs.Dummy.impl b.H.d_src).Opennf_sb.Nf_api.list_perflow
+         Filter.any)
+  in
+  let fired = Hashtbl.create flows in
+  let result = ref [] in
+  H.run_at b.H.dfab ~at:0.1 (fun () ->
+      match
+        Controller.get b.H.dfab.ctrl b.H.src ~scope:Opennf_state.Scope.Per
+          ~on_piece:(fun flowid _ ->
+            let k = Filter.to_string flowid in
+            Hashtbl.replace fired k
+              (1 + Option.value ~default:0 (Hashtbl.find_opt fired k)))
+          Filter.any
+      with
+      | Ok chunks -> result := List.map (fun (f, _) -> Filter.to_string f) chunks
+      | Error e -> Alcotest.fail (Op_error.to_string e));
+  Alcotest.(check (list string))
+    "each flow once, in export order" export_order !result;
+  Alcotest.(check int) "on_piece saw every flow" flows (Hashtbl.length fired);
+  Hashtbl.iter
+    (fun k n -> Alcotest.(check int) ("on_piece once for " ^ k) 1 n)
+    fired;
+  (* Every piece and the closing Done were duplicated; only the piece
+     replays reach the pending get. *)
+  Alcotest.(check int) "every reply duplicated" (flows + 1)
+    (Faults.duplicated_count b.H.dfab.faults);
+  Alcotest.(check int) "ctrl.dup_pieces counts the replays" flows
+    (Opennf_obs.Metrics.counter_value (Opennf_obs.Hub.metrics obs)
+       "ctrl.dup_pieces")
+
+(* A parallel (streaming) loss-free move of dummy flows; returns the
+   destination's flow ids, its import count and a digest of its state
+   and the move report. *)
+let dummy_parallel_move ~dup =
+  let b = H.dummy_pair ~flows:200 () in
+  if dup then duplicate_replies b;
+  let report = ref None in
+  H.run_at b.H.dfab ~at:0.1 (fun () ->
+      match
+        Move.run b.H.dfab.ctrl
+          (Move.spec ~src:b.H.src ~dst:b.H.dst ~filter:Filter.any
+             ~guarantee:Move.Loss_free ~parallel:true ())
+      with
+      | Ok r -> report := Some r
+      | Error e -> Alcotest.fail (Op_error.to_string e));
+  let r = Option.get !report in
+  let impl = Opennf_nfs.Dummy.impl b.H.d_dst in
+  let flowids = impl.Opennf_sb.Nf_api.list_perflow Filter.any in
+  let open Opennf_util.Hashing in
+  let digest =
+    List.fold_left
+      (fun h flowid ->
+        match impl.Opennf_sb.Nf_api.export_perflow flowid with
+        | Some c -> combine h (fnv1a64 c.Opennf_state.Chunk.data)
+        | None -> Alcotest.fail "destination lost a flow")
+      (combine (Int64.of_int r.Move.per_chunks) (Int64.of_int r.Move.state_bytes))
+      flowids
+  in
+  ( List.map Filter.to_string flowids,
+    Opennf_nfs.Dummy.imported_count b.H.d_dst,
+    digest )
+
+let test_parallel_move_under_duplicating_link () =
+  let src_flows =
+    List.map (fun k -> Filter.to_string (Filter.of_key (H.dummy_key k)))
+      (List.init 200 Fun.id)
+    |> List.sort String.compare
+  in
+  let clean_flows, clean_imports, clean_digest = dummy_parallel_move ~dup:false in
+  let flows, imports, digest = dummy_parallel_move ~dup:true in
+  Alcotest.(check (list string))
+    "destination holds exactly the source's flows" src_flows
+    (List.sort String.compare flows);
+  Alcotest.(check int) "each flow imported once" 200 imports;
+  Alcotest.(check (list string)) "same flows as fault-free" clean_flows flows;
+  Alcotest.(check int) "same imports as fault-free" clean_imports imports;
+  Alcotest.(check int64) "state digest equals fault-free" clean_digest digest
+
 (* --- guarantees under link faults (randomized) -------------------------- *)
 
 type link_cfg = {
@@ -327,6 +418,10 @@ let suite =
       test_dst_crash_at_phase2;
     Alcotest.test_case "fault-free resilient move is clean" `Quick
       test_fault_free_resilient_move_is_clean;
+    Alcotest.test_case "streaming get drops replayed pieces" `Quick
+      test_streaming_get_drops_replayed_pieces;
+    Alcotest.test_case "parallel move under duplicating link" `Quick
+      test_parallel_move_under_duplicating_link;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

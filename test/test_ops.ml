@@ -214,6 +214,39 @@ let test_messages_are_counted () =
   Alcotest.(check bool) "controller handled messages" true
     (Controller.messages_handled tb.H.fab.ctrl > 5)
 
+(* Duplicate-piece detection is O(1) per piece, so one streaming get
+   costs linear host time in the pieces it receives. Wall-clock, min of
+   3 runs; only the get's run is timed, not the bed's setup. *)
+let streaming_get_ns_per_piece flows =
+  let once () =
+    let b = H.dummy_pair ~flows () in
+    let got = ref 0 in
+    Engine.schedule_at b.H.dfab.engine 0.1 (fun () ->
+        Proc.spawn b.H.dfab.engine (fun () ->
+            match
+              Controller.get b.H.dfab.ctrl b.H.src ~scope:Scope.Per
+                ~on_piece:(fun _ _ -> ())
+                Filter.any
+            with
+            | Ok chunks -> got := List.length chunks
+            | Error e -> Alcotest.fail (Op_error.to_string e)));
+    let t0 = Unix.gettimeofday () in
+    Fabric.run b.H.dfab;
+    let dt = Unix.gettimeofday () -. t0 in
+    Alcotest.(check int) "every piece arrived" flows !got;
+    dt
+  in
+  let best = List.fold_left Float.min infinity (List.init 3 (fun _ -> once ())) in
+  1e9 *. best /. float_of_int flows
+
+let test_streaming_get_scales_linearly () =
+  let small = streaming_get_ns_per_piece 1_000 in
+  let large = streaming_get_ns_per_piece 16_000 in
+  if large > 5.0 *. small then
+    Alcotest.failf
+      "per-piece get time grew %.1fx from 1k to 16k pieces (%.0f -> %.0f ns)"
+      (large /. small) small large
+
 let suite =
   [
     Alcotest.test_case "copy: source intact, no reroute" `Quick
@@ -237,4 +270,6 @@ let suite =
       test_barrier_blocks_until_applied;
     Alcotest.test_case "controller: message accounting" `Quick
       test_messages_are_counted;
+    Alcotest.test_case "controller: streaming get scales linearly" `Quick
+      test_streaming_get_scales_linearly;
   ]

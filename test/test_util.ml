@@ -65,6 +65,27 @@ let test_rng_shuffle_permutes () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "is a permutation" (Array.init 50 Fun.id) sorted
 
+(* The stream is part of every seeded result: pin it bit for bit. *)
+let test_rng_golden_streams () =
+  List.iter
+    (fun (r : Rng_golden.row) ->
+      let draws f =
+        let rng = Rng.create ~seed:r.seed in
+        List.init 16 (fun _ -> f rng)
+      in
+      let name what = Printf.sprintf "seed %d %s" r.seed what in
+      Alcotest.(check (list int64)) (name "bits64") r.bits (draws Rng.bits64);
+      Alcotest.(check (list int))
+        (name "int") r.ints
+        (draws (fun g -> Rng.int g 1_000_003));
+      Alcotest.(check (list int64))
+        (name "float") r.floats
+        (draws (fun g -> Int64.bits_of_float (Rng.float g 1.0)));
+      Alcotest.(check (list int64))
+        (name "split") r.splits
+        (draws (fun g -> Rng.bits64 (Rng.split g))))
+    Rng_golden.rows
+
 (* --- hashing -------------------------------------------------------------- *)
 
 let test_fnv_known_distinct () =
@@ -260,6 +281,7 @@ let suite =
     Alcotest.test_case "rng: exponential mean" `Quick test_rng_exponential_mean;
     Alcotest.test_case "rng: pareto tail" `Quick test_rng_pareto_heavy_tail;
     Alcotest.test_case "rng: shuffle permutes" `Quick test_rng_shuffle_permutes;
+    Alcotest.test_case "rng: golden streams" `Quick test_rng_golden_streams;
     Alcotest.test_case "hash: fnv distinct & stable" `Quick test_fnv_known_distinct;
     Alcotest.test_case "hash: fnv substring" `Quick test_fnv_sub_matches_whole;
     Alcotest.test_case "digest: streaming invariance" `Quick
