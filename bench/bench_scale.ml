@@ -20,8 +20,7 @@
    Sizes come from OPENNF_SCALE_SIZES (e.g. "10k 100k 1m"), defaulting
    to the full sweep; the @bench-check smoke run sets small sizes.
    Emits BENCH_scale.json (+ METRICS_scale.json). Wall times use
-   [Unix.gettimeofday]: [Sys.time] is process CPU time, which
-   double-counts the pool. *)
+   [Unix.gettimeofday]. *)
 
 module H = Harness
 module Engine = Opennf_sim.Engine
@@ -113,7 +112,7 @@ let bench_get n =
   in
   (* Allocation cost of one single-flow getPerflow: enumerate the
      matching flowid, then serialize its connection through the
-     domain-local scratch writer. *)
+     module-level scratch writer. *)
   let f = Filter.of_key (key_of_int (n / 2)) in
   let g_words =
     minor_words_per ~iters:1000 (fun () ->
@@ -130,8 +129,8 @@ let bench_get n =
 (* --- event throughput under load ----------------------------------------- *)
 
 (* Virtual-time results only: everything here must be bit-identical
-   across domains and instrumentation, so the pool- and
-   scheduler-equivalence checks compare whole values. *)
+   across instrumentation, so the scheduler-equivalence check compares
+   whole values. *)
 type scenario_result = {
   sc_events : int;
   sc_virtual_end : float;
@@ -155,7 +154,7 @@ type scenario_cost = {
 
 (* A traffic window against a PRADS instance preloaded with [preload]
    connections: [flows] fresh flows at [rate] pps for [duration]
-   virtual seconds. Fully seeded; runs on whichever domain calls it. *)
+   virtual seconds. Fully seeded. *)
 let scenario_full ~seed ~preload ~flows ~rate ~duration () =
   let t0 = Unix.gettimeofday () in
   let fab = Fabric.create ~seed () in
@@ -226,45 +225,6 @@ let bench_schedulers () =
   ( heap_recorded,
     scenario ~seed:77 ~preload:2_000 ~flows:200 ~rate:5_000.0 ~duration:0.5 () )
 
-(* --- domain pool --------------------------------------------------------- *)
-
-type pool_row = {
-  p_tasks : int;
-  p_domains : int;
-  p_dispatch : bool; (* false: one domain, tasks ran inline *)
-  p_serial : float;
-  p_pool : float;
-  p_deterministic : bool;
-}
-
-(* Independent seeded scenarios, serial then pooled. The pooled run must
-   reproduce the serial results bit-for-bit: each scenario is
-   single-domain deterministic, and the pool only changes placement.
-   Each timed run starts from a compacted heap — otherwise the second
-   run inherits the first one's garbage and the comparison measures GC
-   debt, not dispatch. *)
-let bench_pool ~preload =
-  let tasks =
-    Array.init 8 (fun i ->
-        scenario ~seed:(1000 + (137 * i)) ~preload ~flows:400 ~rate:10_000.0
-          ~duration:1.0)
-  in
-  let domains =
-    Opennf_util.Domain_pool.pool_size ~tasks:(Array.length tasks) ()
-  in
-  Gc.compact ();
-  let p_serial, serial = wall (fun () -> Array.map (fun f -> f ()) tasks) in
-  Gc.compact ();
-  let p_pool, pooled = wall (fun () -> Opennf_util.Domain_pool.run tasks) in
-  {
-    p_tasks = Array.length tasks;
-    p_domains = domains;
-    p_dispatch = domains > 1;
-    p_serial;
-    p_pool;
-    p_deterministic = serial = pooled;
-  }
-
 (* --- sharded control plane ------------------------------------------------ *)
 
 type shard_row = {
@@ -300,7 +260,7 @@ let json_row n g r c =
     (c.c_major_words /. float_of_int r.sc_events)
 
 let run () =
-  H.section "Wall-clock scaling (ordered stores, allocation, multicore)";
+  H.section "Wall-clock scaling (ordered stores, allocation)";
   let sizes = sizes () in
   let metrics_hub = Opennf_obs.Hub.create ~metrics:true () in
   let metrics = Opennf_obs.Hub.metrics metrics_hub in
@@ -352,20 +312,6 @@ let run () =
   H.note "schedulers: heap %d events / wheel %d events, virtual results %s"
     heap.sc_events wheel.sc_events
     (if sched_ok then "identical" else "DIVERGED");
-  let pool = bench_pool ~preload:(List.fold_left Stdlib.min max_int sizes) in
-  if pool.p_dispatch then
-    H.note
-      "pool: %d scenarios on %d domains: serial %.0f ms, pooled %.0f ms (%.2fx), results %s"
-      pool.p_tasks pool.p_domains (1000.0 *. pool.p_serial)
-      (1000.0 *. pool.p_pool)
-      (pool.p_serial /. pool.p_pool)
-      (if pool.p_deterministic then "identical" else "DIVERGED")
-  else
-    H.note
-      "pool: 1 usable domain — %d scenarios ran inline (no dispatch); serial %.0f ms, pooled %.0f ms, results %s"
-      pool.p_tasks (1000.0 *. pool.p_serial)
-      (1000.0 *. pool.p_pool)
-      (if pool.p_deterministic then "identical" else "DIVERGED");
   H.section "Sharded control plane: virtual makespan vs shard count";
   let shard_rows = bench_shards () in
   let serial_span =
@@ -417,14 +363,8 @@ let run () =
               row.sh_wall.H.t_repeats digests_ok)
           shard_rows));
   Printf.fprintf oc
-    "  \"schedulers\": {\"heap_events\": %d, \"wheel_events\": %d, \"virtual_end\": %.6f, \"identical\": %b},\n"
+    "  \"schedulers\": {\"heap_events\": %d, \"wheel_events\": %d, \"virtual_end\": %.6f, \"identical\": %b}\n"
     heap.sc_events wheel.sc_events wheel.sc_virtual_end sched_ok;
-  Printf.fprintf oc
-    "  \"pool\": {\"scenarios\": %d, \"domains\": %d, \"dispatch\": %b, \"serial_wall_ms\": %.1f, \"pool_wall_ms\": %.1f, \"speedup\": %.2f, \"deterministic\": %b}\n"
-    pool.p_tasks pool.p_domains pool.p_dispatch (1000.0 *. pool.p_serial)
-    (1000.0 *. pool.p_pool)
-    (pool.p_serial /. pool.p_pool)
-    pool.p_deterministic;
   output_string oc "}\n";
   close_out oc;
   H.note "wrote BENCH_scale.json";
@@ -445,7 +385,7 @@ let run_schedcheck () =
 
 let () =
   H.register ~id:"scale"
-    ~descr:"wall-clock scaling: ordered getPerflow, allocation, domain pool" run;
+    ~descr:"wall-clock scaling: ordered getPerflow, allocation, shards" run;
   H.register ~id:"schedcheck"
     ~descr:
       "timing wheel vs recorded binary heap: virtual-time equivalence smoke"

@@ -36,6 +36,23 @@ let ms v = Printf.sprintf "%.1f" (1000.0 *. v)
 let mb bytes = Printf.sprintf "%.1f" (float_of_int bytes /. 1_048_576.0)
 let kb bytes = Printf.sprintf "%.1f" (float_of_int bytes /. 1024.0)
 
+(* --- environment ---------------------------------------------------------- *)
+
+(* A positive count read from environment variable [var]; [None] when
+   it is unset or blank. Zero, negative and non-numeric values fail with
+   a message naming the variable. *)
+let env_count var =
+  match Sys.getenv_opt var with
+  | None -> None
+  | Some s -> (
+    match String.trim s with
+    | "" -> None
+    | t -> (
+      match int_of_string_opt t with
+      | Some n when n >= 1 -> Some n
+      | Some _ | None ->
+        failwith (Printf.sprintf "%s must be a positive integer, got %S" var s)))
+
 (* --- wall-clock measurement ---------------------------------------------- *)
 
 type timed = {
@@ -50,11 +67,7 @@ type timed = {
    consumer gating on a ratio can judge whether the numbers are stable
    enough to gate on. OPENNF_BENCH_REPEATS overrides [k]. *)
 let time_min_of ?(k = 3) f =
-  let k =
-    match Sys.getenv_opt "OPENNF_BENCH_REPEATS" with
-    | Some s -> Stdlib.max 1 (int_of_string (String.trim s))
-    | None -> k
-  in
+  let k = Option.value (env_count "OPENNF_BENCH_REPEATS") ~default:k in
   let result = ref None in
   let times =
     List.init k (fun _ ->
@@ -134,13 +147,10 @@ let affected_latency audit =
 (* --- sharded control plane ----------------------------------------------- *)
 
 (* The shard counts a bench sweeps. OPENNF_SHARDS pins the whole sweep
-   to one count (the same variable Fabric.create reads as its default),
-   so `OPENNF_SHARDS=2 ./main.exe sched` measures exactly that
-   configuration. *)
+   to one count, so `OPENNF_SHARDS=2 ./main.exe sched` measures exactly
+   that configuration. *)
 let shard_counts ?(default = [ 1; 2; 4 ]) () =
-  match Sys.getenv_opt "OPENNF_SHARDS" with
-  | None -> default
-  | Some s -> [ int_of_string (String.trim s) ]
+  match env_count "OPENNF_SHARDS" with None -> default | Some n -> [ n ]
 
 type shard_run = {
   s_shards : int;

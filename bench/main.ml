@@ -13,9 +13,9 @@ let experiments_linked =
   [
     Bench_fig10.run; Bench_fig11.run; Bench_copyshare.run; Bench_table1.run;
     Bench_fig12.run; Bench_table2.run; Bench_fig13.run; Bench_sec83.run;
-    Bench_sec84.run; Bench_ablation.run; Bench_failover.run; Bench_micro.run;
-    Bench_datapath.run; Bench_faults.run; Bench_sched.run; Bench_scale.run;
-    Bench_backend.run; Bench_moncheck.run;
+    Bench_sec84.run; Bench_ablation.run; Bench_failover.run; Bench_datapath.run;
+    Bench_faults.run; Bench_sched.run; Bench_scale.run; Bench_backend.run;
+    Bench_moncheck.run;
   ]
 
 let () =

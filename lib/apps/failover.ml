@@ -71,8 +71,10 @@ let detect_mode ~normal ~standby =
     Replicated { standby_backend = sb }
   | _ -> Copy
 
-let init_standby ctrl ?sched ~normal ~standby
-    ?(local_net = Ipaddr.Prefix.of_string "10.0.0.0/8") () =
+(* Scopes the HTTP-request trigger, as in Figure 9 line 6. *)
+let local_net = Ipaddr.Prefix.of_string "10.0.0.0/8"
+
+let init_standby ctrl ?sched ~normal ~standby () =
   let mode = detect_mode ~normal ~standby in
   let t =
     {

@@ -27,11 +27,10 @@ val init_standby :
   ?sched:Sched.t ->
   normal:Controller.nf ->
   standby:Controller.nf ->
-  ?local_net:Ipaddr.Prefix.t ->
   unit ->
   t
-(** Registers the notifications. [local_net] (default 10.0.0.0/8) scopes
-    the HTTP-request trigger, as in Figure 9 line 6. Multi-flow state is
+(** Registers the notifications. The HTTP-request trigger is scoped to
+    10.0.0.0/8, as in Figure 9 line 6. Multi-flow state is
     copied up front so scan counters exist at the standby. With [sched],
     every refresh copy is admitted through the scheduler, so refreshes
     queue behind conflicting moves instead of racing them. *)

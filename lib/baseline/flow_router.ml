@@ -1,16 +1,10 @@
-module Proc = Opennf_sim.Proc
 open Opennf_net
 open Opennf
 
 type t = {
   ctrl : Controller.t;
   mutable policy : Packet.t -> Controller.nf;
-  punt_cookie : int;
-  mutable sub : Controller.subscription option;
-  pins : (Flow.key * string) Flow.Table.t;  (* canonical key -> pin *)
-  pins_sorted : (Flow.key, string) Opennf_util.Omap.t;
-      (* Ordered mirror of [pins]: [pinned_flows] walks it in key order
-         instead of sorting the whole pin set on every call. *)
+  pins : string Flow.Table.t;  (* canonical key -> pinned instance *)
 }
 
 let pin_priority = 120
@@ -21,8 +15,7 @@ let on_packet_in t (p : Packet.t) =
   if not (Flow.Table.mem t.pins k) then begin
     let nf = t.policy p in
     let name = Controller.nf_name nf in
-    Flow.Table.replace t.pins k (k, name);
-    Opennf_util.Omap.set t.pins_sorted k name;
+    Flow.Table.replace t.pins k name;
     let cookie = Controller.fresh_cookie t.ctrl in
     Controller.install_rule t.ctrl ~cookie ~priority:pin_priority
       ~filters:[ Filter.of_key k; Filter.of_key (Flow.reverse k) ]
@@ -34,23 +27,14 @@ let on_packet_in t (p : Packet.t) =
     Controller.packet_out t.ctrl ~port:name p
   end
   else begin
-    let _, name = Flow.Table.find t.pins k in
+    let name = Flow.Table.find t.pins k in
     Controller.packet_out t.ctrl ~port:name p
   end
 
 let start ctrl ~policy ?(filter = Filter.any) () =
   let punt_cookie = Controller.fresh_cookie ctrl in
-  let t =
-    {
-      ctrl;
-      policy;
-      punt_cookie;
-      sub = None;
-      pins = Flow.Table.create 256;
-      pins_sorted = Opennf_util.Omap.create ~cmp:Flow.compare;
-    }
-  in
-  t.sub <- Some (Controller.subscribe_packet_in ctrl filter (on_packet_in t));
+  let t = { ctrl; policy; pins = Flow.Table.create 256 } in
+  ignore (Controller.subscribe_packet_in ctrl filter (on_packet_in t));
   let filters =
     if Filter.is_symmetric filter then [ filter ]
     else [ filter; Filter.mirror filter ]
@@ -63,19 +47,8 @@ let start ctrl ~policy ?(filter = Filter.any) () =
 
 let set_policy t policy = t.policy <- policy
 
-(* In-order walk of the maintained mirror — same output as sorting the
-   pin set by key, without the per-call sort. *)
-let pinned_flows t =
-  Opennf_util.Omap.fold_desc (fun k name acc -> (k, name) :: acc) t.pins_sorted []
-
 let pinned_on t nf =
   let name = Controller.nf_name nf in
   Flow.Table.fold
-    (fun _ (_, n) acc -> if n = name then acc + 1 else acc)
+    (fun _ n acc -> if n = name then acc + 1 else acc)
     t.pins 0
-
-let stop t =
-  Option.iter (Controller.unsubscribe t.ctrl) t.sub;
-  t.sub <- None;
-  Controller.remove_rule t.ctrl ~cookie:t.punt_cookie;
-  Controller.barrier t.ctrl

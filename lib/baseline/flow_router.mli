@@ -22,8 +22,4 @@ val start :
 val set_policy : t -> (Packet.t -> Controller.nf) -> unit
 (** Applies to new flows only — that is the point of this baseline. *)
 
-val pinned_flows : t -> (Flow.key * string) list
-(** Connections currently pinned, with their instance. *)
-
 val pinned_on : t -> Controller.nf -> int
-val stop : t -> unit

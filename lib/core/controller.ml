@@ -36,15 +36,6 @@ type resilience = {
   probe_period : float;
 }
 
-let default_resilience =
-  {
-    call_timeout = 0.05;
-    max_retries = 2;
-    backoff = 0.01;
-    liveness_misses = 3;
-    probe_period = 0.1;
-  }
-
 (* Worst-case budget of one resilient call: every attempt times out and
    every backoff is paid. Operations use it to bound their own waits. *)
 let call_budget r =
@@ -412,6 +403,7 @@ let nf_alive _t nf = nf.live
 let on_nf_death t f =
   Array.iter (fun p -> p.on_death <- f :: p.on_death) (group t)
 
+(* The liveness verdict; idempotent. *)
 let declare_nf_dead _t nf =
   let t = nf.home in
   if nf.live then begin

@@ -55,8 +55,6 @@ type resilience = {
   probe_period : float;  (** Period of {!start_probes} heartbeats (s). *)
 }
 
-val default_resilience : resilience
-
 val call_budget : resilience -> float
 (** Worst-case wall-clock of one resilient call: all attempts time out
     and every backoff is paid. Operations use it to bound rollback. *)
@@ -158,10 +156,6 @@ val on_nf_death : t -> (string -> unit) -> unit
 (** Register a callback fired (in its own process, so it may block) when
     an NF is declared dead. Callbacks fire in registration order. *)
 
-val declare_nf_dead : t -> nf -> unit
-(** Force the liveness verdict (used by tests and by operations that
-    witness a crash directly). Idempotent. *)
-
 val probe_async : t -> nf -> (unit, Op_error.t) result Proc.Ivar.t
 (** Send a [Ping] through the NF's work queue; resolves [Ok ()] on the
     ack, or a typed error under the resilience policy. Detects wedged
@@ -183,17 +177,6 @@ val start_probes : t -> until:float -> unit
 val enable_events : t -> nf -> Filter.t -> Opennf_sb.Protocol.event_action -> unit
 val disable_events : t -> nf -> Filter.t -> unit
 
-val get_async :
-  t -> nf -> scope:Scope.t ->
-  ?on_piece:(Filter.t -> Chunk.t -> unit) ->
-  ?late_lock:bool -> ?compress:bool -> Filter.t ->
-  ((Filter.t * Chunk.t) list, Op_error.t) result Proc.Ivar.t
-(** With [on_piece], the get streams (parallelizing optimization §5.1.3):
-    the callback fires at each arriving chunk (exactly once per flowid,
-    even under retries/duplication) and the resolved list contains all
-    of them. [late_lock] applies to [Per] scope only; [All] scope
-    ignores the filter and never streams. *)
-
 val put_async :
   t -> nf -> scope:Scope.t -> (Filter.t * Chunk.t) list ->
   (unit, Op_error.t) result Proc.Ivar.t
@@ -209,6 +192,11 @@ val get :
   ?on_piece:(Filter.t -> Chunk.t -> unit) ->
   ?late_lock:bool -> ?compress:bool -> Filter.t ->
   ((Filter.t * Chunk.t) list, Op_error.t) result
+(** With [on_piece], the get streams (parallelizing optimization §5.1.3):
+    the callback fires at each arriving chunk (exactly once per flowid,
+    even under retries/duplication) and the result contains all of
+    them. [late_lock] applies to [Per] scope only; [All] scope ignores
+    the filter and never streams. *)
 
 val put :
   t -> nf -> scope:Scope.t -> (Filter.t * Chunk.t) list ->

@@ -35,16 +35,13 @@ let run t ~src ~dst ~filter ?(scope = [ Scope.Multi ]) ?options
   let frame = Op_engine.start ~kind:"copy" t ~options in
   let parallel = options.Op_options.parallel in
   let tally = Op_engine.tally () in
-  let guard () = Op_engine.deadline_guard frame ~nf:(Controller.nf_name dst) in
   let copy sc =
     Op_engine.transfer frame ~src ~dst ~scope:sc ~filter ~parallel tally
   in
   Op_engine.finish frame
   @@
   let* () = if Scope.mem Scope.Per scope then copy Scope.Per else Ok () in
-  let* () = guard () in
   let* () = if Scope.mem Scope.Multi scope then copy Scope.Multi else Ok () in
-  let* () = guard () in
   let* () = if Scope.mem Scope.All scope then copy Scope.All else Ok () in
   Ok
     {

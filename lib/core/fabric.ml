@@ -12,17 +12,11 @@ type t = {
   sched : Sched.t;
   group : Shard.t;
   faults : Faults.t;
-  link_latency : float;
   monitor : Opennf_obs.Monitor.t option;
 }
 
-let shards_from_env () =
-  match Sys.getenv_opt "OPENNF_SHARDS" with
-  | None -> 1
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | Some _ | None -> invalid_arg ("bad OPENNF_SHARDS: " ^ s))
+(* Switch-to-NF port latency. *)
+let link_latency = 0.0002
 
 let monitor_from_env () =
   match Sys.getenv_opt "OPENNF_MONITOR" with
@@ -30,18 +24,14 @@ let monitor_from_env () =
   | Some _ -> true
 
 let create ?(seed = 1) ?obs ?config ?flow_mod_delay ?packet_out_rate
-    ?(link_latency = 0.0002) ?fault_seed ?resilience ?max_concurrent_ops
-    ?shards ?monitor () =
-  let shards =
-    match shards with Some n -> n | None -> shards_from_env ()
-  in
+    ?resilience ?max_concurrent_ops ?(shards = 1) ?monitor () =
   if shards < 1 then invalid_arg "Fabric.create: shards must be >= 1";
   let monitor =
     match monitor with Some b -> b | None -> monitor_from_env ()
   in
   let engine = Engine.create ~seed ?obs () in
   let audit = Audit.create engine in
-  let faults = Faults.create engine ?seed:fault_seed () in
+  let faults = Faults.create engine () in
   let switch =
     Switch.create engine audit ~name:"sw" ?flow_mod_delay ?packet_out_rate ()
   in
@@ -81,14 +71,11 @@ let create ?(seed = 1) ?obs ?config ?flow_mod_delay ?packet_out_rate
     sched = scheds.(0);
     group;
     faults;
-    link_latency;
     monitor;
   }
 
 let shards t = Shard.count t.group
-let ctrl_of t k = Shard.ctrl t.group k
 let sched_of t k = Shard.sched t.group k
-let nf_sched t nf = Shard.sched t.group (Controller.nf_shard nf)
 
 let add_nf ?backend ?shard t ~name ~impl ~costs =
   let shard =
@@ -103,12 +90,12 @@ let add_nf ?backend ?shard t ~name ~impl ~costs =
       ?backend ()
   in
   let port =
-    Channel.create t.engine ~latency:t.link_latency ~faults:t.faults
+    Channel.create t.engine ~latency:link_latency ~faults:t.faults
       ~name:("sw->" ^ name) ()
   in
   Channel.set_handler port (Runtime.receive runtime);
   Switch.attach_port t.switch ~name port;
-  let nf = Controller.attach (ctrl_of t shard) runtime in
+  let nf = Controller.attach (Shard.ctrl t.group shard) runtime in
   (nf, runtime)
 
 let inject t p = Switch.inject t.switch p

@@ -30,7 +30,6 @@ type t = {
           is 1). Shard-aware submission ({!Move.submit_sharded}) goes
           through this. *)
   faults : Opennf_sim.Faults.t;
-  link_latency : float;
   monitor : Opennf_obs.Monitor.t option;
       (** The live §5.1 guarantee checker ({!Opennf_obs.Monitor}) on the
           fabric's audit stream, when the fabric was created with
@@ -45,28 +44,27 @@ val create :
   ?config:Controller.config ->
   ?flow_mod_delay:float ->
   ?packet_out_rate:float ->
-  ?link_latency:float ->
-  ?fault_seed:int ->
   ?resilience:Controller.resilience ->
   ?max_concurrent_ops:int ->
   ?shards:int ->
   ?monitor:bool ->
   unit ->
   t
-(** Defaults: [link_latency] 200 µs, switch defaults per {!Switch}, no
-    resilience policy (legacy blocking behavior), [max_concurrent_ops]
-    per {!Sched.create}. [obs] (default disabled) is handed to the
-    engine and from there reaches every component the fabric wires up:
-    op spans, scheduler queues, southbound taps, channel counters, the
-    flow table and the audit ledger all record through it.
+(** Switch ports have a fixed 200 µs link latency. Defaults: switch
+    defaults per {!Switch}, no resilience policy (legacy blocking
+    behavior), [max_concurrent_ops] per {!Sched.create}. [obs] (default
+    disabled) is handed to the engine and from there reaches every
+    component the fabric wires up: op spans, scheduler queues,
+    southbound taps, channel counters, the flow table and the audit
+    ledger all record through it.
 
-    [shards] (default: the [OPENNF_SHARDS] environment variable, else 1)
-    partitions the control plane: [shards] controller instances share
-    the one switch (one OpenFlow connection each), packet-ins are routed
-    to the shard owning the packet's flow ({!Shard.of_key}), and each
-    shard has its own scheduler. All shards run in the one engine, so
-    the fabric stays one deterministic virtual-time simulation: shards
-    overlap their controller CPU in virtual time, not on host cores.
+    [shards] (default 1) partitions the control plane: [shards]
+    controller instances share the one switch (one OpenFlow connection
+    each), packet-ins are routed to the shard owning the packet's flow
+    ({!Shard.of_key}), and each shard has its own scheduler. All shards
+    run in the one engine, so the fabric stays one deterministic
+    virtual-time simulation: shards overlap their controller CPU in
+    virtual time, not on host cores.
     With [shards = 1] every event is bit-identical to earlier fabrics.
 
     [monitor] (default: the [OPENNF_MONITOR] environment variable, else
@@ -95,11 +93,7 @@ val live_findings : t -> Opennf_obs.Monitor.finding list
     monitor so far, in detection order; [[]] when {!monitored} is
     false. *)
 
-val ctrl_of : t -> int -> Controller.t
 val sched_of : t -> int -> Sched.t
-
-val nf_sched : t -> Controller.nf -> Sched.t
-(** The scheduler of the NF's home shard. *)
 
 val add_nf :
   ?backend:Opennf_state.Backend.t ->

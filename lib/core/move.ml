@@ -33,17 +33,12 @@ type spec = {
   scope : Scope.t list;
   guarantee : guarantee;
   options : Op_options.t;
-  disable_grace : float;
-      (** How long after completion to disable the source's events
-          (§5.1.1: "after several minutes" — long enough for stragglers
-          in flight or queued at the source to drain). *)
   on_phase : (phase -> unit) option;
   break_for_test : break_for_test option;
 }
 
 let spec ~src ~dst ~filter ?(scope = [ Scope.Per ]) ?(guarantee = Loss_free)
-    ?options ?parallel ?early_release ?compress ?(disable_grace = 0.5)
-    ?on_phase ?break_for_test () =
+    ?options ?parallel ?early_release ?compress ?on_phase ?break_for_test () =
   let options =
     match options with
     | Some o -> o
@@ -56,10 +51,14 @@ let spec ~src ~dst ~filter ?(scope = [ Scope.Per ]) ?(guarantee = Loss_free)
     scope;
     guarantee;
     options;
-    disable_grace;
     on_phase;
     break_for_test;
   }
+
+(* How long after completion to disable the source's events (§5.1.1:
+   "after several minutes" — long enough for stragglers in flight or
+   queued at the source to drain), in virtual seconds. *)
+let disable_grace = 0.5
 
 let validate spec =
   if
@@ -453,9 +452,6 @@ let run ?notify_release t spec =
           per_tally
       else Ok ()
     in
-    let* () =
-      Op_engine.deadline_guard frame ~nf:(Controller.nf_name spec.dst)
-    in
     (* Fixture: a buggy controller that loses one buffered packet on the
        flush — the canonical loss-freedom violation the monitor exists
        to catch. *)
@@ -477,7 +473,7 @@ let run ?notify_release t spec =
          that comfortably exceeds link and queueing delays. *)
       if lossfree then
         Proc.spawn engine (fun () ->
-            Proc.sleep spec.disable_grace;
+            Proc.sleep disable_grace;
             Controller.disable_events t spec.src spec.filter;
             Option.iter (fun sub -> Controller.unsubscribe t sub) src_sub);
       Ok ()

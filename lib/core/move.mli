@@ -80,11 +80,6 @@ type spec = {
           exactly the packets the source processed. *)
   guarantee : guarantee;
   options : Op_options.t;
-  disable_grace : float;
-      (** Loss-free moves leave the source's drop-events enabled so
-          in-flight stragglers keep being relayed; they are disabled
-          this long after the move completes (the paper's "after
-          several minutes", §5.1.1; default 0.5 s of virtual time). *)
   on_phase : (phase -> unit) option;
   break_for_test : break_for_test option;  (** Seeded-violation fixtures. *)
 }
@@ -99,15 +94,17 @@ val spec :
   ?parallel:bool ->
   ?early_release:bool ->
   ?compress:bool ->
-  ?disable_grace:float ->
   ?on_phase:(phase -> unit) ->
   ?break_for_test:break_for_test ->
   unit ->
   spec
 (** Defaults: scope [[Per]], [Loss_free], optimizations off. [options]
-    overrides the individual optimization flags when given. Specs are
-    not validated here — an impossible combination surfaces as
-    [Error (Bad_spec _)] from {!run}. *)
+    overrides the individual optimization flags when given. Loss-free
+    moves leave the source's drop-events enabled so in-flight
+    stragglers keep being relayed; they are disabled 0.5 s of virtual
+    time after the move completes (the paper's "after several
+    minutes", §5.1.1). Specs are not validated here — an impossible
+    combination surfaces as [Error (Bad_spec _)] from {!run}. *)
 
 type report = {
   rp_filter : Filter.t;

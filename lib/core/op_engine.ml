@@ -125,14 +125,6 @@ let rollback_done frame span =
   if span <> 0 then
     Opennf_obs.Trace.span_close (Opennf_obs.Hub.trace frame.obs) span ()
 
-let deadline_guard frame ~nf =
-  match frame.options.Op_options.deadline with
-  | None -> Ok ()
-  | Some d ->
-    if Engine.now frame.engine -. frame.started > d then
-      Error (Op_error.Timeout { nf; after = d })
-    else Ok ()
-
 (* --- small shared helpers ------------------------------------------------- *)
 
 let bad_spec reason = Error (Op_error.Bad_spec { reason })
@@ -142,6 +134,9 @@ let ensure_alive ctrl nf =
     Error (Op_error.Nf_crashed { nf = Controller.nf_name nf })
   else Ok ()
 
+(* Read every pipelined del/put ivar — even after a failure, so no
+   supervised call is left dangling — and return the first error in
+   list order, if any. *)
 let drain_pipelined pending =
   List.fold_left
     (fun acc iv ->

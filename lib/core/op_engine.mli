@@ -3,10 +3,10 @@
     {!Move}, {!Copy_op}, {!Share} and {!Notify} used to be four
     hand-rolled state machines repeating the same lifecycle: validate
     the spec, stamp a start time, run scoped get/del/put transfers with
-    per-chunk accounting, guard the deadline, fire progress hooks and
-    assemble a report. This module owns that lifecycle; the operations
-    keep only their protocol-specific deltas (event wiring, two-phase
-    forwarding updates, rollback policy).
+    per-chunk accounting, fire progress hooks and assemble a report.
+    This module owns that lifecycle; the operations keep only their
+    protocol-specific deltas (event wiring, two-phase forwarding
+    updates, rollback policy).
 
     Everything here replicates the legacy per-operation code paths
     {e exactly} — same southbound call order, same chunk-recording
@@ -24,9 +24,6 @@ type tally = { mutable chunks : int; mutable bytes : int }
     operation (the fold every op used to hand-roll). *)
 
 val tally : unit -> tally
-
-val chunk_bytes : (Filter.t * Chunk.t) list -> int
-(** Total payload bytes of a chunk list. *)
 
 val account : tally -> (Filter.t * Chunk.t) list -> unit
 (** Add a completed transfer's chunks to the tally. *)
@@ -70,22 +67,12 @@ val rollback_span : frame -> Op_error.t -> int
 
 val rollback_done : frame -> int -> unit
 
-val deadline_guard : frame -> nf:string -> (unit, Op_error.t) result
-(** [Error (Timeout _)] (blaming [nf]) once the operation has run longer
-    than [options.deadline]; [Ok ()] without a deadline. *)
-
 (** {1 Shared helpers} *)
 
 val bad_spec : string -> ('a, Op_error.t) result
 
 val ensure_alive : Controller.t -> Controller.nf -> (unit, Op_error.t) result
 (** [Error (Nf_crashed _)] once the liveness monitor declared it dead. *)
-
-val drain_pipelined :
-  (unit, Op_error.t) result Proc.Ivar.t list -> Op_error.t option
-(** Read every pipelined del/put ivar — even after a failure, so no
-    supervised call is left dangling — and return the first error in
-    list order, if any. *)
 
 val background :
   Controller.t -> (unit -> 'a) -> 'a Proc.Ivar.t

@@ -2,13 +2,10 @@ type t = {
   parallel : bool;
   early_release : bool;
   compress : bool;
-  deadline : float option;
 }
 
-let default =
-  { parallel = false; early_release = false; compress = false; deadline = None }
+let default = { parallel = false; early_release = false; compress = false }
 
-let make ?(parallel = false) ?(early_release = false) ?(compress = false)
-    ?deadline () =
+let make ?(parallel = false) ?(early_release = false) ?(compress = false) () =
   (* Early release only makes sense when chunks stream. *)
-  { parallel = parallel || early_release; early_release; compress; deadline }
+  { parallel = parallel || early_release; early_release; compress }

@@ -3,25 +3,22 @@
     One record instead of a per-operation flag zoo: [parallel] streams
     chunks and pipelines puts (§5.1.3), [early_release] adds late
     locking and per-flow release (move only; implies [parallel]),
-    [compress] runs state through the compressed-stream model (§8.3),
-    and [deadline] bounds the whole operation in virtual seconds —
-    exceeding it aborts and rolls back with [Op_error.Timeout]. *)
+    and [compress] runs state through the compressed-stream model
+    (§8.3). *)
 
 type t = {
   parallel : bool;
   early_release : bool;
   compress : bool;
-  deadline : float option;
 }
 
 val default : t
-(** All optimizations off, no deadline. *)
+(** All optimizations off. *)
 
 val make :
   ?parallel:bool ->
   ?early_release:bool ->
   ?compress:bool ->
-  ?deadline:float ->
   unit ->
   t
 (** [early_release] forces [parallel] on, as in the paper. *)

@@ -106,7 +106,6 @@ let create ?(max_concurrent = 8) ctrl =
   }
 
 let ctrl t = t.ctrl
-let active_count t = List.length t.active
 let waiting_count t = List.length t.waiting
 
 let stats (t : t) : stats =
@@ -245,6 +244,3 @@ let release t h =
     h.h_held <- false;
     retire t h.h_id
   end
-
-let release_key t h key =
-  if h.h_held then release_flow t ~footprint:h.h_footprint key

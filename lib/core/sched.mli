@@ -95,9 +95,6 @@ val acquire : t -> footprint:Footprint.t -> handle
 val release : t -> handle -> unit
 (** Give the footprint back and admit eligible waiters. Idempotent. *)
 
-val release_key : t -> handle -> Flow.key -> unit
-(** {!release_flow} for a held handle. *)
-
 (** {1 Introspection} *)
 
 type stats = {
@@ -108,5 +105,4 @@ type stats = {
 }
 
 val stats : t -> stats
-val active_count : t -> int
 val waiting_count : t -> int

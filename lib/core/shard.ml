@@ -58,7 +58,6 @@ let count g = Array.length g.ctrls
 let ctrl g k = g.ctrls.(k)
 let sched g k = g.scheds.(k)
 let home _g nf = Controller.nf_shard nf
-let shard_of_key g key = of_key ~shards:(count g) key
 let cross_shard_ops g = g.cross_ops
 
 let messages_handled g =

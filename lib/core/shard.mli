@@ -52,13 +52,6 @@ val sched : t -> int -> Sched.t
 val home : t -> Controller.nf -> int
 (** The shard owning an NF (where it was attached). *)
 
-val shard_of_key : t -> Flow.key -> int
-(** {!of_key} with this group's shard count. *)
-
-val shard_ids : t -> Controller.nf list -> int list
-(** Distinct home shards of the given instances, ascending — the lock
-    order used by cross-shard admission. *)
-
 val cross_shard_ops : t -> int
 (** Operations admitted through the multi-shard handshake so far. *)
 

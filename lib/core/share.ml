@@ -19,7 +19,6 @@ type t = {
   instances : Controller.nf list;
   filter : Filter.t;
   scope : Scope.t list;
-  group_of : Packet.t -> Filter.t;
   consistency : consistency;
   groups : (Filter.t, group) Hashtbl.t;
   completion : (int, unit Proc.Ivar.t) Hashtbl.t;
@@ -95,8 +94,12 @@ let rec drain t group =
     if completed then sync_group t nf group.flowid;
     drain t group
 
+(* Flows are grouped by source host, the paper's running example
+   (per-host connection counters). *)
+let group_of (p : Packet.t) = Filter.of_src_host p.Packet.key.Flow.src_ip
+
 let enqueue t nf pkt =
-  let flowid = t.group_of pkt in
+  let flowid = group_of pkt in
   let group =
     match Hashtbl.find_opt t.groups flowid with
     | Some g -> g
@@ -138,7 +141,7 @@ let footprint ~instances ~filter ~consistency =
     ~routes:(consistency = Strict) ()
 
 let start ctrl ?sched ?shard_group ~instances ~filter
-    ?(scope = [ Scope.Multi ]) ?group_of ?route ~consistency () =
+    ?(scope = [ Scope.Multi ]) ~consistency () =
   if instances = [] then Op_engine.bad_spec "Share.start: no instances"
   else begin
     let release_hold =
@@ -153,12 +156,6 @@ let start ctrl ?sched ?shard_group ~instances ~filter
         fun () -> Sched.release s h
       | None, None -> fun () -> ()
     in
-    let group_of =
-      match group_of with
-      | Some f -> f
-      | None ->
-        fun (p : Packet.t) -> Filter.of_src_host p.Packet.key.Flow.src_ip
-    in
     let strict_cookie =
       match consistency with
       | Strong -> None
@@ -170,7 +167,6 @@ let start ctrl ?sched ?shard_group ~instances ~filter
         instances;
         filter;
         scope;
-        group_of;
         consistency;
         groups = Hashtbl.create 16;
         completion = Hashtbl.create 64;
@@ -198,13 +194,10 @@ let start ctrl ?sched ?shard_group ~instances ~filter
         (fun nf -> Controller.enable_events ctrl nf filter Protocol.Process)
         instances;
       (* Divert matching traffic to the controller so it observes the true
-         arrival order. *)
-      let route =
-        match route with Some r -> r | None -> fun _ -> List.hd instances
-      in
+         arrival order; replays go to the first instance. *)
+      let first = List.hd instances in
       let sub =
-        Controller.subscribe_packet_in ctrl filter (fun p ->
-            enqueue t (route p) p)
+        Controller.subscribe_packet_in ctrl filter (fun p -> enqueue t first p)
       in
       t.subs <- sub :: t.subs;
       let filters =

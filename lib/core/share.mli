@@ -12,11 +12,11 @@
       per group, but that order may differ from switch arrival order.
     - {b Strict}: forwarding entries for the filter are redirected to
       the controller, which therefore observes the exact switch arrival
-      order and replays packets one at a time to the instance chosen by
-      [route]; synchronization proceeds as for [Strong].
+      order and replays packets one at a time to the first instance;
+      synchronization proceeds as for [Strong].
 
-    Flow grouping defaults to the source host, the paper's running
-    example (per-host connection counters). Stop a share with {!stop}.
+    Flows are grouped by source host, the paper's running example
+    (per-host connection counters). Stop a share with {!stop}.
 
     A share degrades rather than wedges when an instance dies: waits for
     completion events are bounded by the controller's resilience policy,
@@ -52,13 +52,10 @@ val start :
   instances:Controller.nf list ->
   filter:Filter.t ->
   ?scope:Scope.t list ->
-  ?group_of:(Packet.t -> Filter.t) ->
-  ?route:(Packet.t -> Controller.nf) ->
   consistency:consistency ->
   unit ->
   (t, Op_error.t) result
-(** Blocking (performs the initial state synchronization). [route] is
-    required for [Strict] (defaults to the first instance). [scope]
+(** Blocking (performs the initial state synchronization). [scope]
     defaults to [[Multi]]. An empty instance list is
     [Error (Bad_spec _)]. With [sched], the share's {!footprint} is
     acquired before any setup and held until {!stop}, so conflicting

@@ -19,8 +19,8 @@ let any =
     app = None;
   }
 
-let make ?src ?dst ?proto ?src_port ?dst_port ?tcp_flag ?app () =
-  { src; dst; proto; src_port; dst_port; tcp_flag; app }
+let make ?src ?dst ?proto ?src_port ?dst_port ?tcp_flag () =
+  { src; dst; proto; src_port; dst_port; tcp_flag; app = None }
 
 let of_key (k : Flow.key) =
   {

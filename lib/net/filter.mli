@@ -38,7 +38,6 @@ val make :
   ?src_port:int ->
   ?dst_port:int ->
   ?tcp_flag:Packet.tcp_flag ->
-  ?app:string ->
   unit ->
   t
 

@@ -2,14 +2,6 @@ type proto = Tcp | Udp | Icmp
 
 let proto_to_string = function Tcp -> "tcp" | Udp -> "udp" | Icmp -> "icmp"
 
-let proto_of_string = function
-  | "tcp" -> Tcp
-  | "udp" -> Udp
-  | "icmp" -> Icmp
-  | s -> invalid_arg ("Flow.proto_of_string: " ^ s)
-
-let pp_proto ppf p = Format.pp_print_string ppf (proto_to_string p)
-
 type key = {
   src_ip : Ipaddr.t;
   dst_ip : Ipaddr.t;
@@ -48,8 +40,6 @@ let equal a b = compare a b = 0
 let canonical k =
   let r = reverse k in
   if compare k r <= 0 then k else r
-
-let is_forward k = equal (canonical k) k
 
 let hash k =
   let open Opennf_util.Hashing in

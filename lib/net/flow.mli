@@ -3,8 +3,6 @@
 type proto = Tcp | Udp | Icmp
 
 val proto_to_string : proto -> string
-val proto_of_string : string -> proto
-val pp_proto : Format.formatter -> proto -> unit
 
 type key = {
   src_ip : Ipaddr.t;
@@ -26,9 +24,6 @@ val reverse : key -> key
 val canonical : key -> key
 (** Direction-independent representative: the lexicographically smaller
     of [k] and [reverse k]. [canonical k = canonical (reverse k)]. *)
-
-val is_forward : key -> bool
-(** True iff [canonical k = k]. *)
 
 val compare : key -> key -> int
 val equal : key -> key -> bool

@@ -468,7 +468,6 @@ let find t ~cookie =
 let rules t = Omap.fold_asc (fun _ e acc -> e.rule :: acc) t.by_seq []
 
 let size t = Hashtbl.length t.by_cookie
-let generation t = t.generation
 let cache_stats t = (t.cache_hits, t.cache_misses)
 
 (* Cookies are allocated strided by controller shard (see

@@ -45,10 +45,6 @@ val rules : t -> rule list
 
 val size : t -> int
 
-val generation : t -> int
-(** Bumped by every install/remove; decision-cache entries from older
-    generations are dead. *)
-
 val cache_stats : t -> int * int
 (** [(hits, misses)] of the per-flow decision cache. *)
 

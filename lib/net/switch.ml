@@ -88,11 +88,6 @@ let set_controller t chan =
 
 let set_packet_in_router t f = t.pick_conn <- Some f
 
-let connections t =
-  Array.fold_left
-    (fun acc c -> match c with Some _ -> acc + 1 | None -> acc)
-    0 t.controllers
-
 let send_on t ~conn msg =
   match
     if conn >= 0 && conn < Array.length t.controllers then t.controllers.(conn)
@@ -162,9 +157,6 @@ let control t msg = control_from t ~conn:0 msg
 
 let table t = t.table
 let table_misses t = t.table_misses
-let table_generation t = Flowtable.generation t.table
-
-let decision_cache_stats t = Flowtable.cache_stats t.table
 
 let packet_out_backlog t = t.packet_out_backlog
 

@@ -63,9 +63,6 @@ val set_packet_in_router : t -> (Packet.t -> int) -> unit
     reply) aimed at a connection with no bound channel raises
     [Invalid_argument], as a forward out an unknown port does. *)
 
-val connections : t -> int
-(** Number of registered controller connections. *)
-
 val control : t -> to_switch -> unit
 (** Deliver a control message to the switch (call through a channel to
     model controller→switch latency). Equivalent to [control_from]
@@ -83,13 +80,6 @@ val inject : t -> Packet.t -> unit
 
 val table : t -> Flowtable.t
 val table_misses : t -> int
-
-val table_generation : t -> int
-(** Flow-table generation: bumped by every applied flow-mod. Decisions
-    memoized under an older generation are never served. *)
-
-val decision_cache_stats : t -> int * int
-(** [(hits, misses)] of the flow table's per-flow decision cache. *)
 
 val packet_out_backlog : t -> int
 (** Packet-outs accepted but not yet transmitted. *)

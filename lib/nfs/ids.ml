@@ -9,24 +9,6 @@ type alert =
   | Weird of { kind : string; flow : Flow.key }
   | Outdated_browser of { flow : Flow.key; agent : string }
 
-let pp_alert ppf = function
-  | Port_scan ip -> Format.fprintf ppf "port-scan from %a" Ipaddr.pp ip
-  | Malware { flow; digest } ->
-    Format.fprintf ppf "malware %s in %a" (Hashing.Digest_sig.to_hex digest)
-      Flow.pp flow
-  | Weird { kind; flow } -> Format.fprintf ppf "weird %s in %a" kind Flow.pp flow
-  | Outdated_browser { flow; agent } ->
-    Format.fprintf ppf "outdated browser %s in %a" agent Flow.pp flow
-
-let alert_equal a b =
-  match (a, b) with
-  | Port_scan x, Port_scan y -> Ipaddr.equal x y
-  | Malware a, Malware b -> Flow.equal a.flow b.flow && Int64.equal a.digest b.digest
-  | Weird a, Weird b -> a.kind = b.kind && Flow.equal a.flow b.flow
-  | Outdated_browser a, Outdated_browser b ->
-    a.agent = b.agent && Flow.equal a.flow b.flow
-  | (Port_scan _ | Malware _ | Weird _ | Outdated_browser _), _ -> false
-
 module Port_set = Set.Make (Int)
 module Ip_set = Set.Make (Ipaddr)
 
@@ -452,34 +434,7 @@ let impl t =
 let alert_log t = List.rev t.alerts
 let on_alert t hook = t.alert_hooks <- hook :: t.alert_hooks
 let conn_count t = Store.Perflow.size t.conns
-let host_count t = Store.Per_host.size t.hosts
 let total_bytes t = t.globals.g_bytes
-
-let conn_bytes t key =
-  Option.map (fun c -> c.bytes) (Store.Perflow.find t.conns key)
-
-type http_progress = {
-  body_bytes : int;
-  next_seq : int;
-  pending : int;
-  fin_seen : bool;
-  digest : int64;
-}
-
-let http_progress t key =
-  match Store.Perflow.find t.conns key with
-  | None -> None
-  | Some conn ->
-    Option.map
-      (fun (h : http_analyzer) ->
-        {
-          body_bytes = h.body_bytes;
-          next_seq = h.next_seq;
-          pending = List.length h.pending;
-          fin_seen = h.fin_seq <> None;
-          digest = Hashing.Digest_sig.value h.body;
-        })
-      conn.http
 
 let bogus_log_entries t =
   Store.Perflow.fold t.conns ~init:0 ~f:(fun _ conn acc ->

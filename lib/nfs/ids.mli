@@ -22,9 +22,6 @@ type alert =
   | Weird of { kind : string; flow : Flow.key }
   | Outdated_browser of { flow : Flow.key; agent : string }
 
-val pp_alert : Format.formatter -> alert -> unit
-val alert_equal : alert -> alert -> bool
-
 type t
 
 val create :
@@ -51,24 +48,9 @@ val on_alert : t -> (alert -> unit) -> unit
     applications watching the IDS output). *)
 
 val conn_count : t -> int
-val host_count : t -> int
 
 val total_bytes : t -> int
 (** Sum of payload bytes processed (all-flows state). *)
-
-val conn_bytes : t -> Flow.key -> int option
-(** Payload bytes recorded on a connection, if tracked. *)
-
-type http_progress = {
-  body_bytes : int;
-  next_seq : int;
-  pending : int;  (** Out-of-order segments awaiting reassembly. *)
-  fin_seen : bool;
-  digest : int64;
-}
-
-val http_progress : t -> Flow.key -> http_progress option
-(** Reassembly state of a connection's HTTP analyzer (tests/debug). *)
 
 val bogus_log_entries : t -> int
 (** Connections whose bookkeeping is inconsistent (e.g. terminated

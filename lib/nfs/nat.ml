@@ -28,7 +28,6 @@ let state_of_code = function
   | _ -> Closed
 
 type t = {
-  nat_ip : Ipaddr.t;
   table : Pfa.t;
   port_base : int;
   port_limit : int;
@@ -52,13 +51,11 @@ type t = {
    slots, allocation cursor) — the FlexState externalization. *)
 let state_id : t Type.Id.t = Type.Id.make ()
 
-let create ?backend ?(nat_ip = Ipaddr.v 192 0 2 1) ?(port_base = 20000)
-    ?(port_limit = 65535) () =
+let create ?backend ?(port_base = 20000) ?(port_limit = 65535) () =
   if port_base < 1 || port_limit > 65535 || port_base > port_limit then
     invalid_arg "Nat.create: need 1 <= port_base <= port_limit <= 65535";
   let make () =
     {
-      nat_ip;
       table = Pfa.create ~payload:payload_bytes ();
       port_base;
       port_limit;

@@ -14,7 +14,7 @@ type t
 
 val create :
   ?backend:Opennf_state.Backend.t ->
-  ?nat_ip:Ipaddr.t -> ?port_base:int -> ?port_limit:int -> unit -> t
+  ?port_base:int -> ?port_limit:int -> unit -> t
 (** Translation ports are drawn from [\[port_base, port_limit\]]
     (defaults 20000–65535) and recycled: allocation wraps within the
     range and reclaims ports whose flows have reached [Closed]. When

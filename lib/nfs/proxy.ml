@@ -12,7 +12,8 @@ let object_size url =
   let h = Int64.to_int (Hashing.fnv1a64 url) land max_int in
   (512 * 1024) + (h mod (1792 * 1024))
 
-let request_payload url = "GET " ^ url
+(* Payload of a client-side transfer continuation ("give me the next
+   chunk"); a request is ["GET <url>"]. *)
 let continuation_payload = "CONT"
 
 module Ip_set = Set.Make (Ipaddr)
@@ -243,9 +244,6 @@ let hits t = t.hits
 let misses t = t.misses
 let crashed t = t.crashed
 let cache_size t = Store.Keyed.size t.cache
-
-let cache_bytes t =
-  Store.Keyed.fold t.cache ~init:0 ~f:(fun _ e acc -> acc + e.size)
 
 let in_progress t =
   Store.Perflow.fold t.conns ~init:0 ~f:(fun _ c acc ->

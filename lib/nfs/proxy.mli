@@ -14,7 +14,6 @@
     {e crashes} — exactly the failure Table 1's "ignore multi-flow
     state" column reports. *)
 
-
 type t
 
 val create : unit -> t
@@ -26,14 +25,6 @@ val impl : t -> Opennf_sb.Nf_api.impl
 val object_size : string -> int
 (** The deterministic size of a URL's object. *)
 
-(** {1 Packet payload conventions (shared with the traffic generator)} *)
-
-val request_payload : string -> string
-(** ["GET <url>"]. *)
-
-val continuation_payload : string
-(** A client-side transfer continuation ("give me the next chunk"). *)
-
 (** {1 Inspection} *)
 
 val hits : t -> int
@@ -41,9 +32,6 @@ val misses : t -> int
 val crashed : t -> bool
 val cache_size : t -> int
 (** Number of cached objects. *)
-
-val cache_bytes : t -> int
-(** Total bytes of cached content. *)
 
 val in_progress : t -> int
 (** Connections with an active transfer. *)

@@ -50,18 +50,15 @@ let no_perflow =
   (fun (_ : Filter.t) -> ([] : Filter.t list))
 
 module Encoder = struct
-  type t = { store : store; mutable encoded : int }
+  type t = { store : store }
 
-  let create () = { store = Hashtbl.create 256; encoded = 0 }
+  let create () = { store = Hashtbl.create 256 }
 
   let encode_payload t payload =
     if String.length payload = 0 then payload
     else begin
       let fp = fingerprint payload in
-      if Hashtbl.mem t.store fp then begin
-        t.encoded <- t.encoded + 1;
-        ref_payload fp
-      end
+      if Hashtbl.mem t.store fp then ref_payload fp
       else begin
         Hashtbl.replace t.store fp payload;
         payload
@@ -87,7 +84,6 @@ module Encoder = struct
     }
 
   let store_size t = Hashtbl.length t.store
-  let encoded_count t = t.encoded
 end
 
 module Decoder = struct

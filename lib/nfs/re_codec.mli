@@ -12,7 +12,6 @@
     Payload conventions: [encode_payload]/[decode] are pure helpers used
     by tests and the traffic generator. *)
 
-
 module Encoder : sig
   type t
 
@@ -24,7 +23,6 @@ module Encoder : sig
       itself (first sighting, fingerprint stored) or ["REF:<fp>"]. *)
 
   val store_size : t -> int
-  val encoded_count : t -> int
 end
 
 module Decoder : sig

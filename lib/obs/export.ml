@@ -42,9 +42,9 @@ let add_args b ~parent attrs =
 (* Chrome trace_event JSON. Spans become async nestable "b"/"e" pairs
    matched by cat+id — simulated processes interleave, so spans are not
    stack-nested and the sync "B"/"E" phases would mispair. Timestamps
-   are virtual microseconds; wall stamps are only emitted on request
-   because they would break byte-identical exports. *)
-let chrome ?(wall = false) tr =
+   are virtual microseconds; wall stamps are never emitted because they
+   would break byte-identical exports. *)
+let chrome tr =
   (* End events carry no cat/name of their own: resolve from the open. *)
   let opens = Hashtbl.create 64 in
   Trace.iter tr (fun ev ->
@@ -76,8 +76,6 @@ let chrome ?(wall = false) tr =
         Buffer.add_string b (Printf.sprintf ",\"id\":%d" ev.Trace.id);
       if ev.Trace.kind = Trace.Instant then Buffer.add_string b ",\"s\":\"g\"";
       Buffer.add_string b ",\"pid\":1,\"tid\":1,";
-      if wall then
-        Buffer.add_string b (Printf.sprintf "\"wall\":%.6f," ev.Trace.wall);
       add_args b ~parent:ev.Trace.parent ev.Trace.attrs;
       Buffer.add_char b '}');
   Buffer.add_string b "\n]}\n";

@@ -1,12 +1,11 @@
 (** Exporters over the trace buffer and metrics registry. *)
 
-val chrome : ?wall:bool -> Trace.t -> string
+val chrome : Trace.t -> string
 (** Chrome [trace_event] JSON ([{"traceEvents": [...]}]): spans as
     async nestable ["b"]/["e"] pairs matched by cat+id, instants as
     ["i"], timestamps in virtual-time microseconds. Deterministic:
-    byte-identical across runs of the same seeded scenario. [wall]
-    (default false) adds wall-clock stamps — profiling only, breaks
-    byte-identity. Load via [chrome://tracing] or Perfetto. *)
+    byte-identical across runs of the same seeded scenario. Load via
+    [chrome://tracing] or Perfetto. *)
 
 val timeline : Trace.t -> string
 (** Human-readable one-line-per-event dump in emission order. *)

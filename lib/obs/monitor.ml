@@ -73,8 +73,6 @@ type t = {
   mutable open_roots : int list;  (* Newest first. *)
   phases : (int, string) Hashtbl.t;  (* root -> last phase mark *)
   mutable streamed : finding list;  (* Newest first. *)
-  mutable events : int;
-  mutable taps : (finding -> unit) list;
 }
 
 let create ?(history = 8) () =
@@ -87,12 +85,8 @@ let create ?(history = 8) () =
     open_roots = [];
     phases = Hashtbl.create 16;
     streamed = [];
-    events = 0;
-    taps = [];
   }
 
-let events_seen t = t.events
-let on_finding t f = t.taps <- t.taps @ [ f ]
 let findings t = List.rev t.streamed
 let clean = function [] -> true | _ :: _ -> false
 
@@ -230,13 +224,11 @@ let emit t ~property ~(ps : pkt_state) ~pkt ~detail =
       history = ring_lines ps.p_flow;
     }
   in
-  t.streamed <- f :: t.streamed;
-  List.iter (fun tap -> tap f) t.taps
+  t.streamed <- f :: t.streamed
 
 let audit_event t (ev : Trace.ev) =
   let attrs = ev.Trace.attrs in
   if Array.length attrs >= 7 then begin
-    t.events <- t.events + 1;
     let pkt = int_attr attrs 0 in
     let nf = str_attr attrs 1 in
     let fs = flow_state t (flow_key attrs) in

@@ -23,7 +23,7 @@
     "Eventually" properties (loss, buffer conservation) cannot fire
     mid-stream; they are checked by {!verdict}, which scans the still-
     pending packets at end of stream. Order and duplicate violations
-    are detected online and also delivered to {!on_finding} taps.
+    are detected online and listed by {!findings}.
 
     A fabric has one audit stream however many control-plane shards it
     runs, so one monitor sees every packet; a finding's shard comes from
@@ -60,13 +60,6 @@ val feed : t -> Trace.ev -> unit
     when the hub is tracing (so op spans flow through and findings carry
     op/phase context) and the audit's own tap otherwise (findings carry
     packets only). *)
-
-val events_seen : t -> int
-(** Audit events consumed so far. *)
-
-val on_finding : t -> (finding -> unit) -> unit
-(** Called synchronously on every {e online} finding (order/duplicate
-    violations — the properties decidable mid-stream). *)
 
 val findings : t -> finding list
 (** Online findings so far, in detection order. *)

@@ -15,8 +15,3 @@ type impl = {
   export_allflows : unit -> Chunk.t list;
   import_allflows : Chunk.t list -> unit;
 }
-
-let getters_complete impl filter =
-  List.for_all
-    (fun flowid -> Option.is_some (impl.export_perflow flowid))
-    (impl.list_perflow filter)

@@ -30,7 +30,3 @@ type impl = {
   import_allflows : Chunk.t list -> unit;
       (** Must merge with existing all-flows state. *)
 }
-
-val getters_complete : impl -> Filter.t -> bool
-(** Diagnostic used by tests: every listed per-flow flowid currently
-    exports successfully. *)

@@ -3,10 +3,6 @@ open Opennf_state
 
 type event_action = Process | Buffer | Drop
 
-let pp_event_action ppf a =
-  Format.pp_print_string ppf
-    (match a with Process -> "process" | Buffer -> "buffer" | Drop -> "drop")
-
 type request =
   | Enable_events of { filter : Filter.t; action : event_action }
   | Disable_events of { filter : Filter.t }

@@ -15,8 +15,6 @@ open Opennf_state
 
 type event_action = Process | Buffer | Drop
 
-val pp_event_action : Format.formatter -> event_action -> unit
-
 type request =
   | Enable_events of { filter : Filter.t; action : event_action }
   | Disable_events of { filter : Filter.t }

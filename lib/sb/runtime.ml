@@ -369,9 +369,6 @@ let disable_events t filter =
   wake_worker t
 
 let control t (req : Protocol.request) =
-  Option.iter
-    (fun f -> Opennf_sim.Faults.note_op f ~node:t.name)
-    t.faults;
   if alive t then
     match req with
     | Protocol.Enable_events { filter; action } ->

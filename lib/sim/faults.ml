@@ -4,9 +4,7 @@ type link_profile = { drop : float; dup : float; jitter : float }
 
 type node = {
   mutable crashed_at : float option;  (* Time the crash takes effect. *)
-  mutable crash_on_op : int option;  (* Remaining ops before crashing. *)
   mutable hangs : (float * float) list;  (* Unresponsive windows. *)
-  mutable ops : int;
 }
 
 type t = {
@@ -62,7 +60,7 @@ let node t name =
   match Hashtbl.find_opt t.nodes name with
   | Some n -> n
   | None ->
-    let n = { crashed_at = None; crash_on_op = None; hangs = []; ops = 0 } in
+    let n = { crashed_at = None; hangs = [] } in
     Hashtbl.add t.nodes name n;
     n
 
@@ -74,23 +72,10 @@ let crash_at t ~node:name time =
 
 let crash_now t ~node:name = crash_at t ~node:name (Engine.now t.engine)
 
-let crash_on_nth_op t ~node:name nth =
-  if nth <= 0 then invalid_arg "Faults.crash_on_nth_op: nth must be positive";
-  (node t name).crash_on_op <- Some nth
-
 let hang t ~node:name ~from_ ~until =
   if until < from_ then invalid_arg "Faults.hang: until < from_";
   let n = node t name in
   n.hangs <- (from_, until) :: n.hangs
-
-let note_op t ~node:name =
-  let n = node t name in
-  n.ops <- n.ops + 1;
-  match n.crash_on_op with
-  | Some nth when n.ops >= nth && n.crashed_at = None ->
-    n.crash_on_op <- None;
-    n.crashed_at <- Some (Engine.now t.engine)
-  | Some _ | None -> ()
 
 let crashed t ~node:name =
   match Hashtbl.find_opt t.nodes name with

@@ -2,11 +2,11 @@
 
     One [Faults.t] per engine describes which links misbehave and which
     nodes (NF instances) crash or hang. Channels consult {!plan} per
-    message; NF runtimes consult {!alive} before processing or replying
-    and {!note_op} per southbound message. When no [Faults.t] is wired
-    in — or no profile/fault is registered for a link or node — every
-    consultation is a no-op and no randomness is drawn, so fault-free
-    runs are bit-identical to runs of a build without this module.
+    message; NF runtimes consult {!alive} before processing or replying.
+    When no [Faults.t] is wired in — or no profile/fault is registered
+    for a link or node — every consultation is a no-op and no randomness
+    is drawn, so fault-free runs are bit-identical to runs of a build
+    without this module.
 
     All decisions come from a private splitmix64 stream, so a given
     seed yields the same fault schedule on every run. *)
@@ -44,14 +44,7 @@ val duplicated_count : t -> int
 val crash_at : t -> node:string -> float -> unit
 val crash_now : t -> node:string -> unit
 
-val crash_on_nth_op : t -> node:string -> int -> unit
-(** Crash when the node receives its [nth] southbound message (1-based,
-    counted across the node's lifetime by {!note_op}). *)
-
 val hang : t -> node:string -> from_:float -> until:float -> unit
-
-val note_op : t -> node:string -> unit
-(** Record a southbound message arrival; may trip {!crash_on_nth_op}. *)
 
 val alive : t -> node:string -> bool
 (** False iff the node is crashed or inside a hang window now. *)

@@ -36,8 +36,6 @@ let spawn engine body =
 let sleep delay =
   try perform (Sleep delay) with Effect.Unhandled _ -> raise Not_in_process
 
-let yield () = sleep 0.0
-
 let suspend register =
   try perform (Suspend register)
   with Effect.Unhandled _ -> raise Not_in_process
@@ -65,7 +63,6 @@ module Ivar = struct
       fill t v;
       true
 
-  let is_filled t = match t.state with Full _ -> true | Empty _ -> false
   let peek t = match t.state with Full v -> Some v | Empty _ -> None
 
   let read t =

@@ -19,9 +19,6 @@ val spawn : Engine.t -> (unit -> unit) -> unit
 val sleep : float -> unit
 (** Suspend the calling process for the given number of virtual seconds. *)
 
-val yield : unit -> unit
-(** [yield ()] is [sleep 0.]: lets other events at this instant run. *)
-
 val suspend : ((unit -> unit) -> unit) -> unit
 (** [suspend register] parks the calling process and passes its resume
     thunk to [register]. The process continues when the thunk is called
@@ -43,7 +40,6 @@ module Ivar : sig
       whether the value was written. Duplicate-reply tolerance: a
       retried request may be answered twice. *)
 
-  val is_filled : 'a t -> bool
   val peek : 'a t -> 'a option
   val read : 'a t -> 'a
   (** Block the calling process until the ivar is filled. *)

@@ -8,7 +8,7 @@ let size t = String.length t.data + String.length t.kind
 
 let encode ~kind build =
   (* Chunk encodes are the serialization fast path: build into the
-     domain-local scratch buffer instead of allocating a writer (and
+     module-level scratch buffer instead of allocating a writer (and
      its growth copies) per chunk. *)
   Bytes_io.Writer.with_scratch (fun w ->
       build w;

@@ -127,7 +127,6 @@ module Perflow_arena = struct
 
   (* Row layout: canonical key at offset 0, payload at {!payload_off}.
      13 key bytes, then padding so NF payload layouts start 8-aligned. *)
-  let key_size = 13
   let payload_off = 16
   let proto_rank = function Flow.Tcp -> 0 | Flow.Udp -> 1 | Flow.Icmp -> 2
   let proto_of_rank = function
@@ -334,10 +333,6 @@ module Perflow_arena = struct
       t.tombs <- t.tombs + 1;
       true
     end
-
-  (* Handles in ascending key order (the mirror's order). *)
-  let iter_ordered t f = Omap.fold_asc (fun h () () -> f h) t.mirror ()
-  let fold_ordered t ~init ~f = Omap.fold_asc (fun h () acc -> f h acc) t.mirror init
 
   let matching t filter =
     match Filter.exact_key filter with

@@ -43,9 +43,6 @@ module Perflow_arena : sig
       enumeration walks an {!Opennf_util.Omap} mirror whose comparator
       reads 5-tuples straight out of the row bytes. *)
 
-  val key_size : int
-  (** Bytes of each row holding the canonical key (13). *)
-
   val payload_off : int
   (** Byte offset where the caller's payload fields start (16; the key
       plus padding, so 8-byte payload fields sit aligned). *)
@@ -81,12 +78,6 @@ module Perflow_arena : sig
       filters are a single probe; anything else is an in-order walk of
       the sorted mirror (no per-host index on the arena path — scoped
       selection on this store is enumeration, not indexed lookup). *)
-
-  val iter_ordered : t -> (Opennf_util.Arena.handle -> unit) -> unit
-  (** Live handles in ascending key order. *)
-
-  val fold_ordered :
-    t -> init:'b -> f:(Opennf_util.Arena.handle -> 'b -> 'b) -> 'b
 
   val size : t -> int
 end

@@ -5,26 +5,27 @@ let fail msg = raise (Decode_error msg)
 module Writer = struct
   type t = Buffer.t
 
-  let create ?(capacity = 256) () = Buffer.create capacity
+  let create () = Buffer.create 256
 
   (* Reusable encode scratch: chunk serialization on the get/put fast
      path runs millions of times per scenario, and a fresh [Buffer] per
      chunk (plus its internal growth copies) is pure minor-heap
-     garbage. Each domain owns one scratch buffer; [with_scratch] hands
-     it out cleared, and nested use (an encode inside an encode) falls
-     back to a fresh buffer so reuse can never alias. *)
+     garbage. lib/ runs on one domain, so one module-level scratch
+     buffer serves every encode; [with_scratch] hands it out cleared,
+     and nested use (an encode inside an encode) falls back to a fresh
+     buffer so reuse can never alias. *)
   type scratch = { buf : Buffer.t; mutable in_use : bool }
 
-  let scratch_key =
-    Domain.DLS.new_key (fun () -> { buf = Buffer.create 4096; in_use = false })
+  let scratch = { buf = Buffer.create 4096; in_use = false }
 
   let with_scratch f =
-    let s = Domain.DLS.get scratch_key in
-    if s.in_use then f (Buffer.create 256)
+    if scratch.in_use then f (Buffer.create 256)
     else begin
-      s.in_use <- true;
-      Buffer.clear s.buf;
-      Fun.protect ~finally:(fun () -> s.in_use <- false) (fun () -> f s.buf)
+      scratch.in_use <- true;
+      Buffer.clear scratch.buf;
+      Fun.protect
+        ~finally:(fun () -> scratch.in_use <- false)
+        (fun () -> f scratch.buf)
     end
 
   let u8 t v = Buffer.add_char t (Char.chr (v land 0xFF))

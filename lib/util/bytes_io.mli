@@ -9,13 +9,13 @@ exception Decode_error of string
 module Writer : sig
   type t
 
-  val create : ?capacity:int -> unit -> t
+  val create : unit -> t
 
   val with_scratch : (t -> 'a) -> 'a
-  (** Run [f] with a cleared, reusable writer (one per domain) — the
-      allocation-light path for high-rate encodes. The writer is only
-      valid during [f]; take [contents] before returning. Nested calls
-      fall back to a fresh writer. *)
+  (** Run [f] with a cleared, reusable writer — the allocation-light
+      path for high-rate encodes. The writer is one module-level buffer
+      (lib/ runs on one domain), only valid during [f]; take [contents]
+      before returning. Nested calls fall back to a fresh writer. *)
 
   val u8 : t -> int -> unit
   val u16 : t -> int -> unit

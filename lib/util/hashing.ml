@@ -31,7 +31,6 @@ module Digest_sig = struct
 
   let value t = combine t.h (Int64.of_int t.count)
 
-  let to_hex v = Printf.sprintf "%016Lx" v
   let export t = (t.h, t.count)
   let restore (h, count) = { h; count }
 end

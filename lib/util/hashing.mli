@@ -24,8 +24,6 @@ module Digest_sig : sig
   val value : t -> int64
   (** Digest of everything fed so far. *)
 
-  val to_hex : int64 -> string
-
   val export : t -> int64 * int
   (** Internal state, for NF serialization. *)
 

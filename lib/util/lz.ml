@@ -17,35 +17,32 @@ let hash4 s i =
   let v = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
   (v * 2654435761) lsr (31 - hash_bits) land (hash_size - 1)
 
-(* The match-finder hash table is reused across calls (per domain): a
-   fresh 32k-slot array per [compress] call was the single largest
-   allocation on the serialization fast path. Slots are validated by a
-   generation stamp instead of refilled, so reuse costs nothing. *)
-type scratch = {
-  tbl : int array;
-  gen_of : int array;
-  mutable gen : int;
-  out : Buffer.t;
-  mutable out_in_use : bool;
-}
+(* The match-finder hash table is reused across calls: a fresh
+   32k-slot array per [compress] call was the single largest allocation
+   on the serialization fast path. Slots are validated by a generation
+   stamp instead of refilled, so reuse costs nothing. The table (512 KB)
+   is built on first use, so runs that never compress never pay for it.
+   Module-level scratch is sound because lib/ runs on one domain. *)
+type matcher = { tbl : int array; gen_of : int array; mutable gen : int }
 
-let scratch_key =
-  Domain.DLS.new_key (fun () ->
-      {
-        tbl = Array.make hash_size 0;
-        gen_of = Array.make hash_size 0;
-        gen = 0;
-        out = Buffer.create 4096;
-        out_in_use = false;
-      })
+let matcher =
+  lazy
+    {
+      tbl = Array.make hash_size 0;
+      gen_of = Array.make hash_size 0;
+      gen = 0;
+    }
+
+type out = { buf : Buffer.t; mutable in_use : bool }
+
+let out = { buf = Buffer.create 4096; in_use = false }
 
 let with_out f =
-  let s = Domain.DLS.get scratch_key in
-  if s.out_in_use then f (Buffer.create 256)
+  if out.in_use then f (Buffer.create 256)
   else begin
-    s.out_in_use <- true;
-    Buffer.clear s.out;
-    Fun.protect ~finally:(fun () -> s.out_in_use <- false) (fun () -> f s.out)
+    out.in_use <- true;
+    Buffer.clear out.buf;
+    Fun.protect ~finally:(fun () -> out.in_use <- false) (fun () -> f out.buf)
   end
 
 (* Greedy parse shared by [compress] (emitting tokens) and
@@ -58,10 +55,10 @@ let scan s ~literal ~backref =
     if n > 0 then literal 0 n
   end
   else begin
-    let sc = Domain.DLS.get scratch_key in
-    sc.gen <- sc.gen + 1;
-    let gen = sc.gen in
-    let tbl = sc.tbl and gen_of = sc.gen_of in
+    let m = Lazy.force matcher in
+    m.gen <- m.gen + 1;
+    let gen = m.gen in
+    let tbl = m.tbl and gen_of = m.gen_of in
     let lit_start = ref 0 in
     let i = ref 0 in
     while !i + min_match <= n do

@@ -4,16 +4,14 @@
     compresses serialized state chunks before transfer. The format is a
     simple token stream (literal runs and back-references); it is a real
     codec — [decompress (compress s) = s] — so measured ratios on
-    serialized NF state are genuine, not modelled. *)
+    serialized NF state are genuine, not modelled.
+
+    The match table and output buffer are module-level scratch reused
+    across calls: lib/ runs on one domain. *)
 
 val compress : string -> string
 val decompress : string -> string
 (** Raises [Invalid_argument] on malformed input. *)
-
-val compress_length : string -> int
-(** [String.length (compress s)] computed by the same greedy parse
-    without materializing the output — the allocation-free path for
-    wire-size accounting. *)
 
 val ratio : string -> float
 (** [ratio s] is [compressed_size / original_size] (1.0 for empty). *)

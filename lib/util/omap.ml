@@ -121,7 +121,6 @@ let fold_asc f t init = fold_asc_tree f t.root init
    ascending list with no sort and no reversal. *)
 let fold_desc f t init = fold_desc_tree f t.root init
 
-let iter_asc f t = fold_asc (fun k v () -> f k v) t ()
 let cardinal t = fold_asc (fun _ _ n -> n + 1) t 0
 let to_alist t = fold_desc (fun k v acc -> (k, v) :: acc) t []
 let is_empty t = t.root = Empty

@@ -22,7 +22,6 @@ val fold_desc : ('k -> 'v -> 'acc -> 'acc) -> ('k, 'v) t -> 'acc -> 'acc
 (** Descending key order — prepending under this fold yields an
     ascending list with no sort and no reversal. *)
 
-val iter_asc : ('k -> 'v -> unit) -> ('k, 'v) t -> unit
 val cardinal : ('k, 'v) t -> int
 val to_alist : ('k, 'v) t -> ('k * 'v) list
 val is_empty : ('k, 'v) t -> bool

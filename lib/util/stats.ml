@@ -169,7 +169,6 @@ module Reservoir = struct
     else List.fold_left ( +. ) 0.0 t.samples /. float_of_int t.count
 
   let max t = List.fold_left Stdlib.max neg_infinity t.samples
-  let to_list t = List.rev t.samples
 end
 
 module Counter = struct

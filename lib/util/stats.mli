@@ -79,7 +79,6 @@ module Reservoir : sig
 
   val mean : t -> float
   val max : t -> float
-  val to_list : t -> float list
 end
 
 module Counter : sig

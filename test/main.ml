@@ -27,4 +27,5 @@ let () =
       ("backend", Test_backend.suite);
       ("obs", Test_obs.suite);
       ("monitor", Test_monitor.suite);
+      ("bench-env", Test_bench_env.suite);
     ]

@@ -1,6 +1,5 @@
 (* Observability layer (ISSUE 5): span well-formedness, trace
-   determinism (across runs and across serial vs domain-pool
-   execution), the disabled path's zero-allocation budget, and
+   determinism across runs, the disabled path's zero-allocation budget, and
    reconciliation of the metrics registry against operation reports. *)
 
 module Engine = Opennf_sim.Engine
@@ -99,18 +98,6 @@ let test_deterministic () =
   Alcotest.(check bool) "chrome export non-trivial" true
     (String.length a > 100);
   Alcotest.(check string) "two seeded runs byte-identical" a b
-
-(* Same scenario under Domain_pool: parallel placement must not leak
-   into the virtual-time trace. *)
-let test_serial_vs_pool () =
-  let serial = chrome_of_run () in
-  let pooled =
-    Opennf_util.Domain_pool.run ~domains:2
-      [| chrome_of_run; chrome_of_run |]
-  in
-  Array.iter
-    (Alcotest.(check string) "pooled run matches serial export" serial)
-    pooled
 
 (* --- disabled path: zero allocations ------------------------------------- *)
 
@@ -241,8 +228,6 @@ let suite =
     Alcotest.test_case "spans well-formed" `Quick test_well_formed;
     Alcotest.test_case "trace deterministic across runs" `Quick
       test_deterministic;
-    Alcotest.test_case "trace deterministic serial vs pool" `Quick
-      test_serial_vs_pool;
     Alcotest.test_case "disabled path allocation budget" `Quick
       test_disabled_alloc;
     Alcotest.test_case "metrics reconcile with reports" `Quick

@@ -1,12 +1,12 @@
 (* Unit and property tests for the utility layer: RNG, hashing, LZ,
-   statistics, binary I/O and the domain pool. *)
+   statistics and binary I/O. *)
 
 module Rng = Opennf_util.Rng
 module Hashing = Opennf_util.Hashing
 module Lz = Opennf_util.Lz
 module Stats = Opennf_util.Stats
 module Bytes_io = Opennf_util.Bytes_io
-module Domain_pool = Opennf_util.Domain_pool
+module Chunk = Opennf_state.Chunk
 
 (* --- rng ----------------------------------------------------------------- *)
 
@@ -258,19 +258,61 @@ let bytes_io_int_prop =
       Bytes_io.Reader.int (Bytes_io.Reader.of_string (Bytes_io.Writer.contents w))
       = i)
 
-(* --- domain pool ---------------------------------------------------------- *)
+(* --- scratch re-entrancy ---------------------------------------------------- *)
 
-exception Boom of int
-
-let test_pool_run () =
-  let tasks = Array.init 8 (fun i () -> i * i) in
-  Alcotest.(check (array int)) "results in task order"
-    (Array.init 8 (fun i -> i * i))
-    (Domain_pool.run ~domains:2 tasks);
-  Alcotest.check_raises "task exception re-raised" (Boom 5) (fun () ->
-      ignore
-        (Domain_pool.run ~domains:2
-           (Array.init 8 (fun i () -> if i = 5 then raise (Boom i) else i))))
+(* lib/ runs on one domain, so Bytes_io's scratch writer and Lz's match
+   table and output buffer are module-level values. An encode or a
+   compress while the scratch writer is live — the nesting the in-use
+   fallback exists for — must produce exactly what it produces on fresh
+   buffers, and must not clobber the outer writer. *)
+let test_scratch_reentrancy () =
+  let text =
+    String.concat ","
+      (List.init 300 (fun i -> Printf.sprintf "flow-%d" (i mod 23)))
+  in
+  let build tag w =
+    Bytes_io.Writer.string w tag;
+    Bytes_io.Writer.int w (String.length tag);
+    Bytes_io.Writer.list w (Bytes_io.Writer.int w) [ 1; 2; 3 ]
+  in
+  let fresh f =
+    let w = Bytes_io.Writer.create () in
+    f w;
+    Bytes_io.Writer.contents w
+  in
+  let fresh_lz = Lz.compress text in
+  let outer, inner, nested =
+    Bytes_io.Writer.with_scratch (fun w ->
+        build "outer" w;
+        let inner = (Lz.compress text, Chunk.encode ~kind:"c" (build "inner")) in
+        let nested =
+          Bytes_io.Writer.with_scratch (fun w2 ->
+              build "nested" w2;
+              let lz = Lz.compress text in
+              let chunk = Chunk.encode ~kind:"c" (build "deep") in
+              (Bytes_io.Writer.contents w2, lz, chunk))
+        in
+        build "tail" w;
+        (Bytes_io.Writer.contents w, inner, nested))
+  in
+  let check_chunk what tag (c : Chunk.t) =
+    Alcotest.(check string) what (fresh (build tag)) c.Chunk.data
+  in
+  let inner_lz, inner_chunk = inner in
+  let nested_bytes, nested_lz, nested_chunk = nested in
+  Alcotest.(check string) "compress under scratch" fresh_lz inner_lz;
+  Alcotest.(check string) "compress under nested scratch" fresh_lz nested_lz;
+  Alcotest.(check string) "lz roundtrip" text (Lz.decompress nested_lz);
+  check_chunk "encode under scratch" "inner" inner_chunk;
+  check_chunk "encode under nested scratch" "deep" nested_chunk;
+  Alcotest.(check string) "nested writer" (fresh (build "nested")) nested_bytes;
+  Alcotest.(check string) "outer writer not clobbered"
+    (fresh (fun w ->
+         build "outer" w;
+         build "tail" w))
+    outer;
+  check_chunk "scratch reusable afterwards" "after"
+    (Chunk.encode ~kind:"c" (build "after"))
 
 let suite =
   [
@@ -305,6 +347,6 @@ let suite =
     Alcotest.test_case "bytes_io: bad length" `Quick test_bytes_io_bad_string_length;
     QCheck_alcotest.to_alcotest bytes_io_string_prop;
     QCheck_alcotest.to_alcotest bytes_io_int_prop;
-    Alcotest.test_case "domain_pool: run on transient workers" `Quick
-      test_pool_run;
+    Alcotest.test_case "scratch: nested encode and compress" `Quick
+      test_scratch_reentrancy;
   ]
