@@ -6,7 +6,11 @@
    - ordered stores: what does a bulk scoped get (the getPerflow
      enumeration behind a move of every flow) cost at 10k / 100k / 1M
      flows on the always-sorted walk, against the sort-per-call
-     oracle ([Oracle.Store.perflow_matching])?
+     oracle ([Oracle.Store.perflow_matching])? And on the arena store
+     PRADS keeps its connections in, which sorts on query: how does
+     PRADS's [list_perflow Filter.any] over a preload inserted in
+     shuffled order compare with the fold-and-sort oracle
+     ([Oracle.Store.perflow_arena_matching]) on the same rows?
    - allocation: how many minor-heap words does one getPerflow
      (enumerate + scratch-buffer chunk encode) burn?
    - throughput: how many simulation events per wall second does the
@@ -125,6 +129,42 @@ let bench_get n =
         ignore (impl.Opennf_sb.Nf_api.export_perflow f))
   in
   { g_walk; g_ref; g_words; g_export_words }
+
+(* The arena enumeration, as a same-process ratio: PRADS's full
+   [list_perflow] against the fold-and-sort oracle over an arena store
+   holding the same keys, inserted in the same shuffled order (so rows
+   sit out of key order and the enumeration really sorts). The two
+   flowid lists must be identical. *)
+let bench_arena_enum n =
+  let module Pfa = Opennf_state.Store.Perflow_arena in
+  let order = Array.init n Fun.id in
+  let st = Random.State.make [| n |] in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- t
+  done;
+  let prads = Opennf_nfs.Prads.create () in
+  let impl = Opennf_nfs.Prads.impl prads in
+  let store = Pfa.create ~payload:0 () in
+  Array.iter
+    (fun i ->
+      impl.Opennf_sb.Nf_api.process_packet (packet_of_int i);
+      ignore (Pfa.insert store (key_of_int i)))
+    order;
+  let list () = impl.Opennf_sb.Nf_api.list_perflow Filter.any in
+  let oracle () =
+    List.map
+      (fun (k, _) -> Filter.of_key k)
+      (Oracle.Store.perflow_arena_matching store Filter.any)
+  in
+  if not (List.equal Filter.equal (list ()) (oracle ())) then
+    failwith "scale: arena enumeration diverged from the fold-and-sort oracle";
+  let iters = max 1 (100_000 / n) in
+  let t_list = best_of ~iters (fun () -> ignore (list ())) in
+  let t_oracle = best_of ~iters (fun () -> ignore (oracle ())) in
+  t_oracle /. t_list
 
 (* --- event throughput under load ----------------------------------------- *)
 
@@ -249,10 +289,10 @@ let bench_shards () =
 
 (* --- driver -------------------------------------------------------------- *)
 
-let json_row n g r c =
+let json_row n g e r c =
   Printf.sprintf
-    {|    {"flows": %d, "scoped_get_wall_ms": %.3f, "scoped_get_reference_wall_ms": %.3f, "scoped_get_speedup": %.2f, "get_perflow_minor_words": %.1f, "chunk_export_minor_words": %.1f, "preload_wall_ms": %.1f, "traffic_wall_ms": %.1f, "scenario_events": %d, "events_per_sec": %.0f, "gc_minor_collections": %d, "gc_major_collections": %d, "gc_major_words_per_event": %.1f}|}
-    n (1000.0 *. g.g_walk) (1000.0 *. g.g_ref) (g.g_ref /. g.g_walk)
+    {|    {"flows": %d, "scoped_get_wall_ms": %.3f, "scoped_get_reference_wall_ms": %.3f, "scoped_get_speedup": %.2f, "arena_list_any_speedup_vs_oracle": %.2f, "get_perflow_minor_words": %.1f, "chunk_export_minor_words": %.1f, "preload_wall_ms": %.1f, "traffic_wall_ms": %.1f, "scenario_events": %d, "events_per_sec": %.0f, "gc_minor_collections": %d, "gc_major_collections": %d, "gc_major_words_per_event": %.1f}|}
+    n (1000.0 *. g.g_walk) (1000.0 *. g.g_ref) (g.g_ref /. g.g_walk) e
     g.g_words g.g_export_words (1000.0 *. c.c_preload) (1000.0 *. c.c_traffic)
     r.sc_events
     (float_of_int r.sc_events /. c.c_traffic)
@@ -269,22 +309,25 @@ let run () =
       (fun n ->
         let g = bench_get n in
         Gc.compact ();
+        let e = bench_arena_enum n in
+        Gc.compact ();
         let r, c = bench_throughput n in
         Gc.compact ();
-        (n, g, r, c))
+        (n, g, e, r, c))
       sizes
   in
   H.table
     ~header:
       [
-        "flows"; "bulk get ms"; "getPf words"; "events/s"; "minor GCs";
-        "major GCs"; "major w/event";
+        "flows"; "bulk get ms"; "arena enum x"; "getPf words"; "events/s";
+        "minor GCs"; "major GCs"; "major w/event";
       ]
     (List.map
-       (fun (n, g, r, c) ->
+       (fun (n, g, e, r, c) ->
          [
            string_of_int n;
            Printf.sprintf "%.2f" (1000.0 *. g.g_walk);
+           Printf.sprintf "%.2fx" e;
            Printf.sprintf "%.0f" g.g_words;
            Printf.sprintf "%.0f" (float_of_int r.sc_events /. c.c_traffic);
            string_of_int c.c_minor_cols;
@@ -293,7 +336,7 @@ let run () =
          ])
        rows);
   List.iter
-    (fun (n, g, r, c) ->
+    (fun (n, g, _, r, c) ->
       let set name v =
         Opennf_obs.Metrics.set
           (Opennf_obs.Metrics.gauge metrics (Printf.sprintf "scale.%d.%s" n name))
@@ -346,7 +389,8 @@ let run () =
   let oc = open_out "BENCH_scale.json" in
   output_string oc "{\n  \"bench\": \"scale\",\n  \"rows\": [\n";
   output_string oc
-    (String.concat ",\n" (List.map (fun (n, g, r, c) -> json_row n g r c) rows));
+    (String.concat ",\n"
+       (List.map (fun (n, g, e, r, c) -> json_row n g e r c) rows));
   output_string oc "\n  ],\n";
   Printf.fprintf oc "  \"shards\": [\n%s\n  ],\n"
     (String.concat ",\n"

@@ -108,18 +108,27 @@ let is_symmetric t = equal (mirror t) t
 let field_matches check constraint_ value =
   match constraint_ with None -> true | Some c -> check c value
 
+let matches_fields t src dst proto sport dport =
+  field_matches (fun p v -> Ipaddr.Prefix.mem v p) t.src src
+  && field_matches (fun p v -> Ipaddr.Prefix.mem v p) t.dst dst
+  && field_matches ( = ) t.proto proto
+  && field_matches Int.equal t.src_port sport
+  && field_matches Int.equal t.dst_port dport
+
 let matches_key t (k : Flow.key) =
-  field_matches (fun p v -> Ipaddr.Prefix.mem v p) t.src k.src_ip
-  && field_matches (fun p v -> Ipaddr.Prefix.mem v p) t.dst k.dst_ip
-  && field_matches ( = ) t.proto k.proto
-  && field_matches Int.equal t.src_port k.src_port
-  && field_matches Int.equal t.dst_port k.dst_port
+  matches_fields t k.src_ip k.dst_ip k.proto k.src_port k.dst_port
 
 let matches_packet t (p : Packet.t) =
   matches_key t p.key
   && field_matches (fun f pkt -> Packet.has_flag pkt f) t.tcp_flag p
 
-let matches_flow t k = matches_key t k || matches_key t (Flow.reverse k)
+let matches_conn t ~src ~dst ~proto ~sport ~dport =
+  matches_fields t src dst proto sport dport
+  || matches_fields t dst src proto dport sport
+
+let matches_flow t (k : Flow.key) =
+  matches_conn t ~src:k.src_ip ~dst:k.dst_ip ~proto:k.proto ~sport:k.src_port
+    ~dport:k.dst_port
 
 let matches_host t ip =
   let mem = function None -> false | Some p -> Ipaddr.Prefix.mem ip p in

@@ -68,6 +68,12 @@ val matches_flow : t -> Flow.key -> bool
     state-selection semantics: state for a connection is exported if the
     filter matches either direction. *)
 
+val matches_conn :
+  t -> src:Ipaddr.t -> dst:Ipaddr.t -> proto:Flow.proto -> sport:int ->
+  dport:int -> bool
+(** {!matches_flow} on the key's fields, for callers that hold them
+    unboxed (e.g. read out of an arena row): no key record is built. *)
+
 val matches_host : t -> Ipaddr.t -> bool
 (** True if the address satisfies the filter's src or dst constraint
     (used for host-scoped multi-flow state; per §4.2 only fields relevant

@@ -37,9 +37,11 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+(* [compare k (reverse k) <= 0], decided on the swapped fields in place:
+   the reversed record is built only when it is the answer. *)
 let canonical k =
-  let r = reverse k in
-  if compare k r <= 0 then k else r
+  let c = Ipaddr.compare k.src_ip k.dst_ip in
+  if c < 0 || (c = 0 && k.src_port <= k.dst_port) then k else reverse k
 
 let hash k =
   let open Opennf_util.Hashing in

@@ -30,7 +30,7 @@ type t = {
   work : Protocol.request Proc.Mailbox.t;
   mutable to_ctrl : Protocol.reply Channel.t option;
   mutable event_filters : event_filter list;  (** Newest first. *)
-  mutable tombstones : Filter.t list;
+  tombstones : Tombstones.t;
   mutable busy_ops : int;
   mutable in_service : unit Proc.Ivar.t option;
       (** Filled when the packet currently on the CPU finishes; state
@@ -130,13 +130,6 @@ let event_filter_matches ef (p : Packet.t) =
 let find_event_filter t p =
   List.find_opt (fun ef -> event_filter_matches ef p) t.event_filters
 
-let matches_tombstone t (p : Packet.t) =
-  List.exists (fun f -> Filter.matches_flow f p.key) t.tombstones
-
-let clear_tombstones_for t flowid =
-  t.tombstones <-
-    List.filter (fun f -> not (Filter.accepts_flowid f flowid)) t.tombstones
-
 (* Process one packet on the NF CPU. *)
 let process t (p : Packet.t) =
   let done_ivar = Proc.Ivar.create t.engine in
@@ -179,7 +172,7 @@ let dispose t (p : Packet.t) =
       process t p;
       raise_event t p Protocol.Process)
   | None ->
-    if matches_tombstone t p then begin
+    if Tombstones.matches t.tombstones p.key then begin
       t.dropped <- t.dropped + 1;
       t.tombstone_drops <- t.tombstone_drops + 1;
       Audit.log_drop t.audit p ~nf:t.name
@@ -320,7 +313,7 @@ let handle_op t (req : Protocol.request) =
       (Protocol.Done { req; chunks = List.map (fun c -> (Filter.any, c)) chunks })
   | Protocol.Put_perflow { req; chunks } ->
     run_put t ~req ~chunks ~import:(fun flowid chunk ->
-        clear_tombstones_for t flowid;
+        Tombstones.clear_for t.tombstones flowid;
         t.impl.Nf_api.import_perflow flowid chunk)
   | Protocol.Put_multiflow { req; chunks } ->
     run_put t ~req ~chunks ~import:t.impl.Nf_api.import_multiflow
@@ -338,7 +331,7 @@ let handle_op t (req : Protocol.request) =
     List.iter
       (fun flowid ->
         t.impl.Nf_api.delete_perflow flowid;
-        t.tombstones <- flowid :: t.tombstones)
+        Tombstones.add t.tombstones flowid)
       flowids;
     send_reply t (Protocol.Ack { req })
   | Protocol.Del_multiflow { req; flowids } ->
@@ -397,7 +390,7 @@ let create engine audit ~name ~impl ~costs ?faults ?backend () =
       work = Proc.Mailbox.create engine;
       to_ctrl = None;
       event_filters = [];
-      tombstones = [];
+      tombstones = Tombstones.create ();
       busy_ops = 0;
       in_service = None;
       processed = 0;

@@ -2,11 +2,11 @@ module Omap = Opennf_util.Omap
 open Opennf_net
 
 (* Deterministic enumeration: results are in key order so simulation
-   runs do not depend on hash-table iteration order. Each store pairs a
-   hash table (O(1) point lookups on the packet path) with an
+   runs do not depend on hash-table iteration order. The boxed stores
+   pair a hash table (O(1) point lookups on the packet path) with an
    always-sorted mirror ({!Opennf_util.Omap}, O(log n) update), so a
-   scoped enumeration is an in-order walk — never materialize-then-sort
-   on the query path. *)
+   scoped enumeration is an in-order walk. The arena store keeps no
+   mirror: it sorts on query, and sorts only the matches. *)
 
 module Perflow = struct
   (* Alongside the canonical-keyed value table, a secondary index maps
@@ -118,10 +118,10 @@ end
    slab — the GC never walks them — and the value is not an OCaml
    object at all: the NF reads and writes typed fields of the row
    payload through an integer handle. Point lookups go through a flat
-   open-addressing index (an int array: no buckets, no cons cells);
-   ordered enumeration walks the same {!Opennf_util.Omap} mirror shape
-   as {!Perflow}, except the mirror is keyed by handles and the
-   comparator reads the 5-tuple straight out of the row bytes. *)
+   open-addressing index (an int array: no buckets, no cons cells).
+   Nothing else grows with the rows: insert and remove touch only the
+   index and the row, and a non-exact [matching] sorts on query — it
+   scans the live rows and sorts only the matches. *)
 module Perflow_arena = struct
   module Arena = Opennf_util.Arena
 
@@ -129,53 +129,26 @@ module Perflow_arena = struct
      13 key bytes, then padding so NF payload layouts start 8-aligned. *)
   let payload_off = 16
   let proto_rank = function Flow.Tcp -> 0 | Flow.Udp -> 1 | Flow.Icmp -> 2
-  let proto_of_rank = function
-    | 0 -> Flow.Tcp
-    | 1 -> Flow.Udp
-    | 2 -> Flow.Icmp
-    | r -> invalid_arg (Printf.sprintf "Perflow_arena: proto rank %d" r)
+  let protos = [| Flow.Tcp; Flow.Udp; Flow.Icmp |]
 
   type t = {
     arena : Arena.t;
     (* Open-addressing index: slot 0 = empty, -1 = tombstone, else a
-       live handle (handles are never 0: live generations are odd). *)
+       live handle (handles are positive: live generations are odd). *)
     mutable idx : int array;
     mutable mask : int;
     mutable count : int;
     mutable tombs : int;
-    mirror : (Arena.handle, unit) Omap.t;
   }
-
-  let min_slots = 64
-
-  (* Same field order as [Flow.compare], read from row bytes. *)
-  let cmp_rows arena a b =
-    let c = Int.compare (Arena.get_u32 arena a 0) (Arena.get_u32 arena b 0) in
-    if c <> 0 then c
-    else
-      let c = Int.compare (Arena.get_u32 arena a 4) (Arena.get_u32 arena b 4) in
-      if c <> 0 then c
-      else
-        let c = Int.compare (Arena.get_u8 arena a 8) (Arena.get_u8 arena b 8) in
-        if c <> 0 then c
-        else
-          let c =
-            Int.compare (Arena.get_u16 arena a 9) (Arena.get_u16 arena b 9)
-          in
-          if c <> 0 then c
-          else
-            Int.compare (Arena.get_u16 arena a 11) (Arena.get_u16 arena b 11)
 
   let create ~payload () =
     if payload < 0 then invalid_arg "Perflow_arena.create: negative payload";
-    let arena = Arena.create ~stride:(payload_off + payload) () in
     {
-      arena;
-      idx = Array.make min_slots 0;
-      mask = min_slots - 1;
+      arena = Arena.create ~stride:(payload_off + payload) ();
+      idx = Array.make 64 0;
+      mask = 63;
       count = 0;
       tombs = 0;
-      mirror = Omap.create ~cmp:(cmp_rows arena);
     }
 
   let arena t = t.arena
@@ -195,143 +168,136 @@ module Perflow_arena = struct
     && Arena.get_u16 t.arena h 9 = sp
     && Arena.get_u16 t.arena h 11 = dp
 
-  (* Find the slot holding the key, or -1. Canonical key fields only. *)
-  let probe_find t src dst pr sp dp =
-    let hash = hash5 src dst pr sp dp in
-    let i = ref (hash land t.mask) in
-    let slot = ref (-1) in
-    let continue = ref true in
-    while !continue do
-      let v = t.idx.(!i) in
-      if v = 0 then continue := false
-      else if v <> -1 && row_matches t v src dst pr sp dp then begin
-        slot := !i;
-        continue := false
-      end
-      else i := (!i + 1) land t.mask
-    done;
-    !slot
+  (* From slot [i]: the slot holding the key, or -1. Canonical key
+     fields only. *)
+  let rec probe t i src dst pr sp dp =
+    let v = t.idx.(i) in
+    if v = 0 then -1
+    else if v > 0 && row_matches t v src dst pr sp dp then i
+    else probe t ((i + 1) land t.mask) src dst pr sp dp
+
+  (* From slot [i] of [idx]: the first slot holding no live handle. *)
+  let rec vacant idx mask i =
+    if idx.(i) > 0 then vacant idx mask ((i + 1) land mask) else i
+
+  let hash_row t h =
+    hash5 (Arena.get_u32 t.arena h 0) (Arena.get_u32 t.arena h 4)
+      (Arena.get_u8 t.arena h 8) (Arena.get_u16 t.arena h 9)
+      (Arena.get_u16 t.arena h 11)
 
   let rehash t slots =
     let idx = Array.make slots 0 in
-    let mask = slots - 1 in
     Array.iter
       (fun v ->
-        if v <> 0 && v <> -1 then begin
-          let hash =
-            hash5 (Arena.get_u32 t.arena v 0) (Arena.get_u32 t.arena v 4)
-              (Arena.get_u8 t.arena v 8)
-              (Arena.get_u16 t.arena v 9)
-              (Arena.get_u16 t.arena v 11)
-          in
-          let i = ref (hash land mask) in
-          while idx.(!i) <> 0 do
-            i := (!i + 1) land mask
-          done;
-          idx.(!i) <- v
-        end)
+        if v > 0 then
+          idx.(vacant idx (slots - 1) (hash_row t v land (slots - 1))) <- v)
       t.idx;
     t.idx <- idx;
-    t.mask <- mask;
+    t.mask <- slots - 1;
     t.tombs <- 0
 
   let key_of t h =
     {
       Flow.src_ip = Ipaddr.of_int (Arena.get_u32 t.arena h 0);
       dst_ip = Ipaddr.of_int (Arena.get_u32 t.arena h 4);
-      proto = proto_of_rank (Arena.get_u8 t.arena h 8);
+      proto = protos.(Arena.get_u8 t.arena h 8);
       src_port = Arena.get_u16 t.arena h 9;
       dst_port = Arena.get_u16 t.arena h 11;
     }
 
+  (* The slot of the key's canonical form, or -1. *)
+  let slot_of t k =
+    let k = Flow.canonical k in
+    let src = Ipaddr.to_int k.Flow.src_ip in
+    let dst = Ipaddr.to_int k.Flow.dst_ip and pr = proto_rank k.Flow.proto in
+    let sp = k.Flow.src_port and dp = k.Flow.dst_port in
+    probe t (hash5 src dst pr sp dp land t.mask) src dst pr sp dp
+
   (* Box-free point lookup: [Arena.null] means absent. *)
   let find t k =
-    let k = Flow.canonical k in
-    let s =
-      probe_find t
-        (Ipaddr.to_int k.Flow.src_ip)
-        (Ipaddr.to_int k.Flow.dst_ip)
-        (proto_rank k.Flow.proto) k.Flow.src_port k.Flow.dst_port
-    in
+    let s = slot_of t k in
     if s = -1 then Arena.null else t.idx.(s)
 
-  let find_opt t k =
-    let h = find t k in
-    if h = Arena.null then None else Some h
-
-  let mem t k = find t k <> Arena.null
-
   let insert t k =
-    let k = Flow.canonical k in
-    let src = Ipaddr.to_int k.Flow.src_ip
-    and dst = Ipaddr.to_int k.Flow.dst_ip
-    and pr = proto_rank k.Flow.proto
-    and sp = k.Flow.src_port
-    and dp = k.Flow.dst_port in
-    (* One pass: find the key, remembering the first reusable slot. *)
-    let hash = hash5 src dst pr sp dp in
-    let i = ref (hash land t.mask) in
-    let free = ref (-1) in
-    let found = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let v = t.idx.(!i) in
-      if v = 0 then begin
-        if !free = -1 then free := !i;
-        continue := false
-      end
-      else if v = -1 then begin
-        if !free = -1 then free := !i;
-        i := (!i + 1) land t.mask
-      end
-      else if row_matches t v src dst pr sp dp then begin
-        found := v;
-        continue := false
-      end
-      else i := (!i + 1) land t.mask
-    done;
-    if !found <> 0 then !found
+    let s = slot_of t k in
+    if s <> -1 then t.idx.(s)
     else begin
+      let k = Flow.canonical k in
       let h = Arena.alloc t.arena in
-      Arena.set_u32 t.arena h 0 src;
-      Arena.set_u32 t.arena h 4 dst;
-      Arena.set_u8 t.arena h 8 pr;
-      Arena.set_u16 t.arena h 9 sp;
-      Arena.set_u16 t.arena h 11 dp;
-      if t.idx.(!free) = -1 then t.tombs <- t.tombs - 1;
-      t.idx.(!free) <- h;
+      Arena.set_u32 t.arena h 0 (Ipaddr.to_int k.Flow.src_ip);
+      Arena.set_u32 t.arena h 4 (Ipaddr.to_int k.Flow.dst_ip);
+      Arena.set_u8 t.arena h 8 (proto_rank k.Flow.proto);
+      Arena.set_u16 t.arena h 9 k.Flow.src_port;
+      Arena.set_u16 t.arena h 11 k.Flow.dst_port;
+      let i = vacant t.idx t.mask (hash_row t h land t.mask) in
+      if t.idx.(i) = -1 then t.tombs <- t.tombs - 1;
+      t.idx.(i) <- h;
       t.count <- t.count + 1;
-      Omap.set t.mirror h ();
-      (* Keep (live + tombstones) at or below half the slots. *)
-      if 2 * (t.count + t.tombs) > t.mask + 1 then begin
-        let slots = ref (t.mask + 1) in
-        while 2 * (t.count + 1) > !slots do
-          slots := !slots * 2
-        done;
-        rehash t !slots
-      end;
+      (* Keep (live + tombstones) at or below half the slots; one
+         doubling always suffices, as [count] grows by one. *)
+      if 2 * (t.count + t.tombs) > t.mask + 1 then
+        rehash t
+          (if 2 * (t.count + 1) > t.mask + 1 then 2 * (t.mask + 1)
+           else t.mask + 1);
       h
     end
 
   let remove t k =
-    let k = Flow.canonical k in
-    let s =
-      probe_find t
-        (Ipaddr.to_int k.Flow.src_ip)
-        (Ipaddr.to_int k.Flow.dst_ip)
-        (proto_rank k.Flow.proto) k.Flow.src_port k.Flow.dst_port
-    in
+    let s = slot_of t k in
     if s = -1 then false
     else begin
-      let h = t.idx.(s) in
-      (* Mirror removal must precede the free: its comparator reads the
-         row bytes, which the free invalidates. *)
-      Omap.remove t.mirror h;
-      Arena.free t.arena h;
+      Arena.free t.arena t.idx.(s);
       t.idx.(s) <- -1;
       t.count <- t.count - 1;
       t.tombs <- t.tombs + 1;
       true
+    end
+
+  (* Sort on query. A match is a flat (k1, k2, handle) triple: its
+     canonical key packs into [k1] (src, then the top 24 bits of dst)
+     and [k2] (the low 8 bits of dst, proto rank, sport, dport). Both
+     are non-negative and field-aligned, so ascending (k1, k2) is
+     ascending [Flow.compare] and sorting never reads the arena. The
+     sort is an LSD radix sort on 11-bit digits (five of [k2], then six
+     of [k1]) that skips a digit all matches share; matches already in
+     order, as rows inserted in key order are, cost one linear check. *)
+  let sort_triples (rows : int array) n =
+    let sorted = ref true in
+    for i = 1 to n - 1 do
+      let a = rows.(3 * (i - 1)) and b = rows.(3 * i) in
+      if a > b || (a = b && rows.((3 * i) - 2) > rows.((3 * i) + 1)) then
+        sorted := false
+    done;
+    if !sorted then rows
+    else begin
+      let count = Array.make 2049 0 in
+      let src = ref rows and dst = ref (Array.make (3 * n) 0) in
+      for pass = 0 to 10 do
+        let w = if pass < 5 then 1 else 0 in
+        let sh = 11 * if pass < 5 then pass else pass - 5 in
+        let r = !src and d = !dst in
+        Array.fill count 0 2049 0;
+        for i = 0 to n - 1 do
+          let b = ((r.((3 * i) + w) lsr sh) land 2047) + 1 in
+          count.(b) <- count.(b) + 1
+        done;
+        if count.(((r.(w) lsr sh) land 2047) + 1) < n then begin
+          for b = 1 to 2048 do
+            count.(b) <- count.(b) + count.(b - 1)
+          done;
+          for i = 0 to n - 1 do
+            let b = (r.((3 * i) + w) lsr sh) land 2047 in
+            let o = 3 * count.(b) in
+            count.(b) <- count.(b) + 1;
+            d.(o) <- r.(3 * i);
+            d.(o + 1) <- r.((3 * i) + 1);
+            d.(o + 2) <- r.((3 * i) + 2)
+          done;
+          src := d;
+          dst := r
+        end
+      done;
+      !src
     end
 
   let matching t filter =
@@ -340,11 +306,43 @@ module Perflow_arena = struct
       let h = find t key in
       if h = Arena.null then [] else [ (key_of t h, h) ]
     | None ->
-      Omap.fold_desc
-        (fun h () acc ->
-          let k = key_of t h in
-          if Filter.matches_flow filter k then (k, h) :: acc else acc)
-        t.mirror []
+      let a = t.arena in
+      let rows = ref (Array.make 48 0) and n = ref 0 in
+      Arena.iter_live a (fun h ->
+          let src = Arena.get_u32 a h 0
+          and dst = Arena.get_u32 a h 4
+          and pr = Arena.get_u8 a h 8
+          and sp = Arena.get_u16 a h 9
+          and dp = Arena.get_u16 a h 11 in
+          if
+            Filter.matches_conn filter ~src:(Ipaddr.of_int src)
+              ~dst:(Ipaddr.of_int dst) ~proto:protos.(pr) ~sport:sp ~dport:dp
+          then begin
+            if 3 * !n = Array.length !rows then
+              rows := Array.append !rows !rows;
+            let o = 3 * !n in
+            !rows.(o) <- (src lsl 24) lor (dst lsr 8);
+            !rows.(o + 1) <-
+              ((dst land 0xFF) lsl 40) lor (pr lsl 32) lor (sp lsl 16) lor dp;
+            !rows.(o + 2) <- h;
+            incr n
+          end);
+      let r = sort_triples !rows !n in
+      let acc = ref [] in
+      for i = !n - 1 downto 0 do
+        let k1 = r.(3 * i) and k2 = r.((3 * i) + 1) in
+        let key =
+          {
+            Flow.src_ip = Ipaddr.of_int (k1 lsr 24);
+            dst_ip = Ipaddr.of_int (((k1 land 0xFFFFFF) lsl 8) lor (k2 lsr 40));
+            proto = protos.((k2 lsr 32) land 0xFF);
+            src_port = (k2 lsr 16) land 0xFFFF;
+            dst_port = k2 land 0xFFFF;
+          }
+        in
+        acc := (key, r.((3 * i) + 2)) :: !acc
+      done;
+      !acc
 end
 
 module Per_host = struct

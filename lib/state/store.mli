@@ -39,9 +39,10 @@ module Perflow_arena : sig
       canonical-key semantics as {!Perflow}, but the GC never traverses
       the resident state — the marking cost of a million live flows is
       a handful of byte slabs, not millions of boxed records. Point
-      lookups probe a flat open-addressing int array; ordered
-      enumeration walks an {!Opennf_util.Omap} mirror whose comparator
-      reads 5-tuples straight out of the row bytes. *)
+      lookups probe a flat open-addressing int array, and that index
+      and the slabs are all the store holds: no ordered mirror, so
+      insert and remove leave no per-row node on the OCaml heap.
+      Ordered enumeration sorts on query (see {!matching}). *)
 
   val payload_off : int
   (** Byte offset where the caller's payload fields start (16; the key
@@ -60,8 +61,6 @@ module Perflow_arena : sig
   (** Box-free lookup: the live handle, or {!Opennf_util.Arena.null}
       when absent. Keys are canonicalized, as in {!Perflow.find}. *)
 
-  val find_opt : t -> Flow.key -> Opennf_util.Arena.handle option
-  val mem : t -> Flow.key -> bool
 
   val insert : t -> Flow.key -> Opennf_util.Arena.handle
   (** The existing handle for the (canonicalized) key, or a fresh
@@ -74,10 +73,13 @@ module Perflow_arena : sig
   val key_of : t -> Opennf_util.Arena.handle -> Flow.key
 
   val matching : t -> Filter.t -> (Flow.key * Opennf_util.Arena.handle) list
-  (** Entries matching the filter, ascending key order. Exact 5-tuple
-      filters are a single probe; anything else is an in-order walk of
-      the sorted mirror (no per-host index on the arena path — scoped
-      selection on this store is enumeration, not indexed lookup). *)
+  (** Entries matching the filter, in ascending [Flow.compare] order of
+      their canonical keys. Exact 5-tuple filters are a single probe.
+      Anything else scans the live rows, keeps the matches with their
+      keys packed into two unboxed ints, and sorts only those (a linear
+      check when they already are in order, as rows inserted in key
+      order are). There is no per-host index on the arena path: scoped
+      selection on this store is enumeration, not indexed lookup. *)
 
   val size : t -> int
 end

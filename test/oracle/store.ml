@@ -1,6 +1,7 @@
 (* The seed's fold-filter-sort enumeration over each store's hash-table
-   [fold], ignoring the ordered mirrors and the per-host index. Same
-   results as the stores' [matching]. *)
+   [fold] (for the arena store: its live rows), ignoring the ordered
+   mirrors, the per-host index and the packed-key sort. Same results as
+   the stores' [matching]. *)
 
 open Opennf_net
 module S = Opennf_state.Store
@@ -19,3 +20,10 @@ let keyed_matching store ~relevant filter =
   S.Keyed.fold store ~init:[] ~f:(fun k v acc ->
       if relevant filter k v then (k, v) :: acc else acc)
   |> List.sort compare
+
+let perflow_arena_matching store filter =
+  let acc = ref [] in
+  Opennf_util.Arena.iter_live (S.Perflow_arena.arena store) (fun h ->
+      let k = S.Perflow_arena.key_of store h in
+      if Filter.matches_flow filter k then acc := (k, h) :: !acc);
+  List.sort (fun (a, _) (b, _) -> Flow.compare a b) !acc

@@ -8,7 +8,8 @@
      reused off the free list (the generation-stamp guarantee);
    - an arena-backed per-flow store must be observationally identical
      to a boxed reference model under random churn
-     (insert/mutate/delete/match);
+     (insert/mutate/delete/match), and its sort-on-query enumeration
+     must return the model's key order over the whole key space;
    - the timing-wheel scheduler must dispatch in exactly the (time, seq)
      order of the oracle binary heap ({!Oracle.Heap_engine}) on random
      schedules, including ties, zero delays, nested scheduling and
@@ -115,18 +116,28 @@ let test_arena_growth_and_iter () =
 
 (* --- arena store vs boxed reference under churn ------------------------ *)
 
-(* Reuse test_ordered's tiny universe so churn collides often. *)
-let ip a b = Ipaddr.v 10 0 (a land 3) (b land 7)
+(* A tiny universe, so churn collides often, built from the edges of
+   every key field: the enumeration packs keys into two ints, and a
+   wrong shift or mask shows first at the top of the address range,
+   at the extreme ports and on the higher protocol ranks. *)
+let ips =
+  [|
+    Ipaddr.v 0 0 0 1; Ipaddr.v 10 0 0 1; Ipaddr.v 10 0 0 240;
+    Ipaddr.v 127 255 255 255; Ipaddr.v 128 0 0 0; Ipaddr.v 192 168 1 1;
+    Ipaddr.v 255 255 255 254; Ipaddr.v 255 255 255 255;
+  |]
+
+let ports = [| 0; 1; 255; 256; 65534; 65535 |]
+let protos = [| Flow.Tcp; Flow.Udp; Flow.Icmp |]
+let ip a b = ips.((a + (3 * b)) land 7)
 
 let key a b =
   Flow.make ~src:(ip a b) ~dst:(ip b a)
-    ~proto:(if a land 1 = 0 then Flow.Tcp else Flow.Udp)
-    ~sport:(1000 + (a land 3))
-    ~dport:(1000 + (b land 3))
-    ()
+    ~proto:protos.((a + b) mod 3)
+    ~sport:ports.(a mod 6) ~dport:ports.(b mod 6) ()
 
 let filter_of c a b =
-  match c mod 8 with
+  match c mod 10 with
   | 0 -> Filter.any
   | 1 -> Filter.of_src_host (ip a b)
   | 2 -> Filter.of_dst_host (ip a b)
@@ -134,9 +145,10 @@ let filter_of c a b =
   | 4 ->
     Filter.make ~src:(Ipaddr.Prefix.host (ip a b))
       ~dst:(Ipaddr.Prefix.host (ip b a)) ()
-  | 5 ->
-    Filter.make ~src:(Ipaddr.Prefix.host (ip a b)) ~dst_port:(1000 + (b land 3)) ()
-  | 6 -> Filter.make ~proto:(if a land 1 = 0 then Flow.Tcp else Flow.Udp) ()
+  | 5 -> Filter.make ~src:(Ipaddr.Prefix.host (ip a b)) ~dst_port:ports.(b mod 6) ()
+  | 6 -> Filter.make ~proto:protos.((a + b) mod 3) ()
+  | 7 -> Filter.of_src_prefix (Ipaddr.Prefix.make (ip a b) 1)
+  | 8 -> Filter.make ~src_port:ports.(a mod 6) ()
   | _ -> Filter.of_key (key a b)
 
 let ops_arb =
@@ -146,9 +158,18 @@ let ops_arb =
 let off_v = Pfa.payload_off
 let off_f = Pfa.payload_off + 8
 
+(* Ascending [Flow.compare] order over the model: what [matching] owes. *)
+let model_matching f model =
+  Flow.Map.fold
+    (fun k _ acc -> if Filter.matches_flow f k then k :: acc else acc)
+    model []
+  |> List.rev
+
+(* Removes free rows that later inserts reuse (LIFO), so row order
+   drifts away from key order and enumeration has to sort. *)
 let pfa_equiv =
   QCheck.Test.make
-    ~name:"perflow arena == boxed reference under churn (random)" ~count:80
+    ~name:"perflow arena == boxed reference under churn (random)" ~count:200
     ops_arb (fun ops ->
       let store = Pfa.create ~payload:16 () in
       let a = Pfa.arena store in
@@ -165,9 +186,8 @@ let pfa_equiv =
             Arena.set_f64 a h off_f (float_of_int y);
             model := Flow.Map.add k (x, float_of_int y) !model
           | 2 ->
-            (match Pfa.find_opt store k with
-            | Some h -> stale := h :: !stale
-            | None -> ());
+            let h = Pfa.find store k in
+            if h <> Arena.null then stale := h :: !stale;
             let removed = Pfa.remove store k in
             if removed <> Flow.Map.mem k !model then
               QCheck.Test.fail_reportf "remove %s: presence disagreed"
@@ -185,17 +205,18 @@ let pfa_equiv =
             end
           | _ -> ());
           (* Point lookups agree. *)
-          (match (Pfa.find_opt store k, Flow.Map.find_opt k !model) with
-          | None, None -> ()
-          | Some h, Some (v, f) ->
+          let h = Pfa.find store k in
+          (match (h <> Arena.null, Flow.Map.find_opt k !model) with
+          | false, None -> ()
+          | true, Some (v, f) ->
             if Arena.get_int a h off_v <> v || Arena.get_f64 a h off_f <> f then
               QCheck.Test.fail_reportf "payload mismatch at %s"
                 (Flow.to_string k);
             if Pfa.key_of store h <> k then
               QCheck.Test.fail_reportf "key_of mismatch at %s" (Flow.to_string k)
-          | Some _, None ->
+          | true, None ->
             QCheck.Test.fail_reportf "ghost entry %s" (Flow.to_string k)
-          | None, Some _ ->
+          | false, Some _ ->
             QCheck.Test.fail_reportf "lost entry %s" (Flow.to_string k));
           if Pfa.size store <> Flow.Map.cardinal !model then
             QCheck.Test.fail_reportf "size %d != model %d" (Pfa.size store)
@@ -203,12 +224,7 @@ let pfa_equiv =
           (* Scoped enumeration agrees with the model, in key order. *)
           let f = filter_of c x y in
           let got = List.map fst (Pfa.matching store f) in
-          let want =
-            Flow.Map.fold
-              (fun k _ acc -> if Filter.matches_flow f k then k :: acc else acc)
-              !model []
-            |> List.rev
-          in
+          let want = model_matching f !model in
           if got <> want then
             QCheck.Test.fail_reportf "matching %s: %d entries, want %d"
               (Filter.to_string f) (List.length got) (List.length want);
@@ -223,6 +239,71 @@ let pfa_equiv =
               with Invalid_argument _ -> true)
             !stale)
         ops)
+
+(* Enumeration at a few thousand rows over the full key space: random
+   addresses (half above 128.0.0.0, a quarter in one /24 so keys share
+   a source and the top of the destination), every protocol, edge
+   ports, and a remove/re-insert round so most rows sit out of key
+   order. Each result must be the model's, in the model's order, with
+   handles that point at their own keys. *)
+let test_pfa_enumeration () =
+  let st = Random.State.make [| 17 |] in
+  let field bits =
+    match Random.State.int st 8 with
+    | 0 -> 0
+    | 1 -> (1 lsl bits) - 1
+    | _ -> Random.State.bits st land ((1 lsl bits) - 1)
+  in
+  let addr () =
+    if Random.State.int st 4 = 0 then 0x0A010200 lor Random.State.int st 256
+    else field 32
+  in
+  let rand_key () =
+    Flow.make ~src:(Ipaddr.of_int (addr ())) ~dst:(Ipaddr.of_int (addr ()))
+      ~proto:protos.(Random.State.int st 3)
+      ~sport:(field 16) ~dport:(field 16) ()
+  in
+  let store = Pfa.create ~payload:0 () in
+  let model = ref Flow.Map.empty in
+  let add k =
+    ignore (Pfa.insert store k);
+    model := Flow.Map.add (Flow.canonical k) () !model
+  in
+  let keys = Array.init 4_000 (fun _ -> rand_key ()) in
+  Array.iter add keys;
+  Array.iteri
+    (fun i k ->
+      if i mod 3 = 0 then begin
+        ignore (Pfa.remove store k);
+        model := Flow.Map.remove (Flow.canonical k) !model
+      end)
+    keys;
+  for _ = 1 to 1_500 do
+    add (rand_key ())
+  done;
+  Alcotest.(check int) "size" (Flow.Map.cardinal !model) (Pfa.size store);
+  let some = keys.(1) in
+  List.iter
+    (fun f ->
+      let got = Pfa.matching store f in
+      List.iter
+        (fun (k, h) ->
+          if Pfa.key_of store h <> k then
+            Alcotest.failf "%s: handle of %s points elsewhere"
+              (Filter.to_string f) (Flow.to_string k))
+        got;
+      Alcotest.(check (list string))
+        (Filter.to_string f)
+        (List.map Flow.to_string (model_matching f !model))
+        (List.map (fun (k, _) -> Flow.to_string k) got))
+    [
+      Filter.any;
+      Filter.of_src_prefix (Ipaddr.Prefix.make (Ipaddr.v 128 0 0 0) 1);
+      Filter.of_src_prefix (Ipaddr.Prefix.make some.Flow.src_ip 4);
+      Filter.make ~proto:Flow.Icmp ();
+      Filter.make ~dst_port:65535 ();
+      Filter.of_dst_host some.Flow.dst_ip;
+    ]
 
 (* --- timing wheel vs binary heap --------------------------------------- *)
 
@@ -401,6 +482,8 @@ let suite =
     Alcotest.test_case "arena: growth and ordered iteration" `Quick
       test_arena_growth_and_iter;
     QCheck_alcotest.to_alcotest pfa_equiv;
+    Alcotest.test_case "perflow arena: enumeration order at 5k rows" `Quick
+      test_pfa_enumeration;
     QCheck_alcotest.to_alcotest wheel_heap_equiv;
     Alcotest.test_case "wheel: far-future overflow" `Quick
       test_wheel_far_future;

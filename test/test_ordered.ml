@@ -218,6 +218,42 @@ let test_get_perflow_alloc_budget () =
        per_op)
     true (per_op < 2048.0)
 
+(* The arena store's insert and remove touch only the open-addressing
+   index and the row: no per-row node on the OCaml heap. Half the keys
+   arrive in reply direction, so canonicalization is on the path too
+   (its reversed record is the only allocation left). Index growth and
+   new slabs are large blocks that go straight to the major heap. *)
+let test_arena_insert_remove_alloc_budget () =
+  let n = 100_000 in
+  let keys =
+    Array.init n (fun i ->
+        let k =
+          Flow.make
+            ~src:(Ipaddr.of_int (0x0A000000 lor i))
+            ~dst:(Ipaddr.of_int 0xC0A80101)
+            ~proto:(if i land 4 = 0 then Flow.Tcp else Flow.Udp)
+            ~sport:(1024 + (i land 1023))
+            ~dport:443 ()
+        in
+        if i land 1 = 0 then k else Flow.reverse k)
+  in
+  let store = Store.Perflow_arena.create ~payload:32 () in
+  let per_op f =
+    let before = Gc.minor_words () in
+    Array.iter f keys;
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let ins = per_op (fun k -> ignore (Store.Perflow_arena.insert store k)) in
+  Alcotest.(check int) "all inserted" n (Store.Perflow_arena.size store);
+  let rem = per_op (fun k -> ignore (Store.Perflow_arena.remove store k)) in
+  Alcotest.(check int) "all removed" 0 (Store.Perflow_arena.size store);
+  Alcotest.(check bool)
+    (Printf.sprintf "insert stays under 16 minor words/op (got %.1f)" ins)
+    true (ins <= 16.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "remove stays under 16 minor words/op (got %.1f)" rem)
+    true (rem <= 16.0)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ perflow_equiv; per_host_equiv; keyed_equiv; omap_oracle ]
@@ -226,4 +262,6 @@ let suite =
         test_matching_alloc_budget;
       Alcotest.test_case "alloc budget: NF getPerflow path" `Quick
         test_get_perflow_alloc_budget;
+      Alcotest.test_case "alloc budget: arena insert/remove" `Quick
+        test_arena_insert_remove_alloc_budget;
     ]

@@ -195,6 +195,60 @@ let test_tombstones_drop_moved_flows () =
   Engine.run b.e;
   Alcotest.(check (list int)) "processing resumes" [ 1; 3 ] (List.rev b.probe.seen)
 
+(* The marker set against the list it replaced ({!Oracle.Tombstones}),
+   under random add/clear interleavings over a small key universe, with
+   flowids of every shape: exact in both directions, exact with an app
+   field or a TCP flag, host, prefix, proto-only, app-only and any. *)
+let tombstone_flowid c a b =
+  let ip a = ip 10 0 0 (a land 3) in
+  let k =
+    Flow.make ~src:(ip a) ~dst:(ip b)
+      ~proto:(if (a + b) land 1 = 0 then Flow.Tcp else Flow.Udp)
+      ~sport:(80 + (a mod 3)) ~dport:(80 + (b mod 3)) ()
+  in
+  let app = if c land 16 = 0 then "u" else "v" in
+  match c mod 10 with
+  | 0 | 1 -> (k, Filter.of_key k)
+  | 2 -> (k, Filter.of_key (Flow.reverse k))
+  | 3 -> (k, { (Filter.of_key k) with Filter.app = Some app })
+  | 4 -> (k, { (Filter.of_key k) with Filter.tcp_flag = Some Packet.Syn })
+  | 5 -> (k, Filter.of_src_host (ip a))
+  | 6 -> (k, Filter.of_src_prefix (Ipaddr.Prefix.make (ip a) 31))
+  | 7 -> (k, Filter.make ~proto:Flow.Udp ~dst_port:(80 + (b mod 3)) ())
+  | 8 -> (k, Filter.of_app app)
+  | _ -> (k, Filter.any)
+
+let tombstones_equiv =
+  QCheck.Test.make ~name:"tombstones: keyed set == list oracle (random)"
+    ~count:200
+    QCheck.(list_of_size (Gen.int_range 1 80) (triple small_nat small_nat small_nat))
+    (fun ops ->
+      let set = Opennf_sb.Tombstones.create () in
+      let oracle = Oracle.Tombstones.create () in
+      List.for_all
+        (fun (c, a, b) ->
+          let k, flowid = tombstone_flowid (c / 2) a b in
+          if c land 1 = 0 then begin
+            Opennf_sb.Tombstones.add set flowid;
+            Oracle.Tombstones.add oracle flowid
+          end
+          else begin
+            Opennf_sb.Tombstones.clear_for set flowid;
+            Oracle.Tombstones.clear_for oracle flowid
+          end;
+          (* Query after some ops only, so adds and clears also meet
+             markers no query has filed yet. *)
+          (c / 32) land 1 = 1
+          || List.for_all
+               (fun k ->
+                 let got = Opennf_sb.Tombstones.matches set k in
+                 got = Oracle.Tombstones.matches oracle k
+                 || QCheck.Test.fail_reportf "after %s of %s: %s matches %b"
+                      (if c land 1 = 0 then "add" else "clear")
+                      (Filter.to_string flowid) (Flow.to_string k) got)
+               [ k; Flow.reverse k; fst (tombstone_flowid 0 b (a + 1)) ])
+        ops)
+
 let test_get_streaming_pieces () =
   let b = make_bed () in
   List.iteri
@@ -330,6 +384,7 @@ let suite =
     Alcotest.test_case "runtime: process action" `Quick test_event_process_action;
     Alcotest.test_case "runtime: filter scoping" `Quick test_event_filter_scoping;
     Alcotest.test_case "runtime: tombstones" `Quick test_tombstones_drop_moved_flows;
+    QCheck_alcotest.to_alcotest tombstones_equiv;
     Alcotest.test_case "runtime: streaming get" `Quick test_get_streaming_pieces;
     Alcotest.test_case "runtime: bulk get" `Quick test_get_bulk;
     Alcotest.test_case "runtime: serialization time" `Quick
