@@ -3,14 +3,13 @@
 
    Four questions, each in real seconds (not virtual time):
 
-   - ordered stores: what does a bulk scoped get (the getPerflow
-     enumeration behind a move of every flow) cost at 10k / 100k / 1M
-     flows on the always-sorted walk, against the sort-per-call
-     oracle ([Oracle.Store.perflow_matching])? And on the arena store
-     PRADS keeps its connections in, which sorts on query: how does
-     PRADS's [list_perflow Filter.any] over a preload inserted in
-     shuffled order compare with the fold-and-sort oracle
-     ([Oracle.Store.perflow_arena_matching]) on the same rows?
+   - ordered enumeration: on the arena store PRADS keeps its
+     connections in, which sorts on query, how does PRADS's
+     [list_perflow Filter.any] (the getPerflow enumeration behind a
+     move of every flow) over a preload inserted in shuffled order
+     compare with the fold-and-sort oracle
+     ([Oracle.Store.perflow_arena_matching]) on the same rows, at
+     10k / 100k / 1M flows?
    - allocation: how many minor-heap words does one getPerflow
      (enumerate + scratch-buffer chunk encode) burn?
    - throughput: how many simulation events per wall second does the
@@ -85,35 +84,19 @@ let minor_words_per f ~iters =
   done;
   (Gc.minor_words () -. before) /. float_of_int iters
 
-(* --- bulk scoped get ---------------------------------------------------- *)
+(* --- getPerflow allocation ----------------------------------------------- *)
 
 type get_row = {
-  g_walk : float;  (* ordered in-order walk (Store.Perflow.matching) *)
-  g_ref : float;  (* fold-then-sort reference, the seed's shape *)
   g_words : float;  (* minor words per NF-level getPerflow (list+export) *)
   g_export_words : float;  (* minor words per single chunk export *)
 }
 
 let bench_get n =
-  let store = Opennf_state.Store.Perflow.create () in
   let prads = Opennf_nfs.Prads.create () in
   let impl = Opennf_nfs.Prads.impl prads in
   for i = 0 to n - 1 do
-    Opennf_state.Store.Perflow.set store (key_of_int i) i;
     impl.Opennf_sb.Nf_api.process_packet (packet_of_int i)
   done;
-  (* The move-everything enumeration: an unconstrained filter takes the
-     ordered-walk path; the reference folds the hash table and sorts
-     the full result, which is what every scoped get used to pay. *)
-  let iters = max 1 (200_000 / n) in
-  let g_walk =
-    best_of ~iters (fun () ->
-        ignore (Opennf_state.Store.Perflow.matching store Filter.any))
-  in
-  let g_ref =
-    wall_per ~iters:(max 1 (50_000 / n)) (fun () ->
-        ignore (Oracle.Store.perflow_matching store Filter.any))
-  in
   (* Allocation cost of one single-flow getPerflow: enumerate the
      matching flowid, then serialize its connection through the
      module-level scratch writer. *)
@@ -128,7 +111,7 @@ let bench_get n =
     minor_words_per ~iters:1000 (fun () ->
         ignore (impl.Opennf_sb.Nf_api.export_perflow f))
   in
-  { g_walk; g_ref; g_words; g_export_words }
+  { g_words; g_export_words }
 
 (* The arena enumeration, as a same-process ratio: PRADS's full
    [list_perflow] against the fold-and-sort oracle over an arena store
@@ -291,8 +274,8 @@ let bench_shards () =
 
 let json_row n g e r c =
   Printf.sprintf
-    {|    {"flows": %d, "scoped_get_wall_ms": %.3f, "scoped_get_reference_wall_ms": %.3f, "scoped_get_speedup": %.2f, "arena_list_any_speedup_vs_oracle": %.2f, "get_perflow_minor_words": %.1f, "chunk_export_minor_words": %.1f, "preload_wall_ms": %.1f, "traffic_wall_ms": %.1f, "scenario_events": %d, "events_per_sec": %.0f, "gc_minor_collections": %d, "gc_major_collections": %d, "gc_major_words_per_event": %.1f}|}
-    n (1000.0 *. g.g_walk) (1000.0 *. g.g_ref) (g.g_ref /. g.g_walk) e
+    {|    {"flows": %d, "arena_list_any_speedup_vs_oracle": %.2f, "get_perflow_minor_words": %.1f, "chunk_export_minor_words": %.1f, "preload_wall_ms": %.1f, "traffic_wall_ms": %.1f, "scenario_events": %d, "events_per_sec": %.0f, "gc_minor_collections": %d, "gc_major_collections": %d, "gc_major_words_per_event": %.1f}|}
+    n e
     g.g_words g.g_export_words (1000.0 *. c.c_preload) (1000.0 *. c.c_traffic)
     r.sc_events
     (float_of_int r.sc_events /. c.c_traffic)
@@ -300,7 +283,7 @@ let json_row n g e r c =
     (c.c_major_words /. float_of_int r.sc_events)
 
 let run () =
-  H.section "Wall-clock scaling (ordered stores, allocation)";
+  H.section "Wall-clock scaling (ordered enumeration, allocation)";
   let sizes = sizes () in
   let metrics_hub = Opennf_obs.Hub.create ~metrics:true () in
   let metrics = Opennf_obs.Hub.metrics metrics_hub in
@@ -319,14 +302,13 @@ let run () =
   H.table
     ~header:
       [
-        "flows"; "bulk get ms"; "arena enum x"; "getPf words"; "events/s";
+        "flows"; "arena enum x"; "getPf words"; "events/s";
         "minor GCs"; "major GCs"; "major w/event";
       ]
     (List.map
        (fun (n, g, e, r, c) ->
          [
            string_of_int n;
-           Printf.sprintf "%.2f" (1000.0 *. g.g_walk);
            Printf.sprintf "%.2fx" e;
            Printf.sprintf "%.0f" g.g_words;
            Printf.sprintf "%.0f" (float_of_int r.sc_events /. c.c_traffic);

@@ -52,7 +52,6 @@ type slot = {
   mutable d_hit : bool;  (* False: the memoized decision is "no match". *)
 }
 
-module Omap = Opennf_util.Omap
 module Arena = Opennf_util.Arena
 
 (* Exact-index row layout: directed 5-tuple at the head, then the three
@@ -68,7 +67,6 @@ let e_stride = 48
 
 type t = {
   by_cookie : (int, entry) Hashtbl.t;
-  by_seq : (int, entry) Omap.t;  (* Ordered by install sequence. *)
   exact : Arena.t;
   (* eidx: directed-key probe table; slots hold the chain-head handle
      (0 = empty, -1 = tombstone). *)
@@ -113,7 +111,6 @@ let create ?engine () =
   let metrics = Opennf_obs.Hub.metrics obs in
   {
     by_cookie = Hashtbl.create 64;
-    by_seq = Omap.create ~cmp:Int.compare;
     exact = Arena.create ~stride:e_stride ();
     eidx = Array.make 256 0;
     emask = 255;
@@ -286,14 +283,11 @@ let eindex_remove t e (k : Flow.key) =
 let exact_keys rule =
   let keys = List.map Filter.exact_key rule.filters in
   if List.for_all Option.is_some keys then
-    (* Dedup + order through the same ordered-enumeration helper the
-       state stores use. *)
-    Some (Omap.sort_uniq ~cmp:Flow.compare (List.filter_map Fun.id keys))
+    Some (List.sort_uniq Flow.compare (List.filter_map Fun.id keys))
   else None
 
 let unlink t e =
   Hashtbl.remove t.by_cookie e.rule.cookie;
-  Omap.remove t.by_seq e.installed_seq;
   if has_flag_filter e.rule then t.flag_rules <- t.flag_rules - 1;
   match exact_keys e.rule with
   | Some keys -> List.iter (eindex_remove t e) keys
@@ -305,7 +299,6 @@ let unlink t e =
 
 let link t e =
   Hashtbl.replace t.by_cookie e.rule.cookie e;
-  Omap.set t.by_seq e.installed_seq e;
   if has_flag_filter e.rule then t.flag_rules <- t.flag_rules + 1;
   match exact_keys e.rule with
   | Some keys -> List.iter (eindex_add t e) keys
@@ -463,9 +456,12 @@ let lookup t p =
 let find t ~cookie =
   Option.map (fun e -> e.rule) (Hashtbl.find_opt t.by_cookie cookie)
 
-(* Newest-first dump via the seq-ordered mirror: an ascending fold with
-   prepend yields descending install order — no per-call sort. *)
-let rules t = Omap.fold_asc (fun _ e acc -> e.rule :: acc) t.by_seq []
+(* Newest-first dump: the cookie table's entries sorted by descending
+   install sequence (sequences are unique, so the order is total). *)
+let rules t =
+  Hashtbl.fold (fun _ e acc -> e :: acc) t.by_cookie []
+  |> List.sort (fun a b -> Int.compare b.installed_seq a.installed_seq)
+  |> List.map (fun e -> e.rule)
 
 let size t = Hashtbl.length t.by_cookie
 let cache_stats t = (t.cache_hits, t.cache_misses)

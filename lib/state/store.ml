@@ -1,12 +1,10 @@
-module Omap = Opennf_util.Omap
 open Opennf_net
 
 (* Deterministic enumeration: results are in key order so simulation
-   runs do not depend on hash-table iteration order. The boxed stores
-   pair a hash table (O(1) point lookups on the packet path) with an
-   always-sorted mirror ({!Opennf_util.Omap}, O(log n) update), so a
-   scoped enumeration is an in-order walk. The arena store keeps no
-   mirror: it sorts on query, and sorts only the matches. *)
+   runs do not depend on hash-table iteration order. Every store holds
+   its entries once, in a hash table or an arena (O(1) point lookups on
+   the packet path), and sorts on query: an enumeration collects the
+   matches and sorts only those. *)
 
 module Perflow = struct
   (* Alongside the canonical-keyed value table, a secondary index maps
@@ -16,15 +14,9 @@ module Perflow = struct
   type 'a t = {
     table : 'a Flow.Table.t;
     by_host : (Ipaddr.t, Flow.Set.t ref) Hashtbl.t;
-    sorted : (Flow.key, 'a) Omap.t;
   }
 
-  let create () =
-    {
-      table = Flow.Table.create 64;
-      by_host = Hashtbl.create 64;
-      sorted = Omap.create ~cmp:Flow.compare;
-    }
+  let create () = { table = Flow.Table.create 64; by_host = Hashtbl.create 64 }
 
   let find t k = Flow.Table.find_opt t.table (Flow.canonical k)
 
@@ -46,16 +38,14 @@ module Perflow = struct
       index_add t k.Flow.src_ip k;
       index_add t k.Flow.dst_ip k
     end;
-    Flow.Table.replace t.table k v;
-    Omap.set t.sorted k v
+    Flow.Table.replace t.table k v
 
   let remove t k =
     let k = Flow.canonical k in
     if Flow.Table.mem t.table k then begin
       Flow.Table.remove t.table k;
       index_remove t k.Flow.src_ip k;
-      index_remove t k.Flow.dst_ip k;
-      Omap.remove t.sorted k
+      index_remove t k.Flow.dst_ip k
     end
 
   let mem t k = Flow.Table.mem t.table (Flow.canonical k)
@@ -102,12 +92,12 @@ module Perflow = struct
       | Some p, _ | None, Some p ->
         of_candidates t filter (prefix_candidates t p)
       | None, None ->
-        (* Unscoped: in-order walk of the sorted mirror. A descending
-           fold with prepend yields the ascending list directly. *)
-        Omap.fold_desc
+        (* Unscoped: fold the table, keep the matches, sort those. *)
+        Flow.Table.fold
           (fun k v acc ->
             if Filter.matches_flow filter k then (k, v) :: acc else acc)
-          t.sorted [])
+          t.table []
+        |> List.sort (fun (a, _) (b, _) -> Flow.compare a b))
 
   let fold t ~init ~f = Flow.Table.fold (fun k v acc -> f k v acc) t.table init
   let size t = Flow.Table.length t.table
@@ -346,23 +336,12 @@ module Perflow_arena = struct
 end
 
 module Per_host = struct
-  type 'a t = {
-    table : (Ipaddr.t, 'a) Hashtbl.t;
-    sorted : (Ipaddr.t, 'a) Omap.t;
-  }
+  type 'a t = (Ipaddr.t, 'a) Hashtbl.t
 
-  let create () =
-    { table = Hashtbl.create 64; sorted = Omap.create ~cmp:Ipaddr.compare }
-
-  let find t ip = Hashtbl.find_opt t.table ip
-
-  let set t ip v =
-    Hashtbl.replace t.table ip v;
-    Omap.set t.sorted ip v
-
-  let remove t ip =
-    Hashtbl.remove t.table ip;
-    Omap.remove t.sorted ip
+  let create () : 'a t = Hashtbl.create 64
+  let find = Hashtbl.find_opt
+  let set = Hashtbl.replace
+  let remove = Hashtbl.remove
 
   let update t ip ~default ~f =
     let current = match find t ip with Some v -> v | None -> default () in
@@ -380,7 +359,7 @@ module Per_host = struct
 
   let host_candidates filter =
     match (exact_host filter.Filter.src, exact_host filter.Filter.dst) with
-    | Some None, Some None -> None (* unconstrained: full walk *)
+    | Some None, Some None -> None (* unconstrained: fold and sort *)
     | Some (Some a), Some (Some b) ->
       let c = Ipaddr.compare a b in
       Some (if c < 0 then [ a; b ] else if c = 0 then [ a ] else [ b; a ])
@@ -393,49 +372,36 @@ module Per_host = struct
       List.filter_map
         (fun ip ->
           if Filter.matches_host filter ip then
-            Option.map (fun v -> (ip, v)) (Hashtbl.find_opt t.table ip)
+            Option.map (fun v -> (ip, v)) (Hashtbl.find_opt t ip)
           else None)
         hosts
     | None ->
-      Omap.fold_desc
+      Hashtbl.fold
         (fun ip v acc ->
           if Filter.matches_host filter ip then (ip, v) :: acc else acc)
-        t.sorted []
+        t []
+      |> List.sort (fun (a, _) (b, _) -> Ipaddr.compare a b)
 
-  let fold t ~init ~f = Hashtbl.fold (fun k v acc -> f k v acc) t.table init
-  let size t = Hashtbl.length t.table
+  let fold t ~init ~f = Hashtbl.fold (fun k v acc -> f k v acc) t init
+  let size = Hashtbl.length
 end
 
 module Keyed = struct
   type ('k, 'a) t = {
     table : ('k, 'a) Hashtbl.t;
     relevant : Filter.t -> 'k -> 'a -> bool;
-    sorted : ('k, 'a) Omap.t;
   }
 
-  (* Enumeration follows the polymorphic ordering, as the seed's
-     [List.sort compare] did. *)
-  let create ~relevant () =
-    {
-      table = Hashtbl.create 64;
-      relevant;
-      sorted = Omap.create ~cmp:Stdlib.compare;
-    }
-
+  let create ~relevant () = { table = Hashtbl.create 64; relevant }
   let find t k = Hashtbl.find_opt t.table k
-
-  let set t k v =
-    Hashtbl.replace t.table k v;
-    Omap.set t.sorted k v
-
-  let remove t k =
-    Hashtbl.remove t.table k;
-    Omap.remove t.sorted k
+  let set t k v = Hashtbl.replace t.table k v
+  let remove t k = Hashtbl.remove t.table k
 
   let matching t filter =
-    Omap.fold_desc
+    Hashtbl.fold
       (fun k v acc -> if t.relevant filter k v then (k, v) :: acc else acc)
-      t.sorted []
+      t.table []
+    |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
 
   let fold t ~init ~f = Hashtbl.fold (fun k v acc -> f k v acc) t.table init
   let size t = Hashtbl.length t.table

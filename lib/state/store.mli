@@ -21,12 +21,13 @@ module Perflow : sig
   val mem : 'a t -> Flow.key -> bool
   val matching : 'a t -> Filter.t -> (Flow.key * 'a) list
   (** Entries whose connection matches the filter (either direction),
-      in unspecified but deterministic order.
+      in ascending [Flow.compare] order of their canonical keys.
 
       Indexed: an exact 5-tuple filter is a single hash probe, and
       src/dst address constraints enumerate a per-host secondary index
-      instead of the whole store; only filters with no address
-      constraint fall back to a full scan. *)
+      (already in key order) instead of the whole store; only filters
+      with no address constraint fold the whole table, then sort the
+      matches on query. *)
 
   val fold : 'a t -> init:'b -> f:(Flow.key -> 'a -> 'b -> 'b) -> 'b
   val size : 'a t -> int
@@ -40,8 +41,8 @@ module Perflow_arena : sig
       the resident state — the marking cost of a million live flows is
       a handful of byte slabs, not millions of boxed records. Point
       lookups probe a flat open-addressing int array, and that index
-      and the slabs are all the store holds: no ordered mirror, so
-      insert and remove leave no per-row node on the OCaml heap.
+      and the slabs are all the store holds, so insert and remove leave
+      no per-row node on the OCaml heap.
       Ordered enumeration sorts on query (see {!matching}). *)
 
   val payload_off : int
@@ -98,8 +99,8 @@ module Per_host : sig
       ([Filter.matches_host]), in ascending address order.
 
       Indexed: filters whose address constraints all pin single hosts
-      are answered by hash probes; anything else is an in-order walk of
-      the sorted mirror (never a per-call sort). *)
+      are answered by hash probes; anything else folds the table and
+      sorts the matches on query. *)
 
   val fold : 'a t -> init:'b -> f:(Ipaddr.t -> 'a -> 'b -> 'b) -> 'b
   val size : 'a t -> int
@@ -118,8 +119,8 @@ module Keyed : sig
 
   val matching : ('k, 'a) t -> Filter.t -> ('k * 'a) list
   (** Relevant entries in ascending key order (the polymorphic
-      [compare]) — an in-order walk of the sorted mirror, never a
-      per-call sort. *)
+      [compare]): the table is folded and the matches sorted on
+      query. *)
 
   val fold : ('k, 'a) t -> init:'b -> f:('k -> 'a -> 'b -> 'b) -> 'b
   val size : ('k, 'a) t -> int

@@ -226,6 +226,23 @@ let test_flowtable_multi_filter_rule () =
   Alcotest.(check bool) "reverse dir" true
     (Flowtable.lookup t (pkt (Flow.reverse key)) <> None)
 
+(* [rules] is newest-first by install sequence: re-installing a cookie
+   moves it to the front, removing one closes the gap. *)
+let test_flowtable_rules_order () =
+  let t = Flowtable.create () in
+  let install cookie =
+    Flowtable.install t ~cookie ~priority:100 ~filters:[ Filter.any ]
+      ~actions:[ Flowtable.Forward "nf" ]
+  in
+  let cookies () = List.map (fun r -> r.Flowtable.cookie) (Flowtable.rules t) in
+  List.iter install [ 1; 2; 3 ];
+  Alcotest.(check (list int)) "newest first" [ 3; 2; 1 ] (cookies ());
+  install 1;
+  Alcotest.(check (list int)) "re-install moves to front" [ 1; 3; 2 ]
+    (cookies ());
+  Flowtable.remove t ~cookie:3;
+  Alcotest.(check (list int)) "remove closes the gap" [ 1; 2 ] (cookies ())
+
 (* --- channel ---------------------------------------------------------------- *)
 
 let test_channel_latency_and_order () =
@@ -440,6 +457,8 @@ let suite =
       test_flowtable_remove_and_counters;
     Alcotest.test_case "flowtable: multi-filter rule" `Quick
       test_flowtable_multi_filter_rule;
+    Alcotest.test_case "flowtable: rules newest first" `Quick
+      test_flowtable_rules_order;
     Alcotest.test_case "channel: latency & order" `Quick
       test_channel_latency_and_order;
     Alcotest.test_case "channel: bandwidth" `Quick test_channel_bandwidth_serializes;

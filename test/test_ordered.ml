@@ -1,14 +1,12 @@
-(* Ordered-store equivalence (ISSUE 4): the always-sorted mirrors that
-   replaced materialize-then-sort enumeration must be observationally
-   identical — same keys, same order, same values — to the fold-and-sort
-   oracles ({!Oracle.Store}), under arbitrary insert/remove/get
-   interleavings. Plus allocation-budget regressions for the
-   getPerflow fast path: the point of the ordered stores and scratch
-   buffers is that a scoped get neither sorts nor churns the minor
-   heap, and a budget test keeps that true. *)
+(* Ordered-store equivalence: every store's [matching] (hash probes,
+   the per-host index, or fold-and-sort of the matches on query) must be
+   observationally identical — same keys, same order, same values — to
+   the full-scan fold-and-sort oracles ({!Oracle.Store}), under
+   arbitrary insert/remove/get interleavings. Plus allocation-budget
+   regressions for the getPerflow fast path: an exact-key get and the
+   arena store's insert/remove must not churn the minor heap, and a
+   budget test keeps that true. *)
 
-module Omap = Opennf_util.Omap
-module IntMap = Map.Make (Int)
 open Opennf_net
 open Opennf_state
 
@@ -122,33 +120,6 @@ let keyed_equiv =
             = Oracle.Store.keyed_matching store ~relevant f)
         ops)
 
-(* The ordered-map helper itself against the stdlib Map oracle. *)
-let omap_oracle =
-  QCheck.Test.make ~name:"omap: set/remove/find/walk == stdlib Map (random)"
-    ~count:120
-    QCheck.(list (pair small_nat small_nat))
-    (fun ops ->
-      let om = Omap.create ~cmp:Int.compare in
-      let oracle = ref IntMap.empty in
-      List.iter
-        (fun (c, k) ->
-          if c mod 3 = 2 then begin
-            Omap.remove om k;
-            oracle := IntMap.remove k !oracle
-          end
-          else begin
-            Omap.set om k c;
-            oracle := IntMap.add k c !oracle
-          end)
-        ops;
-      Omap.to_alist om = IntMap.bindings !oracle
-      && Omap.cardinal om = IntMap.cardinal !oracle
-      && List.for_all
-           (fun (_, k) -> Omap.find_opt om k = IntMap.find_opt k !oracle)
-           ops
-      && Omap.fold_asc (fun k v acc -> (k, v) :: acc) om []
-         = List.rev (IntMap.bindings !oracle))
-
 (* --- allocation budgets ------------------------------------------------ *)
 
 let minor_words_per ~iters f =
@@ -256,7 +227,7 @@ let test_arena_insert_remove_alloc_budget () =
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [ perflow_equiv; per_host_equiv; keyed_equiv; omap_oracle ]
+    [ perflow_equiv; per_host_equiv; keyed_equiv ]
   @ [
       Alcotest.test_case "alloc budget: exact store matching" `Quick
         test_matching_alloc_budget;
