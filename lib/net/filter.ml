@@ -41,20 +41,33 @@ let of_app app = { any with app = Some app }
 let mirror t =
   { t with src = t.dst; dst = t.src; src_port = t.dst_port; dst_port = t.src_port }
 
-let opt_equal eq a b =
+(* Field-by-field, one match per field: no comparison closure is built
+   or called. [proto] and [tcp_flag] are constant constructors, so [==]
+   is their equality. *)
+let prefix_opt_equal a b =
   match (a, b) with
   | None, None -> true
-  | Some x, Some y -> eq x y
+  | Some x, Some y -> Ipaddr.Prefix.equal x y
+  | None, Some _ | Some _, None -> false
+
+let imm_opt_equal (a : 'a option) (b : 'a option) =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> x == y
   | None, Some _ | Some _, None -> false
 
 let equal a b =
-  opt_equal Ipaddr.Prefix.equal a.src b.src
-  && opt_equal Ipaddr.Prefix.equal a.dst b.dst
-  && opt_equal ( = ) a.proto b.proto
-  && opt_equal Int.equal a.src_port b.src_port
-  && opt_equal Int.equal a.dst_port b.dst_port
-  && opt_equal ( = ) a.tcp_flag b.tcp_flag
-  && opt_equal String.equal a.app b.app
+  prefix_opt_equal a.src b.src
+  && prefix_opt_equal a.dst b.dst
+  && imm_opt_equal a.proto b.proto
+  && imm_opt_equal a.src_port b.src_port
+  && imm_opt_equal a.dst_port b.dst_port
+  && imm_opt_equal a.tcp_flag b.tcp_flag
+  &&
+  match (a.app, b.app) with
+  | None, None -> true
+  | Some x, Some y -> String.equal x y
+  | None, Some _ | Some _, None -> false
 
 let compare_opt cmp a b =
   match (a, b) with
@@ -86,22 +99,17 @@ let compare a b =
   <?> fun () -> compare_opt String.compare a.app b.app
 
 let hash t =
-  let open Opennf_util.Hashing in
-  let prefix64 = function
-    | None -> -1L
+  let prefix = function
+    | None -> -1
     | Some p ->
-      Int64.of_int
-        ((Ipaddr.to_int (Ipaddr.Prefix.network p) lsl 6)
-        lor Ipaddr.Prefix.bits p)
+      (Ipaddr.to_int (Ipaddr.Prefix.network p) lsl 6) lor Ipaddr.Prefix.bits p
   in
-  let int64_of_opt f = function None -> -1L | Some x -> Int64.of_int (f x) in
-  let h = combine (prefix64 t.src) (prefix64 t.dst) in
-  let h = combine h (int64_of_opt proto_rank t.proto) in
-  let h = combine h (int64_of_opt Fun.id t.src_port) in
-  let h = combine h (int64_of_opt Fun.id t.dst_port) in
-  let h = combine h (int64_of_opt flag_rank t.tcp_flag) in
-  let h = combine h (match t.app with None -> 0L | Some a -> fnv1a64 a) in
-  Int64.to_int h land max_int
+  let rank f = function None -> -1 | Some x -> f x in
+  let int_opt = function None -> -1 | Some x -> x in
+  Opennf_util.Hashing.combine7 (prefix t.src) (prefix t.dst)
+    (rank proto_rank t.proto) (int_opt t.src_port) (int_opt t.dst_port)
+    (rank flag_rank t.tcp_flag)
+    (match t.app with None -> 0L | Some a -> Opennf_util.Hashing.fnv1a64 a)
 
 let is_symmetric t = equal (mirror t) t
 

@@ -35,7 +35,14 @@ let compare a b =
         let c = Int.compare a.src_port b.src_port in
         if c <> 0 then c else Int.compare a.dst_port b.dst_port
 
-let equal a b = compare a b = 0
+(* [compare a b = 0] without the ordering work; [proto] is a constant
+   constructor, so [==] is its equality. *)
+let equal a b =
+  Ipaddr.equal a.src_ip b.src_ip
+  && Ipaddr.equal a.dst_ip b.dst_ip
+  && a.proto == b.proto
+  && Int.equal a.src_port b.src_port
+  && Int.equal a.dst_port b.dst_port
 
 (* [compare k (reverse k) <= 0], decided on the swapped fields in place:
    the reversed record is built only when it is the answer. *)
@@ -44,18 +51,9 @@ let canonical k =
   if c < 0 || (c = 0 && k.src_port <= k.dst_port) then k else reverse k
 
 let hash k =
-  let open Opennf_util.Hashing in
-  let h =
-    combine
-      (Int64.of_int (Ipaddr.hash k.src_ip))
-      (Int64.of_int (Ipaddr.hash k.dst_ip))
-  in
-  let h = combine h (Int64.of_int k.src_port) in
-  let h = combine h (Int64.of_int k.dst_port) in
-  let h =
-    combine h (Int64.of_int (match k.proto with Tcp -> 0 | Udp -> 1 | Icmp -> 2))
-  in
-  Int64.to_int h land max_int
+  Opennf_util.Hashing.combine5 (Ipaddr.hash k.src_ip) (Ipaddr.hash k.dst_ip)
+    k.src_port k.dst_port
+    (match k.proto with Tcp -> 0 | Udp -> 1 | Icmp -> 2)
 
 let to_string k =
   Printf.sprintf "%s:%d>%s:%d/%s"

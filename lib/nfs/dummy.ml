@@ -22,9 +22,13 @@ let chunk_for t key =
   let n = t.chunk_bytes in
   let seed = Flow.hash key in
   let rng = Opennf_util.Rng.create ~seed in
-  String.init n (fun i ->
-      if i < String.length template then template.[i]
-      else Char.chr (Opennf_util.Rng.int rng 256))
+  let b = Bytes.create n in
+  for i = 0 to n - 1 do
+    Bytes.unsafe_set b i
+      (if i < String.length template then String.unsafe_get template i
+       else Char.unsafe_chr (Opennf_util.Rng.int rng 256))
+  done;
+  Bytes.unsafe_to_string b
 
 let seed_flows t keys = List.iter (fun k -> Store.Perflow.set t.flows k ()) keys
 

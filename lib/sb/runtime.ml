@@ -141,10 +141,12 @@ let process t (p : Packet.t) =
     t.impl.Nf_api.process_packet p;
     t.processed <- t.processed + 1;
     Audit.log_process t.audit p ~nf:t.name;
-    (* Delta replication rides the packet's own service time: marking
-       and flushing schedule nothing on the NF, only (for a replicated
-       primary) a send on the delta channel. *)
-    Option.iter (fun b -> Backend.note_packet b p.Packet.key) t.backend
+    (* Delta replication rides the packet's own service time: exporting
+       schedules nothing on the NF, only (for a replicated primary) a
+       send on the delta channel. *)
+    match t.backend with
+    | Some b -> Backend.note_packet b p.Packet.key
+    | None -> ()
   end;
   t.in_service <- None;
   Proc.Ivar.fill done_ivar ()

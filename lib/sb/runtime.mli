@@ -35,8 +35,8 @@ val create :
     replies.
 
     With [backend], the runtime wires the NF's export/import functions
-    as the backend's delta exporter/applier and marks the packet's keys
-    dirty after every processed packet ({!Opennf_state.Backend.note_packet}),
+    as the backend's delta exporter/applier and exports the packet's
+    keys after every processed packet ({!Opennf_state.Backend.note_packet}),
     which is what keeps a replicated backend's standby fresh. [Local]
     and [Shared] backends make all of that a no-op. *)
 

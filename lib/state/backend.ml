@@ -63,6 +63,10 @@ type link = {
   mutable gap_frames : int;
   mutable stale_frames : int;
   mutable waiters : (int * unit Proc.Ivar.t) list;  (* seq awaited *)
+  (* The frame being assembled, newest entry first, and its wire size
+     (frame overhead included). Empty between packets. *)
+  mutable pending : entry list;
+  mutable pending_bytes : int;
   m_bytes : Opennf_obs.Metrics.counter;
   m_frames : Opennf_obs.Metrics.counter;
   m_entries : Opennf_obs.Metrics.counter;
@@ -79,11 +83,6 @@ type t = {
   mutable peer : t option;
   mutable exporter : (Scope.t -> Filter.t -> Chunk.t option) option;
   mutable applier : (Scope.t -> Filter.t -> Chunk.t option -> unit) option;
-  (* Dirty keys pending export, in first-marked order; the tables give
-     O(1) coalescing of re-marked keys. *)
-  dirty_per : unit Filter.Table.t;
-  dirty_multi : unit Filter.Table.t;
-  dirty_q : (Scope.t * Filter.t) Queue.t;
   (* Keys the standby has been sent, so a later disappearance at the
      primary is propagated as a delete (and never-sent keys are not). *)
   sent_per : unit Filter.Table.t;
@@ -104,9 +103,6 @@ let mk ?(name = "backend") kind role link =
     peer = None;
     exporter = None;
     applier = None;
-    dirty_per = Filter.Table.create 16;
-    dirty_multi = Filter.Table.create 16;
-    dirty_q = Queue.create ();
     sent_per = Filter.Table.create 64;
     sent_multi = Filter.Table.create 64;
   }
@@ -168,6 +164,8 @@ let replicated_pair engine ?name ?(latency = 0.002) ?bandwidth ?batch_bytes
       gap_frames = 0;
       stale_frames = 0;
       waiters = [];
+      pending = [];
+      pending_bytes = frame_overhead;
       m_bytes = Opennf_obs.Metrics.counter metrics "backend.delta.bytes";
       m_frames = Opennf_obs.Metrics.counter metrics "backend.delta.frames";
       m_entries = Opennf_obs.Metrics.counter metrics "backend.delta.entries";
@@ -203,38 +201,21 @@ let get_store (type a) t ~name ~(id : a Type.Id.t) ~make : a =
 let set_exporter t f = t.exporter <- Some f
 let set_applier t f = t.applier <- Some f
 
-let note t scope flowid =
-  if t.role = Primary then begin
-    let tbl =
-      match (scope : Scope.t) with
-      | Scope.Per -> Some t.dirty_per
-      | Scope.Multi -> Some t.dirty_multi
-      | Scope.All -> None  (* aggregate state does not stream *)
-    in
-    match tbl with
-    | None -> ()
-    | Some tbl ->
-      if not (Filter.Table.mem tbl flowid) then begin
-        Filter.Table.replace tbl flowid ();
-        Queue.push (scope, flowid) t.dirty_q
-      end
-  end
-
 let sent_tbl t = function
   | Scope.Per -> t.sent_per
   | Scope.Multi -> t.sent_multi
   | Scope.All -> assert false
 
-let send_frame l entries_rev =
-  match entries_rev with
+let send_pending l =
+  match l.pending with
   | [] -> ()
-  | _ ->
+  | entries_rev ->
     let entries = List.rev entries_rev in
-    l.sent_seq <- l.sent_seq + 1;
     let n = List.length entries in
-    let size =
-      List.fold_left (fun acc e -> acc + entry_size e) frame_overhead entries
-    in
+    let size = l.pending_bytes in
+    l.pending <- [];
+    l.pending_bytes <- frame_overhead;
+    l.sent_seq <- l.sent_seq + 1;
     l.frames_sent <- l.frames_sent + 1;
     l.entries_sent <- l.entries_sent + n;
     l.delta_bytes <- l.delta_bytes + size;
@@ -244,62 +225,46 @@ let send_frame l entries_rev =
     Channel.send l.chan ~size
       { seq = l.sent_seq; sent_at = Engine.now l.engine; entries }
 
-let flush t =
-  match (t.role, t.link, t.exporter) with
-  | Primary, Some l, Some export ->
-    let pending = ref [] in
-    let pending_bytes = ref frame_overhead in
-    let emit e =
-      let sz = entry_size e in
-      (match l.batch_bytes with
-      | Some budget when !pending <> [] && !pending_bytes + sz > budget ->
-        send_frame l !pending;
-        pending := [];
-        pending_bytes := frame_overhead
-      | _ -> ());
-      pending := e :: !pending;
-      pending_bytes := !pending_bytes + sz
-    in
-    while not (Queue.is_empty t.dirty_q) do
-      let scope, flowid = Queue.pop t.dirty_q in
-      let tbl =
-        match scope with Scope.Per -> t.dirty_per | _ -> t.dirty_multi
-      in
-      if Filter.Table.mem tbl flowid then begin
-        Filter.Table.remove tbl flowid;
-        let sent = sent_tbl t scope in
-        match export scope flowid with
-        | Some chunk ->
-          Filter.Table.replace sent flowid ();
-          emit { e_scope = scope; e_flowid = flowid; e_chunk = Some chunk }
-        | None ->
-          (* Only propagate a delete for keys the standby has seen. *)
-          if Filter.Table.mem sent flowid then begin
-            Filter.Table.remove sent flowid;
-            emit { e_scope = scope; e_flowid = flowid; e_chunk = None }
-          end
-      end
-    done;
-    send_frame l !pending
-  | _ -> ()
+(* Append [e] to the pending frame, first sending that frame if [e]
+   would push a non-empty one past the byte budget. *)
+let push l e =
+  let sz = entry_size e in
+  (match (l.batch_bytes, l.pending) with
+  | Some budget, _ :: _ when l.pending_bytes + sz > budget -> send_pending l
+  | _ -> ());
+  l.pending <- e :: l.pending;
+  l.pending_bytes <- l.pending_bytes + sz
+
+(* Export one key's current value into the pending frame. A key that no
+   longer exists becomes a delete only if the standby was sent it. *)
+let export_key t l export scope flowid =
+  let sent = sent_tbl t scope in
+  match export scope flowid with
+  | Some chunk ->
+    Filter.Table.replace sent flowid ();
+    push l { e_scope = scope; e_flowid = flowid; e_chunk = Some chunk }
+  | None ->
+    if Filter.Table.mem sent flowid then begin
+      Filter.Table.remove sent flowid;
+      push l { e_scope = scope; e_flowid = flowid; e_chunk = None }
+    end
 
 let note_packet t (key : Flow.key) =
-  if t.role = Primary then begin
-    note t Scope.Per (Filter.of_key key);
-    note t Scope.Multi (Filter.of_src_host key.Flow.src_ip);
-    note t Scope.Multi (Filter.of_src_host key.Flow.dst_ip);
-    flush t
-  end
+  match (t.role, t.link, t.exporter) with
+  | Primary, Some l, Some export ->
+    export_key t l export Scope.Per (Filter.of_key key);
+    export_key t l export Scope.Multi (Filter.of_src_host key.Flow.src_ip);
+    if not (Ipaddr.equal key.Flow.dst_ip key.Flow.src_ip) then
+      export_key t l export Scope.Multi (Filter.of_src_host key.Flow.dst_ip);
+    send_pending l
+  | _ -> ()
 
 let drain t =
   match (t.role, t.link) with
-  | Primary, Some l ->
-    flush t;
-    if l.applied_seq < l.sent_seq then begin
-      let iv = Proc.Ivar.create l.engine in
-      l.waiters <- (l.sent_seq, iv) :: l.waiters;
-      Proc.Ivar.read iv
-    end
+  | Primary, Some l when l.applied_seq < l.sent_seq ->
+    let iv = Proc.Ivar.create l.engine in
+    l.waiters <- (l.sent_seq, iv) :: l.waiters;
+    Proc.Ivar.read iv
   | _ -> ()
 
 let promote t =

@@ -56,7 +56,7 @@ type stats = {
 val local : ?name:string -> unit -> t
 (** In-process backend, the seed behavior: one instance, its own
     stores. Exists so every NF can be constructed over a backend handle
-    uniformly; marking/flush entry points are no-ops. *)
+    uniformly; {!note_packet} and {!drain} are no-ops. *)
 
 val shared : ?name:string -> unit -> t
 (** One store registry attached to N scale-out instances: every
@@ -75,7 +75,7 @@ val replicated_pair :
     ["<name>.delta"] (fault-injectable through [faults] under that
     name, like any channel). [latency] defaults to 2 ms (the control
     channel's), [bandwidth] to infinite. [batch_bytes] cuts frames at a
-    byte budget; omitted means one frame per flush. *)
+    byte budget; omitted means one frame per {!note_packet}. *)
 
 val kind : t -> kind
 val role : t -> role
@@ -102,25 +102,22 @@ val set_exporter : t -> (Scope.t -> Filter.t -> Chunk.t option) -> unit
 val set_applier : t -> (Scope.t -> Filter.t -> Chunk.t option -> unit) -> unit
 (** Standby side: how to install ([Some]) or delete ([None]) one key. *)
 
-val note : t -> Scope.t -> Filter.t -> unit
-(** Mark one key dirty; it is exported at the next {!flush}. Re-marking
-    a key already dirty coalesces. *)
-
 val note_packet : t -> Flow.key -> unit
-(** The runtime's per-packet hook: marks the packet's flow (Per scope)
-    and both endpoint hosts (Multi scope) dirty, then flushes — so the
+(** The runtime's per-packet hook, the primary's only export path: it
+    exports the packet's flow (Per scope, {!Filter.of_key}), then its
+    source host and, when different, its destination host (Multi scope,
+    {!Filter.of_src_host}), in that order, and sends them as one frame
+    (or several, under [batch_bytes]). A key the exporter no longer has
+    is sent as a delete only if the standby was sent it before. The
     delta stream stays as fresh as the packet stream, and replication
     work rides the packet's own service time (no extra virtual-time
     events on the primary). *)
 
-val flush : t -> unit
-(** Export every dirty key and send the resulting frame(s). *)
-
 val drain : t -> unit
-(** Blocking (call from a process): {!flush}, then wait until the
-    standby has applied everything sent. Used by the [move] fast path
-    to guarantee the destination is caught up before traffic lands
-    there. Returns immediately on non-primary backends. *)
+(** Blocking (call from a process): wait until the standby has applied
+    every frame sent so far. Used by the [move] fast path to guarantee
+    the destination is caught up before traffic lands there. Returns
+    immediately on non-primary backends. *)
 
 val promote : t -> unit
 (** Standby side: take over. Frames still in flight are ignored (and

@@ -15,6 +15,15 @@ val fnv1a64_sub : string -> pos:int -> len:int -> int64
 val combine : int64 -> int64 -> int64
 (** Mix two hashes into one (not commutative). *)
 
+val combine5 : int -> int -> int -> int -> int -> int
+(** [combine5 a b c d e] folds {!combine} left over the five ints (each
+    [Int64.of_int]) and keeps the low bits as a non-negative [int], the
+    form [Hashtbl.Make] wants. Allocates nothing. *)
+
+val combine7 : int -> int -> int -> int -> int -> int -> int64 -> int
+(** Like {!combine5} over six ints and a final 64-bit hash. Allocates
+    nothing beyond what the caller boxes for the last argument. *)
+
 module Digest_sig : sig
   type t
   (** Incremental digest over a byte stream. *)

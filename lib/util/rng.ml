@@ -23,7 +23,8 @@ let split t =
 let int t n =
   assert (n > 0);
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
-  v mod n
+  (* [v >= 0], so a power-of-two [n] needs no division. *)
+  if n land (n - 1) = 0 then v land (n - 1) else v mod n
 
 let float t x =
   (* 53 random bits mapped to [0, 1). *)

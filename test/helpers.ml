@@ -113,3 +113,13 @@ let dummy_pair ?obs ~flows () =
   let src = add "src" d_src in
   let dst = add "dst" d_dst in
   { dfab; src; dst; d_src; d_dst }
+
+(* Minor-heap words one call of [f] allocates, averaged over [iters]
+   calls after a warm-up call (caches and one-time setup). *)
+let minor_words_per ~iters f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to iters do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int iters

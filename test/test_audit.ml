@@ -288,14 +288,6 @@ let prop_oracle =
 
 (* --- allocation budget ---------------------------------------------------- *)
 
-let minor_words_per ~iters f =
-  f ();
-  let before = Gc.minor_words () in
-  for _ = 1 to iters do
-    f ()
-  done;
-  (Gc.minor_words () -. before) /. float_of_int iters
-
 (* Without taps or hub tracing a record is a row of column stores;
    growth doubles the columns on the major heap. The budget leaves room
    for a boxed clock read, nothing per-record beyond it. *)
@@ -303,8 +295,8 @@ let test_log_alloc_budget () =
   let _, a = bed () in
   let p = pkt 1 key in
   let budget = 4.0 in
-  let process = minor_words_per ~iters:200_000 (fun () -> Audit.log_process a p ~nf:"nf1") in
-  let forward = minor_words_per ~iters:200_000 (fun () -> Audit.log_forward a p ~dst:"nf2") in
+  let process = Helpers.minor_words_per ~iters:200_000 (fun () -> Audit.log_process a p ~nf:"nf1") in
+  let forward = Helpers.minor_words_per ~iters:200_000 (fun () -> Audit.log_forward a p ~dst:"nf2") in
   Alcotest.(check bool)
     (Printf.sprintf "log_process %.2f words/record <= %.0f" process budget)
     true (process <= budget);

@@ -98,88 +98,156 @@ let test_routing_predicates () =
 
 (* A replicated pair whose "NF" is a Filter-keyed string table: the
    exporter reads the primary table, the applier writes the standby
-   table, and every delta-link behavior is observable in isolation. *)
+   table and logs every applied entry, and every delta-link behavior is
+   observable in isolation. *)
 let toy ?batch_bytes ?faults engine =
   let pb, sb =
     Backend.replicated_pair engine ~name:"toy" ?batch_bytes ?faults ()
   in
   let pstore = Filter.Table.create 16 in
   let sstore = Filter.Table.create 16 in
+  let applied = ref [] in
   Backend.set_exporter pb (fun _scope flowid ->
       Filter.Table.find_opt pstore flowid
       |> Option.map (fun v -> Chunk.v ~kind:"toy" v));
-  Backend.set_applier sb (fun _scope flowid chunk ->
+  Backend.set_applier sb (fun scope flowid chunk ->
+      applied := (scope, flowid) :: !applied;
       match chunk with
       | None -> Filter.Table.remove sstore flowid
       | Some c -> Filter.Table.replace sstore flowid c.Chunk.data);
-  (pb, sb, pstore, sstore)
+  (pb, sb, pstore, sstore, applied)
 
-let key i = Filter.of_src_host (Ipaddr.of_int (i + 1))
+let host i = Ipaddr.of_int (i + 1)
+
+(* Host [i]'s multi-flow key, as [note_packet] exports it. *)
+let key i = Filter.of_src_host (host i)
+
+(* A packet from host [i] to host [j]: [note_packet] exports its flow
+   key, then [key i], then [key j] unless [i = j]. *)
+let pkt i j = Flow.make ~src:(host i) ~dst:(host j) ~sport:1000 ~dport:80 ()
 
 let test_toy_replication_and_delete () =
   let engine = Engine.create () in
-  let pb, sb, pstore, sstore = toy engine in
+  let pb, sb, pstore, sstore, _ = toy engine in
   Engine.schedule_at engine 0.0 (fun () ->
+      Filter.Table.replace pstore (Filter.of_key (pkt 1 2)) "flow";
       Filter.Table.replace pstore (key 1) "one";
       Filter.Table.replace pstore (key 2) "two";
-      Backend.note pb Scope.Multi (key 1);
-      Backend.note pb Scope.Multi (key 2);
-      Backend.note pb Scope.Multi (key 2);
-      (* re-mark coalesces *)
-      Backend.flush pb);
+      Backend.note_packet pb (pkt 1 2));
   Engine.schedule_at engine 0.1 (fun () ->
-      (* A deletion of a sent key propagates; a dirty key that never
-         existed (and was never sent) sends nothing at all. *)
+      (* A deletion of a sent key propagates. *)
       Filter.Table.remove pstore (key 1);
-      Backend.note pb Scope.Multi (key 1);
-      Backend.note pb Scope.Multi (key 9);
-      Backend.flush pb);
+      Filter.Table.replace pstore (key 2) "two'";
+      Backend.note_packet pb (pkt 1 2));
   Engine.run engine;
-  Alcotest.(check (option string)) "key 2 replicated" (Some "two")
+  Alcotest.(check (option string)) "key 2 replicated" (Some "two'")
     (Filter.Table.find_opt sstore (key 2));
+  Alcotest.(check (option string)) "flow key replicated" (Some "flow")
+    (Filter.Table.find_opt sstore (Filter.of_key (pkt 1 2)));
   Alcotest.(check bool) "key 1 deleted on the standby" false
     (Filter.Table.mem sstore (key 1));
   let st = Backend.stats sb in
-  Alcotest.(check int) "2 puts + 1 delete crossed the wire" 3
+  Alcotest.(check int) "one frame per packet" 2 st.Backend.frames_sent;
+  Alcotest.(check int) "5 puts + 1 delete crossed the wire" 6
     st.Backend.entries_sent;
-  Alcotest.(check int) "every entry applied" 3 st.Backend.entries_applied;
+  Alcotest.(check int) "every entry applied" 6 st.Backend.entries_applied;
   Alcotest.(check int) "no dups" 0 st.Backend.dup_frames;
   Alcotest.(check bool) "delta bytes accounted" true
     (Backend.delta_bytes pb > 0)
 
+let test_toy_delete_only_if_sent () =
+  let engine = Engine.create () in
+  let pb, sb, pstore, _, _ = toy engine in
+  Engine.schedule_at engine 0.0 (fun () ->
+      (* No key of this packet exists: nothing to send, not even a
+         frame. *)
+      Backend.note_packet pb (pkt 8 9));
+  Engine.schedule_at engine 0.1 (fun () ->
+      Filter.Table.replace pstore (key 8) "x";
+      Backend.note_packet pb (pkt 8 9));
+  Engine.schedule_at engine 0.2 (fun () ->
+      (* Only key 8 was ever sent, so only key 8 is deleted. *)
+      Filter.Table.remove pstore (key 8);
+      Backend.note_packet pb (pkt 8 9));
+  Engine.schedule_at engine 0.3 (fun () ->
+      (* A delete is sent once: key 8 left the sent set. *)
+      Backend.note_packet pb (pkt 8 9));
+  Engine.run engine;
+  let st = Backend.stats sb in
+  Alcotest.(check int) "a put frame and a delete frame" 2
+    st.Backend.frames_sent;
+  Alcotest.(check int) "one put, one delete" 2 st.Backend.entries_sent
+
+let test_toy_note_packet_entries () =
+  let engine = Engine.create () in
+  let pb, sb, pstore, _, applied = toy engine in
+  let entries_after = ref [] in
+  let record () =
+    entries_after := (Backend.stats pb).Backend.entries_sent :: !entries_after
+  in
+  List.iter
+    (fun f -> Filter.Table.replace pstore f "v")
+    [ Filter.of_key (pkt 1 2); key 1; key 2; Filter.of_key (pkt 3 3); key 3 ];
+  Engine.schedule_at engine 0.0 (fun () ->
+      Backend.note_packet pb (pkt 1 2);
+      record ();
+      (* src = dst host: the host key is exported once. *)
+      Backend.note_packet pb (pkt 3 3);
+      record ());
+  Engine.run engine;
+  Alcotest.(check (list int)) "3 entries, then 2 more" [ 3; 5 ]
+    (List.rev !entries_after);
+  Alcotest.(check int) "one frame per packet" 2
+    (Backend.stats sb).Backend.frames_sent;
+  let scope_str = function
+    | Scope.Per -> "per"
+    | Scope.Multi -> "multi"
+    | Scope.All -> "all"
+  in
+  Alcotest.(check (list string)) "flow key first, then src and dst hosts"
+    (List.map
+       (fun (s, f) -> scope_str s ^ " " ^ Filter.to_string f)
+       [
+         (Scope.Per, Filter.of_key (pkt 1 2));
+         (Scope.Multi, key 1);
+         (Scope.Multi, key 2);
+         (Scope.Per, Filter.of_key (pkt 3 3));
+         (Scope.Multi, key 3);
+       ])
+    (List.rev_map (fun (s, f) -> scope_str s ^ " " ^ Filter.to_string f) !applied)
+
 let test_toy_batching () =
   let count_frames ?batch_bytes () =
     let engine = Engine.create () in
-    let pb, sb, pstore, _ = toy ?batch_bytes engine in
-    Engine.schedule_at engine 0.0 (fun () ->
-        for i = 0 to 9 do
-          Filter.Table.replace pstore (key i) (string_of_int i);
-          Backend.note pb Scope.Multi (key i)
-        done;
-        Backend.flush pb);
+    let pb, sb, pstore, _, _ = toy ?batch_bytes engine in
+    (* A frame is 16 bytes plus 32 + 3 + 40 = 75 per entry. *)
+    List.iter
+      (fun f -> Filter.Table.replace pstore f (String.make 40 'x'))
+      [ Filter.of_key (pkt 1 2); key 1; key 2 ];
+    Engine.schedule_at engine 0.0 (fun () -> Backend.note_packet pb (pkt 1 2));
     Engine.run engine;
     let st = Backend.stats sb in
-    Alcotest.(check int) "all entries arrive regardless of batching" 10
+    Alcotest.(check int) "all entries arrive regardless of batching" 3
       st.Backend.entries_applied;
     st.Backend.frames_sent
   in
-  Alcotest.(check int) "no budget: one frame per flush" 1 (count_frames ());
-  Alcotest.(check bool) "a byte budget splits the flush into frames" true
-    (count_frames ~batch_bytes:100 () > 1)
+  Alcotest.(check int) "no budget: one frame per packet" 1 (count_frames ());
+  Alcotest.(check int) "a 170-byte budget fits two entries per frame" 2
+    (count_frames ~batch_bytes:170 ());
+  Alcotest.(check int) "a 100-byte budget fits one entry per frame" 3
+    (count_frames ~batch_bytes:100 ())
 
 let test_toy_dup_frames_dropped () =
   let engine = Engine.create () in
   let faults = Faults.create engine ~seed:3 () in
   Faults.set_link faults ~name:"toy.delta" ~dup:1.0 ();
-  let pb, sb, pstore, sstore = toy ~faults engine in
+  let pb, sb, pstore, sstore, _ = toy ~faults engine in
   Engine.schedule_at engine 0.0 (fun () ->
       Filter.Table.replace pstore (key 1) "a";
-      Backend.note pb Scope.Multi (key 1);
-      Backend.flush pb);
+      Backend.note_packet pb (pkt 1 1));
   Engine.schedule_at engine 0.1 (fun () ->
       Filter.Table.replace pstore (key 1) "b";
-      Backend.note pb Scope.Multi (key 1);
-      Backend.flush pb);
+      Backend.note_packet pb (pkt 1 1));
   Engine.run engine;
   Alcotest.(check (option string)) "latest value wins" (Some "b")
     (Filter.Table.find_opt sstore (key 1));
@@ -192,18 +260,16 @@ let test_toy_dup_frames_dropped () =
 let test_toy_gap_is_counted_and_healed () =
   let engine = Engine.create () in
   let faults = Faults.create engine ~seed:3 () in
-  let pb, sb, pstore, sstore = toy ~faults engine in
+  let pb, sb, pstore, sstore, _ = toy ~faults engine in
   Engine.schedule_at engine 0.0 (fun () ->
       (* Frame 1 is eaten by the link. *)
       Faults.set_link faults ~name:"toy.delta" ~drop:1.0 ();
       Filter.Table.replace pstore (key 1) "lost";
-      Backend.note pb Scope.Multi (key 1);
-      Backend.flush pb);
+      Backend.note_packet pb (pkt 1 1));
   Engine.schedule_at engine 0.1 (fun () ->
       Faults.clear_link faults ~name:"toy.delta";
       Filter.Table.replace pstore (key 1) "resent";
-      Backend.note pb Scope.Multi (key 1);
-      Backend.flush pb);
+      Backend.note_packet pb (pkt 1 1));
   Engine.run engine;
   let st = Backend.stats sb in
   Alcotest.(check int) "the surviving frame arrived past a gap" 1
@@ -214,11 +280,10 @@ let test_toy_gap_is_counted_and_healed () =
 
 let test_toy_promote_drops_in_flight () =
   let engine = Engine.create () in
-  let pb, sb, pstore, sstore = toy engine in
+  let pb, sb, pstore, sstore, _ = toy engine in
   Engine.schedule_at engine 0.0 (fun () ->
       Filter.Table.replace pstore (key 1) "late";
-      Backend.note pb Scope.Multi (key 1);
-      Backend.flush pb;
+      Backend.note_packet pb (pkt 1 1);
       (* Promote while the frame is still on the wire (2 ms latency):
          the standby now owns its state; the frame must not land. *)
       Backend.promote sb);
@@ -230,16 +295,16 @@ let test_toy_promote_drops_in_flight () =
 
 let test_toy_drain_blocks_until_applied () =
   let engine = Engine.create () in
-  let pb, _sb, pstore, sstore = toy engine in
+  let pb, _sb, pstore, sstore, _ = toy engine in
   let after_drain = ref None in
   Proc.spawn engine (fun () ->
       Filter.Table.replace pstore (key 1) "v";
-      Backend.note pb Scope.Multi (key 1);
+      Backend.note_packet pb (pkt 1 1);
       Backend.drain pb;
       after_drain := Some (Filter.Table.find_opt sstore (key 1)));
   Engine.run engine;
   Alcotest.(check (option (option string)))
-    "drain returns only once the standby applied the flush"
+    "drain returns only once the standby applied the frame"
     (Some (Some "v")) !after_drain
 
 (* --- PRADS over a shared backend ----------------------------------------- *)
@@ -599,6 +664,10 @@ let suite =
       test_crash_at_every_delta_boundary;
     Alcotest.test_case "crash boundaries under duplication" `Slow
       test_crash_boundaries_with_duplication;
+    Alcotest.test_case "delta link: delete only if sent" `Quick
+      test_toy_delete_only_if_sent;
+    Alcotest.test_case "delta link: note_packet entries per frame" `Quick
+      test_toy_note_packet_entries;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

@@ -166,6 +166,70 @@ let matches_flow_symmetric_prop =
       let f = Filter.of_src_host k.Flow.src_ip in
       Filter.matches_flow f k = Filter.matches_flow f (Flow.reverse k))
 
+(* --- key hashes --------------------------------------------------------- *)
+
+(* [Flow.hash] and [Filter.hash] back every [Flow.Table] and
+   [Filter.Table]; [Hashtbl] iteration order (e.g. the order
+   [Move.flush_all] relays buffered packets in) follows the hash values,
+   so they are pinned bit for bit. *)
+let golden_keys =
+  let ip = Ipaddr.of_string in
+  [
+    ( Flow.make ~src:(ip "10.0.0.1") ~dst:(ip "192.168.1.1") ~sport:1234
+        ~dport:80 (),
+      1031412429320911008 );
+    ( Flow.make ~src:(ip "10.1.2.3") ~dst:(ip "10.1.2.3") ~proto:Flow.Udp
+        ~sport:53 ~dport:53 (),
+      2572400205908473522 );
+    ( Flow.make ~src:(ip "255.255.255.255") ~dst:(ip "0.0.0.0")
+        ~proto:Flow.Icmp ~sport:0 ~dport:65535 (),
+      2599731874729852322 );
+  ]
+
+let golden_filters =
+  let ip = Ipaddr.of_string in
+  [
+    (Filter.any, 3479462002462992362);
+    (Filter.of_key (fst (List.hd golden_keys)), 2089269270542142718);
+    (Filter.of_src_host (ip "10.0.0.1"), 3485942087740256566);
+    (Filter.of_dst_host (ip "192.168.1.1"), 184390884675754580);
+    ( Filter.of_src_prefix (Ipaddr.Prefix.of_string "10.1.0.0/16"),
+      4149032728902989584 );
+    ( Filter.make ~proto:Flow.Udp ~dst_port:53 ~tcp_flag:Packet.Syn (),
+      4380010157364937806 );
+    (Filter.of_app "http", 3812628493979401778);
+  ]
+
+let test_hash_golden () =
+  List.iter
+    (fun (k, h) -> Alcotest.(check int) (Flow.to_string k) h (Flow.hash k))
+    golden_keys;
+  List.iter
+    (fun (f, h) -> Alcotest.(check int) (Filter.to_string f) h (Filter.hash f))
+    golden_filters
+
+let test_hash_alloc_budget () =
+  let zero name f =
+    Alcotest.(check (float 0.0)) (name ^ " allocates nothing") 0.0
+      (Helpers.minor_words_per ~iters:1000 f)
+  in
+  List.iter
+    (fun (k, _) -> zero "Flow.hash" (fun () -> ignore (Flow.hash k)))
+    golden_keys;
+  List.iter
+    (fun ((f : Filter.t), _) ->
+      if f.app = None then begin
+        zero ("Filter.hash " ^ Filter.to_string f) (fun () ->
+            ignore (Filter.hash f));
+        zero ("Filter.equal " ^ Filter.to_string f) (fun () ->
+            ignore (Filter.equal f f))
+      end)
+    golden_filters;
+  (* Two separately built flowids: every option box differs. *)
+  let k = fst (List.hd golden_keys) in
+  let a = Filter.of_key k and b = Filter.of_key k in
+  zero "Filter.equal (separate boxes)" (fun () -> ignore (Filter.equal a b))
+
 (* --- flowtable ----------------------------------------------------------- *)
 
 let pkt ?(flags = []) k = Packet.create ~id:0 ~key:k ~flags ~sent_at:0.0 ()
@@ -448,6 +512,10 @@ let suite =
     Alcotest.test_case "filter: app (URL) field" `Quick test_filter_app_field;
     QCheck_alcotest.to_alcotest accepts_own_flowid_prop;
     QCheck_alcotest.to_alcotest matches_flow_symmetric_prop;
+    Alcotest.test_case "hash: golden Flow/Filter values" `Quick
+      test_hash_golden;
+    Alcotest.test_case "alloc budget: key hashes and Filter.equal" `Quick
+      test_hash_alloc_budget;
     Alcotest.test_case "flowtable: priority" `Quick test_flowtable_priority;
     Alcotest.test_case "flowtable: cookie replace" `Quick
       test_flowtable_replace_cookie;

@@ -101,14 +101,6 @@ let test_deterministic () =
 
 (* --- disabled path: zero allocations ------------------------------------- *)
 
-let minor_words_per ~iters f =
-  f ();
-  let before = Gc.minor_words () in
-  for _ = 1 to iters do
-    f ()
-  done;
-  (Gc.minor_words () -. before) /. float_of_int iters
-
 let test_disabled_alloc () =
   let tr = Obs.Trace.disabled in
   let m = Obs.Metrics.null in
@@ -116,7 +108,7 @@ let test_disabled_alloc () =
   let g = Obs.Metrics.gauge m "x.gauge" in
   let h = Obs.Metrics.hist m "x.hist" in
   let per_op =
-    minor_words_per ~iters:100_000 (fun () ->
+    Helpers.minor_words_per ~iters:100_000 (fun () ->
         (* The shape every instrumented hot path has: handle updates plus
            an enabled-guard around anything that would allocate. *)
         Obs.Metrics.incr c;

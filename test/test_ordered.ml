@@ -122,15 +122,6 @@ let keyed_equiv =
 
 (* --- allocation budgets ------------------------------------------------ *)
 
-let minor_words_per ~iters f =
-  f ();
-  (* warm caches and one-time setup *)
-  let before = Gc.minor_words () in
-  for _ = 1 to iters do
-    f ()
-  done;
-  (Gc.minor_words () -. before) /. float_of_int iters
-
 let populate_prads n =
   let prads = Opennf_nfs.Prads.create () in
   let impl = Opennf_nfs.Prads.impl prads in
@@ -156,7 +147,7 @@ let test_matching_alloc_budget () =
   done;
   let f = Filter.of_key (key 7 42) in
   let per_op =
-    minor_words_per ~iters:1000 (fun () ->
+    Helpers.minor_words_per ~iters:1000 (fun () ->
         ignore (Store.Perflow.matching store f))
   in
   Alcotest.(check bool)
@@ -179,7 +170,7 @@ let test_get_perflow_alloc_budget () =
          ~dport:80 ())
   in
   let per_op =
-    minor_words_per ~iters:500 (fun () ->
+    Helpers.minor_words_per ~iters:500 (fun () ->
         List.iter
           (fun flowid -> ignore (impl.Opennf_sb.Nf_api.export_perflow flowid))
           (impl.Opennf_sb.Nf_api.list_perflow f))
