@@ -22,8 +22,8 @@ open Opennf
 
 let sizes = [ 10_000; 100_000; 1_000_000 ]
 
-(* Deterministic distinct flows; 64 flows per source host so host-scoped
-   queries have a fixed-size answer at every table size. *)
+(* Deterministic distinct flows: 64 per source host, all to one
+   destination. *)
 let key_of_int i =
   Flow.make
     ~src:(Ipaddr.of_int (0x0A000000 lor (i lsr 6)))
@@ -100,8 +100,6 @@ type store_row = {
   st_get_ref : float;  (* Same, but enumerating via the reference fold. *)
   st_exact : float;  (* Raw indexed Store.Perflow.matching probe. *)
   st_exact_ref : float;  (* Raw fold-based reference. *)
-  st_host : float;  (* Host-scoped matching via the per-host index. *)
-  st_host_ref : float;
 }
 
 let bench_store n =
@@ -120,10 +118,6 @@ let bench_store n =
   let exact_filters =
     Array.init 1024 (fun _ -> Filter.of_key (key_of_int (Rng.int rng n)))
   in
-  let host_filters =
-    Array.init 256 (fun _ ->
-        Filter.of_src_host (Ipaddr.of_int (0x0A000000 lor (Rng.int rng n lsr 6))))
-  in
   let cycle arr =
     let i = ref 0 in
     fun () ->
@@ -131,7 +125,7 @@ let bench_store n =
       i := if !i + 1 >= Array.length arr then 0 else !i + 1;
       v
   in
-  let next_exact = cycle exact_filters and next_host = cycle host_filters in
+  let next_exact = cycle exact_filters in
   let export flowid = ignore (impl.Opennf_sb.Nf_api.export_perflow flowid) in
   let st_get =
     best_of
@@ -143,11 +137,6 @@ let bench_store n =
     best_of
       (fun () -> ignore (Opennf_state.Store.Perflow.matching store (next_exact ())))
       ~iters:50_000
-  in
-  let st_host =
-    best_of
-      (fun () -> ignore (Opennf_state.Store.Perflow.matching store (next_host ())))
-      ~iters:2_000
   in
   let ref_iters = max 3 (100_000 / n) in
   let st_get_ref =
@@ -163,13 +152,7 @@ let bench_store n =
         ignore (Oracle.Store.perflow_matching store (next_exact ())))
       ~iters:ref_iters
   in
-  let st_host_ref =
-    seconds_per
-      (fun () ->
-        ignore (Oracle.Store.perflow_matching store (next_host ())))
-      ~iters:ref_iters
-  in
-  { st_get; st_get_ref; st_exact; st_exact_ref; st_host; st_host_ref }
+  { st_get; st_get_ref; st_exact; st_exact_ref }
 
 (* --- end-to-end move ---------------------------------------------------- *)
 
@@ -214,11 +197,11 @@ let bench_move ~obs n =
 
 let json_row n ft st mv =
   Printf.sprintf
-    {|    {"flows": %d, "ft_lookup_cold_ns": %.1f, "ft_lookup_warm_ns": %.1f, "ft_lookup_reference_ns": %.1f, "ft_pps_indexed": %.0f, "get_perflow_ns": %.1f, "get_perflow_reference_ns": %.1f, "store_exact_ns": %.1f, "store_exact_reference_ns": %.1f, "store_host_ns": %.1f, "store_host_reference_ns": %.1f, "move_wall_ms": %.3f, "move_virtual_ms": %.3f}|}
+    {|    {"flows": %d, "ft_lookup_cold_ns": %.1f, "ft_lookup_warm_ns": %.1f, "ft_lookup_reference_ns": %.1f, "ft_pps_indexed": %.0f, "get_perflow_ns": %.1f, "get_perflow_reference_ns": %.1f, "store_exact_ns": %.1f, "store_exact_reference_ns": %.1f, "move_wall_ms": %.3f, "move_virtual_ms": %.3f}|}
     n (ns ft.ft_cold) (ns ft.ft_warm) (ns ft.ft_ref)
     (1.0 /. ft.ft_warm)
     (ns st.st_get) (ns st.st_get_ref)
-    (ns st.st_exact) (ns st.st_exact_ref) (ns st.st_host) (ns st.st_host_ref)
+    (ns st.st_exact) (ns st.st_exact_ref)
     (1000.0 *. mv.mv_wall)
     (1000.0 *. mv.mv_virtual)
 

@@ -3,104 +3,36 @@ open Opennf_net
 (* Deterministic enumeration: results are in key order so simulation
    runs do not depend on hash-table iteration order. Every store holds
    its entries once, in a hash table or an arena (O(1) point lookups on
-   the packet path), and sorts on query: an enumeration collects the
-   matches and sorts only those. *)
+   the packet path), with no secondary index or sorted mirror, and
+   sorts on query: an enumeration collects the matches and sorts only
+   those. *)
 
 module Perflow = struct
-  (* Alongside the canonical-keyed value table, a secondary index maps
-     each endpoint address to the set of canonical keys touching it, so
-     host- and prefix-scoped getters enumerate candidates instead of
-     folding the whole store. *)
-  type 'a t = {
-    table : 'a Flow.Table.t;
-    by_host : (Ipaddr.t, Flow.Set.t ref) Hashtbl.t;
-  }
+  (* One canonical-keyed table and nothing else: an exact-key filter is
+     a probe, any other filter folds the table (each key once, whichever
+     endpoints match) and sorts the matches. *)
+  type 'a t = 'a Flow.Table.t
 
-  let create () = { table = Flow.Table.create 64; by_host = Hashtbl.create 64 }
-
-  let find t k = Flow.Table.find_opt t.table (Flow.canonical k)
-
-  let index_add t ip k =
-    match Hashtbl.find_opt t.by_host ip with
-    | Some s -> s := Flow.Set.add k !s
-    | None -> Hashtbl.replace t.by_host ip (ref (Flow.Set.singleton k))
-
-  let index_remove t ip k =
-    match Hashtbl.find_opt t.by_host ip with
-    | None -> ()
-    | Some s ->
-      s := Flow.Set.remove k !s;
-      if Flow.Set.is_empty !s then Hashtbl.remove t.by_host ip
-
-  let set t k v =
-    let k = Flow.canonical k in
-    if not (Flow.Table.mem t.table k) then begin
-      index_add t k.Flow.src_ip k;
-      index_add t k.Flow.dst_ip k
-    end;
-    Flow.Table.replace t.table k v
-
-  let remove t k =
-    let k = Flow.canonical k in
-    if Flow.Table.mem t.table k then begin
-      Flow.Table.remove t.table k;
-      index_remove t k.Flow.src_ip k;
-      index_remove t k.Flow.dst_ip k
-    end
-
-  let mem t k = Flow.Table.mem t.table (Flow.canonical k)
-
-  (* Candidate sets ({!Flow.Set}) already enumerate in [Flow.compare]
-     order, so folding and reversing reproduces the sorted result with
-     no comparison sort at all. *)
-  let of_candidates t filter keys =
-    Flow.Set.fold
-      (fun k acc ->
-        if Filter.matches_flow filter k then
-          match Flow.Table.find_opt t.table k with
-          | Some v -> (k, v) :: acc
-          | None -> acc
-        else acc)
-      keys []
-    |> List.rev
-
-  (* Candidates for an address constraint: a connection matches only if
-     one of its endpoints lies in the prefix ({!Filter.matches_flow}
-     tries both directions), and the index holds every key under both
-     endpoints, so the union over the prefix's hosts is complete. *)
-  let prefix_candidates t p =
-    if Ipaddr.Prefix.bits p = 32 then
-      match Hashtbl.find_opt t.by_host (Ipaddr.Prefix.network p) with
-      | Some s -> !s
-      | None -> Flow.Set.empty
-    else
-      Hashtbl.fold
-        (fun ip s acc ->
-          if Ipaddr.Prefix.mem ip p then Flow.Set.union !s acc else acc)
-        t.by_host Flow.Set.empty
+  let create () : 'a t = Flow.Table.create 64
+  let find t k = Flow.Table.find_opt t (Flow.canonical k)
+  let set t k v = Flow.Table.replace t (Flow.canonical k) v
+  let remove t k = Flow.Table.remove t (Flow.canonical k)
+  let mem t k = Flow.Table.mem t (Flow.canonical k)
 
   let matching t filter =
     match Filter.exact_key filter with
     | Some key -> (
-      (* O(1): the filter pins one connection. *)
       let k = Flow.canonical key in
-      match Flow.Table.find_opt t.table k with
-      | Some v -> [ (k, v) ]
-      | None -> [])
-    | None -> (
-      match (filter.Filter.src, filter.Filter.dst) with
-      | Some p, _ | None, Some p ->
-        of_candidates t filter (prefix_candidates t p)
-      | None, None ->
-        (* Unscoped: fold the table, keep the matches, sort those. *)
-        Flow.Table.fold
-          (fun k v acc ->
-            if Filter.matches_flow filter k then (k, v) :: acc else acc)
-          t.table []
-        |> List.sort (fun (a, _) (b, _) -> Flow.compare a b))
+      match Flow.Table.find_opt t k with Some v -> [ (k, v) ] | None -> [])
+    | None ->
+      Flow.Table.fold
+        (fun k v acc ->
+          if Filter.matches_flow filter k then (k, v) :: acc else acc)
+        t []
+      |> List.sort (fun (a, _) (b, _) -> Flow.compare a b)
 
-  let fold t ~init ~f = Flow.Table.fold (fun k v acc -> f k v acc) t.table init
-  let size t = Flow.Table.length t.table
+  let fold t ~init ~f = Flow.Table.fold (fun k v acc -> f k v acc) t init
+  let size = Flow.Table.length
 end
 
 (* Arena-backed per-flow store: same key semantics as {!Perflow}

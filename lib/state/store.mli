@@ -21,13 +21,21 @@ module Perflow : sig
   val mem : 'a t -> Flow.key -> bool
   val matching : 'a t -> Filter.t -> (Flow.key * 'a) list
   (** Entries whose connection matches the filter (either direction),
-      in ascending [Flow.compare] order of their canonical keys.
+      in ascending [Flow.compare] order of their canonical keys, each
+      listed once.
 
-      Indexed: an exact 5-tuple filter is a single hash probe, and
-      src/dst address constraints enumerate a per-host secondary index
-      (already in key order) instead of the whole store; only filters
-      with no address constraint fold the whole table, then sort the
-      matches on query. *)
+      An exact 5-tuple filter is a single hash probe. Any other filter
+      folds the whole table, keeps the matches and sorts those: there
+      is no per-host index, so [set] and [remove] touch only the table.
+
+      Limit: a host- or prefix-scoped get is a scan of the store, O(n)
+      in its size (about 70 µs at 2k entries, 0.34 ms at 10k and 6 ms
+      at 100k on one core of a 2-vCPU Intel Xeon VM). Only the IDS,
+      proxy and dummy NFs keep state here, and no experiment or
+      workload gives one more than a few thousand flows (3,000 at most,
+      in fig13); the [datapath] bench's million-key store is only ever
+      probed by exact key. State that grows to millions of flows and is
+      enumerated by scope belongs in {!Perflow_arena}. *)
 
   val fold : 'a t -> init:'b -> f:(Flow.key -> 'a -> 'b -> 'b) -> 'b
   val size : 'a t -> int
@@ -79,8 +87,8 @@ module Perflow_arena : sig
       Anything else scans the live rows, keeps the matches with their
       keys packed into two unboxed ints, and sorts only those (a linear
       check when they already are in order, as rows inserted in key
-      order are). There is no per-host index on the arena path: scoped
-      selection on this store is enumeration, not indexed lookup. *)
+      order are). As on {!Perflow}, there is no per-host index: scoped
+      selection is enumeration, not indexed lookup. *)
 
   val size : t -> int
 end

@@ -1,7 +1,7 @@
 (* The seed's fold-filter-sort enumeration over each store's hash-table
-   [fold] (for the arena store: its live rows), ignoring the ordered
-   mirrors, the per-host index and the packed-key sort. Same results as
-   the stores' [matching]. *)
+   [fold] (for the arena store: its live rows), ignoring the exact-key
+   and pinned-host probes and the arena's packed-key sort. Same results
+   as the stores' [matching]. *)
 
 open Opennf_net
 module S = Opennf_state.Store

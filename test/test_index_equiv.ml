@@ -2,8 +2,8 @@
    oracles (ISSUE 1): under install/remove/query churn,
    [Flowtable.lookup] (exact hash + priority buckets + decision cache)
    must always agree with [Oracle.Flowtable.lookup], and
-   [Store.Perflow.matching] (exact fast path + per-host index) with
-   [Oracle.Store.perflow_matching]. *)
+   [Store.Perflow.matching] (exact-key probe, else fold and sort the
+   matches) with [Oracle.Store.perflow_matching]. *)
 
 module Rng = Opennf_util.Rng
 open Opennf_net

@@ -1,11 +1,12 @@
 (* Ordered-store equivalence: every store's [matching] (hash probes,
-   the per-host index, or fold-and-sort of the matches on query) must be
-   observationally identical — same keys, same order, same values — to
-   the full-scan fold-and-sort oracles ({!Oracle.Store}), under
-   arbitrary insert/remove/get interleavings. Plus allocation-budget
-   regressions for the getPerflow fast path: an exact-key get and the
-   arena store's insert/remove must not churn the minor heap, and a
-   budget test keeps that true. *)
+   or fold-and-sort of the matches on query) must be observationally
+   identical — same keys, same order, same values — to the full-scan
+   fold-and-sort oracles ({!Oracle.Store}), under arbitrary
+   insert/remove/get interleavings, and the boxed and arena per-flow
+   stores must enumerate the same keys in the same order. Plus
+   allocation-budget regressions: an exact-key get, the getPerflow fast
+   path and both per-flow stores' writes must not churn the minor heap,
+   and a budget test keeps that true. *)
 
 open Opennf_net
 open Opennf_state
@@ -120,6 +121,78 @@ let keyed_equiv =
             = Oracle.Store.keyed_matching store ~relevant f)
         ops)
 
+(* --- boxed vs arena ------------------------------------------------------ *)
+
+(* The boxed and the arena per-flow store are two layouts of one
+   contract: for any filter, [matching] lists the same canonical keys in
+   the same order. The keys include a connection whose two endpoints
+   share a /24 (a prefix filter over it must list it once) and flows
+   shaped like a sharded move's (clients in a /16 to one server), half
+   of them inserted in reply direction. *)
+let test_boxed_arena_agree () =
+  let inner =
+    Flow.make ~src:(Ipaddr.v 10 0 0 5) ~dst:(Ipaddr.v 10 0 0 6) ~sport:4000
+      ~dport:4001 ()
+  in
+  let shard j =
+    let k =
+      Flow.make
+        ~src:(Ipaddr.of_int (Ipaddr.to_int (Ipaddr.v 10 160 0 0) + (j mod 250) + 1))
+        ~dst:(Ipaddr.v 172 31 0 1) ~sport:(20000 + j) ~dport:443 ()
+    in
+    if j land 1 = 0 then k else Flow.reverse k
+  in
+  let keys =
+    (inner :: List.init 300 shard)
+    @ List.concat (List.init 8 (fun a -> List.init 8 (fun b -> key a b)))
+  in
+  let boxed = Store.Perflow.create () in
+  let arena = Store.Perflow_arena.create ~payload:8 () in
+  List.iteri
+    (fun i k ->
+      Store.Perflow.set boxed k i;
+      ignore (Store.Perflow_arena.insert arena k))
+    keys;
+  let p a b c d bits = Ipaddr.Prefix.make (Ipaddr.v a b c d) bits in
+  let shaped =
+    [
+      Filter.make ~src:(p 10 0 0 0 24) ();
+      Filter.make ~dst:(p 10 0 0 0 24) ();
+      Filter.make ~src:(p 10 0 0 0 24) ~dst:(p 10 0 0 0 24) ();
+      Filter.make ~src:(p 10 160 0 0 16) ~dst:(p 172 31 0 0 16) ();
+      Filter.make ~src:(p 172 31 0 0 16) ~dst:(p 10 160 0 0 16) ();
+      Filter.make ~src:(p 10 160 0 0 16) ~dst:(p 172 31 0 0 16) ~dst_port:443 ();
+      Filter.of_src_host (Ipaddr.v 172 31 0 1);
+      Filter.of_key inner;
+      Filter.of_key (Flow.reverse inner);
+      Filter.of_key (shard 7);
+      Filter.make ~src:(p 10 0 0 0 8) ~dst:(p 10 0 0 0 8) ();
+    ]
+  in
+  let generated =
+    List.concat
+      (List.init 8 (fun c ->
+           List.concat (List.init 4 (fun a -> List.init 8 (filter_of c a)))))
+  in
+  List.iter
+    (fun f ->
+      Alcotest.(check (list string))
+        (Filter.to_string f)
+        (List.map (fun (k, _) -> Flow.to_string k)
+           (Store.Perflow_arena.matching arena f))
+        (List.map (fun (k, _) -> Flow.to_string k)
+           (Store.Perflow.matching boxed f)))
+    (shaped @ generated @ [ Filter.any ]);
+  Alcotest.(check int) "both endpoints in the prefix: listed once" 1
+    (List.length
+       (List.filter
+          (fun (k, _) -> Flow.equal k (Flow.canonical inner))
+          (Store.Perflow.matching boxed (Filter.make ~src:(p 10 0 0 0 24) ()))));
+  Alcotest.(check int) "/16 src + /16 dst: every shard flow" 300
+    (List.length
+       (Store.Perflow.matching boxed
+          (Filter.make ~src:(p 10 160 0 0 16) ~dst:(p 172 31 0 0 16) ())))
+
 (* --- allocation budgets ------------------------------------------------ *)
 
 let populate_prads n =
@@ -180,6 +253,42 @@ let test_get_perflow_alloc_budget () =
        per_op)
     true (per_op < 2048.0)
 
+(* The boxed store holds each entry once in its hash table: a fresh-key
+   [set] costs one bucket cell plus, for a reply-direction key, the
+   canonical record; a [remove] only that record. Half the keys arrive
+   in reply direction, as in the arena test below. *)
+let test_perflow_set_remove_alloc_budget () =
+  let n = 100_000 in
+  let keys =
+    Array.init (n + 1) (fun i ->
+        let k =
+          Flow.make
+            ~src:(Ipaddr.of_int (0x0A000000 lor i))
+            ~dst:(Ipaddr.v 192 168 1 1)
+            ~proto:(if i land 4 = 0 then Flow.Tcp else Flow.Udp)
+            ~sport:(1024 + (i land 1023))
+            ~dport:443 ()
+        in
+        if i land 1 = 0 then k else Flow.reverse k)
+  in
+  let store = Store.Perflow.create () in
+  let each f =
+    let i = ref 0 in
+    fun () ->
+      f keys.(!i);
+      incr i
+  in
+  let set = Helpers.minor_words_per ~iters:n (each (fun k -> Store.Perflow.set store k ())) in
+  Alcotest.(check int) "all set" (n + 1) (Store.Perflow.size store);
+  let rem = Helpers.minor_words_per ~iters:n (each (Store.Perflow.remove store)) in
+  Alcotest.(check int) "all removed" 0 (Store.Perflow.size store);
+  Alcotest.(check bool)
+    (Printf.sprintf "fresh-key set stays under 16 minor words/op (got %.1f)" set)
+    true (set <= 16.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "remove stays under 8 minor words/op (got %.1f)" rem)
+    true (rem <= 8.0)
+
 (* The arena store's insert and remove touch only the open-addressing
    index and the row: no per-row node on the OCaml heap. Half the keys
    arrive in reply direction, so canonicalization is on the path too
@@ -226,4 +335,8 @@ let suite =
         test_get_perflow_alloc_budget;
       Alcotest.test_case "alloc budget: arena insert/remove" `Quick
         test_arena_insert_remove_alloc_budget;
+      Alcotest.test_case "perflow: boxed and arena stores agree" `Quick
+        test_boxed_arena_agree;
+      Alcotest.test_case "alloc budget: boxed set/remove" `Quick
+        test_perflow_set_remove_alloc_budget;
     ]
