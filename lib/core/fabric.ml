@@ -111,7 +111,7 @@ let run_proc t body =
 
 let monitored t = Option.is_some t.monitor
 
-(* The verdict replays the audit columns through a fresh monitor: a
+(* The verdict replays the audit rows through a fresh monitor: a
    streaming pass, nothing materialized. *)
 let verdict ?history t =
   Opennf_obs.Monitor.replay ?history (Audit.events t.audit)

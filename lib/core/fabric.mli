@@ -79,7 +79,7 @@ val monitored : t -> bool
 
 val verdict :
   ?history:int -> t -> Opennf_obs.Monitor.finding list
-(** End-of-run guarantee check: streams the audit columns
+(** End-of-run guarantee check: streams the audit rows
     ({!Audit.events}, with the hub's op spans interleaved when the run
     was traced, so findings keep their op/phase context) through
     {!Opennf_obs.Monitor.replay}. The result is deterministic, equal to

@@ -16,35 +16,51 @@ let k_buffer = 6
 let kind_names =
   [| "arrival"; "forward"; "nf_arrival"; "process"; "drop"; "event"; "buffer" |]
 
-(* The ledger is a set of flat, append-only columns — one row per audit
-   record, nothing boxed per row — so logging a packet event is a few
-   array stores and the ledger stays out of the minor heap and off the
-   major GC's mark work. The columns are the only storage: when the
-   engine's hub is tracing, each row is also mirrored as a [cat:"audit"]
-   trace instant (so the Chrome export and the timeline still show
-   packets interleaved with op spans), but queries never read the
-   mirror. *)
+(* The ledger is a sequence of fixed-size row chunks — one [row_bytes]
+   row per audit record, nothing boxed per row — so logging a packet
+   event is a few byte stores. A chunk is a [Bytes] block, which the
+   major GC never scans, and a full chunk is never copied: the next row
+   opens a fresh one. The rows are the only storage: when the engine's
+   hub is tracing, each row is also mirrored as a [cat:"audit"] trace
+   instant (so the Chrome export and the timeline still show packets
+   interleaved with op spans), but queries never read the mirror. *)
+
+(* Row layout: each field's byte offset in its row. *)
+let o_kind = 0 (* u8 *)
+let o_nf = 4 (* i32: interned instance name, see [names] *)
+let o_pkt = 8 (* i64: packet id *)
+let o_src = 16 (* u32 *)
+let o_dst = 20 (* u32 *)
+let o_ports = 24 (* i64: proto, sport, dport packed by [pack] *)
+let o_vt = 32 (* f64 bits: virtual time *)
+let row_bytes = 40
+let chunk_bits = 12
+let chunk_rows = 1 lsl chunk_bits
+let chunk_mask = chunk_rows - 1
+
+(* Packet-id sets, hashed by the id itself. *)
+module Ids = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (id : int) = id
+end)
+
 type t = {
   engine : Engine.t;
   hub : Trace.t;  (** The hub trace when tracing, else {!Trace.disabled}. *)
   mutable len : int;
-  mutable kinds : Bytes.t;
-  mutable pkts : int array;
-  mutable nfs : int array;  (** Interned instance names, see [names]. *)
-  mutable srcs : int array;
-  mutable dsts : int array;
-  mutable ports : int array;  (** proto, sport, dport packed by [pack]. *)
-  mutable vts : Float.Array.t;
+  mutable chunks : Bytes.t array;  (** Row [i] is in chunk [i lsr chunk_bits]. *)
   mutable hub_pos : int array;
       (** Each row's mirror position in [hub]; empty when not tracing. *)
   names : (string, int) Hashtbl.t;
   mutable nf_names : string array;
   mutable last_nf : string;  (** One-entry intern cache (physical). *)
   mutable last_nf_id : int;
-  arrived : (int, unit) Hashtbl.t;
+  arrived : unit Ids.t;
   mutable taps : (Trace.ev -> unit) list;
   (* First-time indexes, read only by post-run queries: built from the
-     columns on demand, [indexed] rows so far. *)
+     rows on demand, [indexed] rows so far. *)
   first_forward : (int, float) Hashtbl.t;
   first_arrival : (int, float) Hashtbl.t;
   first_process : (int, float) Hashtbl.t;
@@ -57,24 +73,17 @@ let create engine =
     if Opennf_obs.Hub.tracing obs then Opennf_obs.Hub.trace obs
     else Trace.disabled
   in
-  let cap = 1024 in
   {
     engine;
     hub;
     len = 0;
-    kinds = Bytes.create cap;
-    pkts = Array.make cap 0;
-    nfs = Array.make cap 0;
-    srcs = Array.make cap 0;
-    dsts = Array.make cap 0;
-    ports = Array.make cap 0;
-    vts = Float.Array.make cap 0.0;
-    hub_pos = (if Trace.enabled hub then Array.make cap 0 else [||]);
+    chunks = [||];
+    hub_pos = (if Trace.enabled hub then Array.make 1024 0 else [||]);
     names = Hashtbl.create 16;
     nf_names = Array.make 16 "";
     last_nf = "";
     last_nf_id = -1;
-    arrived = Hashtbl.create 1024;
+    arrived = Ids.create 1024;
     taps = [];
     first_forward = Hashtbl.create 16;
     first_arrival = Hashtbl.create 16;
@@ -82,25 +91,18 @@ let create engine =
     indexed = 0;
   }
 
-(* --- columns ---------------------------------------------------------------- *)
+(* --- rows ------------------------------------------------------------------ *)
 
-let grow_ints a cap =
-  let b = Array.make cap 0 in
-  Array.blit a 0 b 0 (Array.length a);
-  b
-
-let grow t =
-  let cap = 2 * Stdlib.max 1 (Bytes.length t.kinds) in
-  t.kinds <- Bytes.extend t.kinds 0 (cap - Bytes.length t.kinds);
-  t.pkts <- grow_ints t.pkts cap;
-  t.nfs <- grow_ints t.nfs cap;
-  t.srcs <- grow_ints t.srcs cap;
-  t.dsts <- grow_ints t.dsts cap;
-  t.ports <- grow_ints t.ports cap;
-  if Trace.enabled t.hub then t.hub_pos <- grow_ints t.hub_pos cap;
-  let vts = Float.Array.make cap 0.0 in
-  Float.Array.blit t.vts 0 vts 0 t.len;
-  t.vts <- vts
+(* Open the chunk for row [t.len]; only the small chunk index is ever
+   copied. *)
+let add_chunk t =
+  let c = t.len lsr chunk_bits in
+  if c = Array.length t.chunks then begin
+    let a = Array.make (Stdlib.max 4 (2 * c)) Bytes.empty in
+    Array.blit t.chunks 0 a 0 c;
+    t.chunks <- a
+  end;
+  t.chunks.(c) <- Bytes.create (chunk_rows * row_bytes)
 
 let intern t nf =
   if nf == t.last_nf then t.last_nf_id
@@ -132,17 +134,29 @@ let proto_of_code = function 17 -> Flow.Udp | 1 -> Flow.Icmp | _ -> Flow.Tcp
 let pack (k : Flow.key) =
   (proto_code k.Flow.proto lsl 56) lor (k.Flow.src_port lsl 28) lor k.Flow.dst_port
 
-let proto_at t i = t.ports.(i) lsr 56
-let sport_at t i = (t.ports.(i) lsr 28) land 0xFFFFFFF
-let dport_at t i = t.ports.(i) land 0xFFFFFFF
-let kind_at t i = Char.code (Bytes.unsafe_get t.kinds i)
-let nf_at t i = t.nf_names.(t.nfs.(i))
-let vt_at t i = Float.Array.get t.vts i
+(* Row [i] starts at [at i 0] in [chunk t i]. *)
+let[@inline] chunk t i = t.chunks.(i lsr chunk_bits)
+let[@inline] at i o = ((i land chunk_mask) * row_bytes) + o
+let int_at t i o = Int64.to_int (Bytes.get_int64_le (chunk t i) (at i o))
+
+let u32_at t i o =
+  Int32.to_int (Bytes.get_int32_le (chunk t i) (at i o)) land 0xFFFFFFFF
+
+let kind_at t i = Bytes.get_uint8 (chunk t i) (at i o_kind)
+let nf_id_at t i = Int32.to_int (Bytes.get_int32_le (chunk t i) (at i o_nf))
+let nf_at t i = t.nf_names.(nf_id_at t i)
+let pkt_at t i = int_at t i o_pkt
+let src_at t i = u32_at t i o_src
+let dst_at t i = u32_at t i o_dst
+let proto_at t i = int_at t i o_ports lsr 56
+let sport_at t i = (int_at t i o_ports lsr 28) land 0xFFFFFFF
+let dport_at t i = int_at t i o_ports land 0xFFFFFFF
+let vt_at t i = Int64.float_of_bits (Bytes.get_int64_le (chunk t i) (at i o_vt))
 
 let key_at t i =
   Flow.make
-    ~src:(Ipaddr.of_int t.srcs.(i))
-    ~dst:(Ipaddr.of_int t.dsts.(i))
+    ~src:(Ipaddr.of_int (src_at t i))
+    ~dst:(Ipaddr.of_int (dst_at t i))
     ~proto:(proto_of_code (proto_at t i))
     ~sport:(sport_at t i) ~dport:(dport_at t i) ()
 
@@ -151,10 +165,10 @@ let key_at t i =
    decodes by index. *)
 let attrs_at t i =
   [|
-    ("pkt", Trace.Int t.pkts.(i));
+    ("pkt", Trace.Int (pkt_at t i));
     ("nf", Trace.Str (nf_at t i));
-    ("src", Trace.Int t.srcs.(i));
-    ("dst", Trace.Int t.dsts.(i));
+    ("src", Trace.Int (src_at t i));
+    ("dst", Trace.Int (dst_at t i));
     ("proto", Trace.Int (proto_at t i));
     ("sport", Trace.Int (sport_at t i));
     ("dport", Trace.Int (dport_at t i));
@@ -176,18 +190,24 @@ let event_at t i =
    tracing (the mirror instant) or a subscriber is attached (one
    transient event). *)
 let log t kind (p : Packet.t) nf =
-  if t.len = Bytes.length t.kinds then grow t;
+  if t.len land chunk_mask = 0 then add_chunk t;
   let i = t.len in
   let k = p.Packet.key in
-  Bytes.unsafe_set t.kinds i (Char.unsafe_chr kind);
-  t.pkts.(i) <- p.Packet.id;
-  t.nfs.(i) <- intern t nf;
-  t.srcs.(i) <- Ipaddr.to_int k.Flow.src_ip;
-  t.dsts.(i) <- Ipaddr.to_int k.Flow.dst_ip;
-  t.ports.(i) <- pack k;
-  Float.Array.set t.vts i (Engine.now t.engine);
+  let b = chunk t i and r = at i 0 in
+  Bytes.set_uint8 b (r + o_kind) kind;
+  Bytes.set_int32_le b (r + o_nf) (Int32.of_int (intern t nf));
+  Bytes.set_int64_le b (r + o_pkt) (Int64.of_int p.Packet.id);
+  Bytes.set_int32_le b (r + o_src) (Int32.of_int (Ipaddr.to_int k.Flow.src_ip));
+  Bytes.set_int32_le b (r + o_dst) (Int32.of_int (Ipaddr.to_int k.Flow.dst_ip));
+  Bytes.set_int64_le b (r + o_ports) (Int64.of_int (pack k));
+  Bytes.set_int64_le b (r + o_vt) (Int64.bits_of_float (Engine.now t.engine));
   t.len <- i + 1;
   if Trace.enabled t.hub then begin
+    if i = Array.length t.hub_pos then begin
+      let a = Array.make (2 * i) 0 in
+      Array.blit t.hub_pos 0 a 0 i;
+      t.hub_pos <- a
+    end;
     t.hub_pos.(i) <- Trace.length t.hub;
     Trace.instant t.hub ~cat:"audit" ~name:kind_names.(kind) ~attrs:(attrs_at t i) ()
   end
@@ -199,8 +219,8 @@ let log t kind (p : Packet.t) nf =
       List.iter (fun f -> f ev) taps
 
 let log_switch_arrival t p =
-  if not (Hashtbl.mem t.arrived p.Packet.id) then begin
-    Hashtbl.add t.arrived p.Packet.id ();
+  if not (Ids.mem t.arrived p.Packet.id) then begin
+    Ids.add t.arrived p.Packet.id ();
     log t k_arrival p "sw"
   end
 
@@ -281,8 +301,8 @@ let ensure_indexes t =
       | _ -> None
     in
     match tbl with
-    | Some tbl when not (Hashtbl.mem tbl t.pkts.(i)) ->
-      Hashtbl.add tbl t.pkts.(i) (vt_at t i)
+    | Some tbl when not (Hashtbl.mem tbl (pkt_at t i)) ->
+      Hashtbl.add tbl (pkt_at t i) (vt_at t i)
     | _ -> ()
   done;
   t.indexed <- t.len
@@ -297,13 +317,13 @@ let by_nf nf t =
   | Some n -> (
     match Hashtbl.find_opt t.names n with
     | None -> fun _ -> false
-    | Some id -> fun i -> t.nfs.(i) = id)
+    | Some id -> fun i -> nf_id_at t i = id)
 
 (* Packet ids of the rows of [kind] that satisfy [keep], in row order. *)
 let ids t kind keep =
   let acc = ref [] in
   for i = t.len - 1 downto 0 do
-    if kind_at t i = kind && keep i then acc := t.pkts.(i) :: !acc
+    if kind_at t i = kind && keep i then acc := pkt_at t i :: !acc
   done;
   !acc
 
@@ -337,7 +357,7 @@ let processed_count ?nf t = count t k_process (by_nf nf t)
 
 let lost ?filter t ~nfs =
   let ids_of_nfs = List.filter_map (Hashtbl.find_opt t.names) nfs in
-  let in_nfs i = List.mem t.nfs.(i) ids_of_nfs in
+  let in_nfs i = List.mem (nf_id_at t i) ids_of_nfs in
   let processed = Hashtbl.create 1024 in
   List.iter (fun id -> Hashtbl.replace processed id ()) (ids t k_process in_nfs);
   first_ids t k_forward (fun i -> in_filter filter t i && in_nfs i)

@@ -9,11 +9,14 @@
     - {b order preservation}: the cross-instance processing order equals
       the switch's (first-time) forwarding order.
 
-    The ledger is a set of flat, append-only columns (a kind byte, then
-    packet id, interned instance name, source, destination and packed
-    protocol/ports as unboxed ints, and the virtual time in a
-    [Float.Array]): logging a record allocates nothing, and every query
-    scans the columns. When the engine's hub is tracing, each record is
+    The ledger is a sequence of fixed-size row chunks: [Bytes] blocks
+    of 4,096 rows, one 40-byte row per record (a kind byte, the
+    interned instance name, packet id, source, destination, packed
+    protocol/ports and the virtual time). A full chunk is never copied;
+    the next record opens a new one. [Bytes] blocks are opaque to the
+    GC, so the major GC never scans the rows. Logging a record
+    allocates nothing on the minor heap, and every query scans the
+    rows. When the engine's hub is tracing, each record is
     also mirrored into the hub trace as a [cat:"audit"] instant, so the
     Chrome export and the timeline show packets interleaved with op
     spans; the mirror is an export, never read back

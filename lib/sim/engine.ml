@@ -138,7 +138,7 @@ module Wheel = struct
       incr j;
       e := !e.next
     done;
-    Array.sort (fun a b -> if before a b then -1 else 1) evs;
+    Array.stable_sort (fun a b -> if before a b then -1 else 1) evs;
     t.width <- width_of_sorted t.width evs;
     t.inv_width <- 1.0 /. t.width;
     let n = next_pow2 t.size in

@@ -4,7 +4,7 @@
    buffer, decoding records as it goes; the first-time indexes are
    hashtables filled at log time. Slow and allocation
    heavy, but each query is a direct transcription of its §5.1
-   definition, which is what the columnar {!Opennf_net.Audit} is
+   definition, which is what the row-chunk {!Opennf_net.Audit} is
    checked against. *)
 
 module Engine = Opennf_sim.Engine

@@ -102,7 +102,7 @@ let test_evented_and_buffered_ids () =
   Alcotest.(check (list int)) "per nf" [ 2 ] (Audit.evented_ids ~nf:"nf2" a);
   Alcotest.(check (list int)) "buffered" [ 3 ] (Audit.buffered_ids a)
 
-(* --- columnar ledger == trace-backed oracle (random) ---------------------- *)
+(* --- row-chunk ledger == trace-backed oracle (random) --------------------- *)
 
 module Hub = Opennf_obs.Hub
 module Trace = Opennf_obs.Trace
@@ -137,6 +137,9 @@ let keys =
     other;
     Flow.make ~src:(ip 10 0 0 2) ~dst:(ip 172 16 0 1) ~proto:Flow.Udp
       ~sport:5353 ~dport:53 ();
+    (* Every row field at its extremes. *)
+    Flow.make ~src:(ip 255 255 255 255) ~dst:(ip 0 0 0 0) ~proto:Flow.Icmp
+      ~sport:0 ~dport:65535 ();
   |]
 
 let filters =
@@ -259,38 +262,61 @@ let audit_instants tr =
 
 let agree ~what got want =
   if got <> want then
-    QCheck.Test.fail_reportf "%s differ:\ncolumns: %s\noracle:  %s" what
+    QCheck.Test.fail_reportf "%s differ:\nledger:  %s\noracle:  %s" what
       (String.concat " | " got) (String.concat " | " want);
   true
 
 let ops_arb = QCheck.make ~print:ops_print QCheck.Gen.(list_size (int_range 0 60) op_gen)
 
+(* The ledger agrees with the oracle on every query, and its snapshot,
+   replay stream, live stream and (when traced) hub mirror all carry the
+   oracle's records. *)
+let agrees_with_oracle (traced, ops) =
+  let e, a, o, streamed = run_both ~traced ops in
+  let want = audit_instants (Oracle.trace o) in
+  let records =
+    List.rev
+      (Trace.fold (Oracle.trace o)
+         (fun acc ev -> (ev.Trace.name, Oracle.decode ev) :: acc)
+         [])
+  in
+  ignore (agree ~what:"queries" (Dump_audit.dump a) (Dump_oracle.dump o));
+  if audit_instants (Audit.snapshot a) <> want then
+    QCheck.Test.fail_report "snapshot instants differ";
+  if List.map inst (List.of_seq (Audit.events a)) <> want then
+    QCheck.Test.fail_report "replay stream differs";
+  if streamed <> records then QCheck.Test.fail_report "on_record stream differs";
+  if traced && audit_instants (Hub.trace (Engine.obs e)) <> want then
+    QCheck.Test.fail_report "hub mirror differs";
+  true
+
 let prop_oracle =
   QCheck.Test.make ~name:"columnar ledger == trace-backed oracle (random)" ~count:300
-    (QCheck.pair QCheck.bool ops_arb) (fun (traced, ops) ->
-      let e, a, o, streamed = run_both ~traced ops in
-      let want = audit_instants (Oracle.trace o) in
-      let records =
-        List.rev
-          (Trace.fold (Oracle.trace o)
-             (fun acc ev -> (ev.Trace.name, Oracle.decode ev) :: acc)
-             [])
-      in
-      ignore (agree ~what:"queries" (Dump_audit.dump a) (Dump_oracle.dump o));
-      if audit_instants (Audit.snapshot a) <> want then
-        QCheck.Test.fail_report "snapshot instants differ";
-      if List.map inst (List.of_seq (Audit.events a)) <> want then
-        QCheck.Test.fail_report "replay stream differs";
-      if streamed <> records then QCheck.Test.fail_report "on_record stream differs";
-      if traced && audit_instants (Hub.trace (Engine.obs e)) <> want then
-        QCheck.Test.fail_report "hub mirror differs";
-      true)
+    (QCheck.pair QCheck.bool ops_arb) agrees_with_oracle
+
+(* A fixed run of 10,000 logging ops (no switch arrivals, which log once
+   per id): its rows span three row chunks, and the traced run's mirror
+   positions grow past their initial 1,024. *)
+let long_ops =
+  List.init 10_000 (fun i ->
+      {
+        dt = i mod 3;
+        call = 1 + (i mod 6);
+        id = i * 7 mod max_pkt;
+        k = i mod Array.length keys;
+        nf = i / 5 mod Array.length nfs;
+      })
+
+let test_oracle_long () =
+  Alcotest.(check bool) "untraced" true (agrees_with_oracle (false, long_ops));
+  Alcotest.(check bool) "traced" true (agrees_with_oracle (true, long_ops))
 
 (* --- allocation budget ---------------------------------------------------- *)
 
-(* Without taps or hub tracing a record is a row of column stores;
-   growth doubles the columns on the major heap. The budget leaves room
-   for a boxed clock read, nothing per-record beyond it. *)
+(* Without taps or hub tracing a record is a few byte stores into the
+   current row chunk; chunks are allocated on the major heap, never on
+   the minor one. The budget leaves room for a boxed clock read, nothing
+   per-record beyond it. *)
 let test_log_alloc_budget () =
   let _, a = bed () in
   let p = pkt 1 key in
@@ -303,6 +329,26 @@ let test_log_alloc_budget () =
   Alcotest.(check bool)
     (Printf.sprintf "log_forward %.2f words/record <= %.0f" forward budget)
     true (forward <= budget)
+
+(* Rows live in fixed-size [Bytes] chunks that are never copied, so a
+   fresh ledger's major-heap allocation is its 40-byte rows (5 words)
+   plus a little chunk bookkeeping. A layout that copies on growth pays
+   about twice its rows. *)
+let test_log_major_budget () =
+  let _, a = bed () in
+  let p = pkt 1 key in
+  let records = 100_000 and budget = 6.0 in
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  for _ = 1 to records do
+    Audit.log_process a p ~nf:"nf1"
+  done;
+  let per =
+    ((Gc.quick_stat ()).Gc.major_words -. before) /. float_of_int records
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "log_process %.2f major words/record <= %.0f" per budget)
+    true (per <= budget);
+  Alcotest.(check int) "all recorded" records (Audit.processed_count a)
 
 let suite =
   [
@@ -321,5 +367,8 @@ let suite =
     Alcotest.test_case "evented/buffered queries" `Quick
       test_evented_and_buffered_ids;
     Alcotest.test_case "log allocation budget" `Quick test_log_alloc_budget;
+    Alcotest.test_case "log major-heap budget" `Quick test_log_major_budget;
     QCheck_alcotest.to_alcotest prop_oracle;
+    Alcotest.test_case "ledger == oracle across row chunks" `Quick
+      test_oracle_long;
   ]

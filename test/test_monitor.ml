@@ -118,7 +118,7 @@ let test_seeded_reorder () =
 
 (* --- column-fed verdict == hub-trace verdict ----------------------------------- *)
 
-(* [Fabric.verdict] streams the audit columns (with the hub's op spans
+(* [Fabric.verdict] streams the audit rows (with the hub's op spans
    interleaved when tracing); [Monitor.replay] over the hub trace
    replays the mirrored instants instead. On a traced run the two
    must agree finding for finding, op/phase context included; an
