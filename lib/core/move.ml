@@ -139,7 +139,10 @@ let relay rs (p : Packet.t) =
 let on_source_event rs ~early_release (p : Packet.t) =
   if early_release then begin
     let k = Flow.canonical p.Packet.key in
-    if Flow.Table.mem rs.released k then relay rs p
+    (* After [flush_all] nothing is queued any more: a straggler of a
+       flow that was never released (it first reached the source after
+       the snapshot) goes straight to the destination too. *)
+    if (not rs.buffering) || Flow.Table.mem rs.released k then relay rs p
     else begin
       let q =
         match Flow.Table.find_opt rs.flow_q k with
@@ -171,8 +174,7 @@ let flush_all rs =
   Queue.iter (relay rs) rs.global_q;
   Queue.clear rs.global_q;
   Flow.Table.iter
-    (fun k q ->
-      Flow.Table.replace rs.released k ();
+    (fun _ q ->
       Queue.iter (relay rs) q;
       Queue.clear q)
     rs.flow_q;
@@ -470,8 +472,10 @@ let run ?notify_release t spec =
       (* Disabling events on the source immediately would drop stragglers
          still in flight or queued there; the paper issues the disable
          "after several minutes" (§5.1.1). Here: after a grace period
-         that comfortably exceeds link and queueing delays. *)
-      if lossfree then
+         that comfortably exceeds link and queueing delays. A
+         no-guarantee move with early release has no events to wait
+         for, but its late lock must be lifted all the same. *)
+      if lossfree || spec.options.Op_options.early_release then
         Proc.spawn engine (fun () ->
             Proc.sleep disable_grace;
             Controller.disable_events t spec.src spec.filter;

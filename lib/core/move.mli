@@ -21,11 +21,16 @@
 
     Optimizations (§5.1.3, {!Op_options.t}): [parallel] streams chunks
     from the get and pipelines one put per chunk; [early_release] adds
-    late locking (the source starts raising events for a flow only when
-    that flow's chunk is captured) and per-flow release of buffered
-    events as soon as that flow's put is acknowledged. [early_release]
-    implies [parallel] and, per the paper, must not be combined with a
-    move of both per-flow and multi-flow scopes.
+    late locking (the source raises events for a flow of the get's
+    snapshot only once that flow's chunk is captured, and for any flow
+    first seen after the snapshot from the start) and per-flow release
+    of buffered events as soon as that flow's put is acknowledged. A
+    flow with no put to wait for (one the snapshot missed) has its
+    events held until the transfer ends and relayed directly after.
+    The source's late lock is lifted after the same grace period as a
+    loss-free move's events, also under [No_guarantee].
+    [early_release] implies [parallel] and, per the paper, must not be
+    combined with a move of both per-flow and multi-flow scopes.
 
     {2 Failure handling}
 

@@ -5,10 +5,14 @@
     parallelizing optimization (§5.1.3): the NF emits one [Piece] per
     chunk as it is serialized instead of a single bulk reply, letting
     the controller pipeline the matching put. [late_lock = true] is the
-    late-locking half of the early-release optimization: the NF enables
-    a drop-events filter for each flow just before serializing that
-    flow's chunk, instead of requiring a prior [Enable_events] on the
-    whole move filter. *)
+    late-locking half of the early-release optimization, and replaces a
+    prior [Enable_events] on the whole move filter: the NF enables one
+    drop-events filter on the get's filter that exempts the flows of its
+    state snapshot until each one's chunk is serialized. A snapshot flow
+    is processed normally until just before its export; a flow first
+    seen after the snapshot is dropped and evented from the start, so
+    no state the get does not export can grow at the source. A later
+    [Disable_events] on the same filter removes the lock. *)
 
 open Opennf_net
 open Opennf_state

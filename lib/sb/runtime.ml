@@ -6,9 +6,10 @@ open Opennf_state
 type event_filter = {
   filter : Filter.t;
   action : Protocol.event_action;
-  parent : Filter.t option;
-      (** Set for per-flow filters installed by late locking; removed
-          when the parent filter is disabled. *)
+  unlocked : unit Flow.Table.t;
+      (** Late locking: canonical keys of the get's snapshot flows not
+          exported yet. The filter does not match their packets, so
+          they are processed as if it were absent. Empty otherwise. *)
   buffer : Packet.t Queue.t;
 }
 
@@ -122,10 +123,11 @@ let raise_event t (p : Packet.t) disposition =
 
 let event_filter_matches ef (p : Packet.t) =
   Filter.matches_flow ef.filter p.key
-  &&
-  match ef.filter.Filter.tcp_flag with
-  | None -> true
-  | Some f -> Packet.has_flag p f
+  && (match ef.filter.Filter.tcp_flag with
+     | None -> true
+     | Some f -> Packet.has_flag p f)
+  && (Flow.Table.length ef.unlocked = 0
+     || not (Flow.Table.mem ef.unlocked (Flow.canonical p.key)))
 
 let find_event_filter t p =
   List.find_opt (fun ef -> event_filter_matches ef p) t.event_filters
@@ -229,11 +231,16 @@ let serialize_pause t chunk =
 let deserialize_pause t chunk =
   Proc.sleep (Costs.deserialize_time t.costs ~bytes:(Chunk.size chunk))
 
-let add_event_filter t ?parent filter action =
+let add_event_filter t ?(unlocked = Flow.Table.create 1) filter action =
   t.event_filters <-
-    { filter; action; parent; buffer = Queue.create () } :: t.event_filters
+    { filter; action; unlocked; buffer = Queue.create () } :: t.event_filters
 
-(* With [compress], the NF->controller connection behaves like a
+(* With [late_lock], one [Drop] filter on the whole get filter locks
+   every flow except the snapshot's not-yet-exported ones: a flow first
+   seen after the snapshot is dropped and evented from the start, and a
+   snapshot flow is locked just before its export.
+
+   With [compress], the NF->controller connection behaves like a
    compressed socket stream (§8.3): each chunk's wire footprint is what
    it adds to the stream given the previous chunk as dictionary, and the
    compression work shares the serialization path's CPU. *)
@@ -241,11 +248,25 @@ let run_get t ~req ~filter ~stream ~late_lock ~compress ~list ~export =
   wait_for_service t;
   t.busy_ops <- t.busy_ops + 1;
   let flowids = list filter in
+  let canonical flowid = Option.map Flow.canonical (Filter.exact_key flowid) in
+  let unlocked =
+    Flow.Table.create (if late_lock then List.length flowids else 1)
+  in
+  if late_lock then begin
+    List.iter
+      (fun flowid ->
+        Option.iter
+          (fun k -> Flow.Table.replace unlocked k ())
+          (canonical flowid))
+      flowids;
+    add_event_filter t ~unlocked filter Protocol.Drop
+  end;
   let collected = ref [] in
   let dict = ref "" in
   List.iter
     (fun flowid ->
-      if late_lock then add_event_filter t ~parent:filter flowid Protocol.Drop;
+      if late_lock then
+        Option.iter (Flow.Table.remove unlocked) (canonical flowid);
       match export flowid with
       | None -> ()
       | Some chunk ->
@@ -346,15 +367,8 @@ let handle_op t (req : Protocol.request) =
     assert false (* handled inline in [control] *)
 
 let disable_events t filter =
-  let keep, drop =
-    List.partition
-      (fun ef ->
-        not
-          (Filter.equal ef.filter filter
-          || match ef.parent with
-             | Some p -> Filter.equal p filter
-             | None -> false))
-      t.event_filters
+  let drop, keep =
+    List.partition (fun ef -> Filter.equal ef.filter filter) t.event_filters
   in
   t.event_filters <- keep;
   (* Release buffered packets in arrival order. *)

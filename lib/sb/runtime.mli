@@ -13,7 +13,16 @@
     (unless it carries "do-not-buffer"), [Process] handles it normally.
     For packets that are processed, the event is raised {e after}
     processing completes, which is what lets the controller use events
-    as "state updates are done" signals (§5.1.2, §5.2.2). *)
+    as "state updates are done" signals (§5.1.2, §5.2.2).
+
+    Filters are scanned newest first and the first match applies; a
+    packet no filter matches is dropped silently if a tombstone covers
+    its flow and processed otherwise. A late-locking get
+    ({!Protocol.request} [Get_perflow] with [late_lock]) installs one
+    [Drop] filter on its own filter, which does not match the packets
+    of a snapshot flow until that flow is about to be exported; such
+    packets fall through to older filters, tombstones and processing
+    as if the filter were absent. *)
 
 open Opennf_net
 

@@ -1,5 +1,6 @@
 (* Move edge cases: idle flows, empty filters, repeated moves,
-   concurrent disjoint moves, compression, overload. *)
+   concurrent disjoint moves, compression, overload, and early release
+   started while flows are still arriving. *)
 
 module Engine = Opennf_sim.Engine
 module Proc = Opennf_sim.Proc
@@ -175,6 +176,66 @@ let test_spec_validation () =
   in
   Alcotest.(check bool) "ER implies PL" true spec.Move.options.Op_options.parallel
 
+(* Early release with the move started inside the flow-arrival window:
+   flows keep appearing at the source after the late-lock snapshot. At
+   this config a flow first seen after the snapshot used to be processed
+   at the source (LF+ER stranded its state there), and under OP the
+   last source-bound packet could belong to it, so the handoff waited
+   forever. The move must return, lose nothing, and leave every flow's
+   state at the destination only. *)
+let test_er_move_inside_arrival_window guarantee ~parallel () =
+  let tb =
+    H.prads_pair ~seed:6501 ~flows:59 ~rate:200.0 ~packet_out_rate:2000.0 ()
+  in
+  let returned = ref false in
+  H.run_with tb ~at:0.568 (fun () ->
+      ignore
+        (Op_error.ok_exn
+           (Move.run tb.H.fab.ctrl
+              (Move.spec ~src:tb.H.nf1 ~dst:tb.H.nf2 ~filter:Filter.any
+                 ~guarantee ~parallel ~early_release:true ())));
+      returned := true);
+  Alcotest.(check bool) "move returned" true !returned;
+  H.assert_loss_free tb;
+  Alcotest.(check int) "no connection left at the source" 0
+    (Opennf_nfs.Prads.connection_count tb.H.prads1);
+  let listed prads =
+    List.filter_map Filter.exact_key
+      ((Opennf_nfs.Prads.impl prads).Opennf_sb.Nf_api.list_perflow Filter.any)
+  in
+  let at_dst = listed tb.H.prads2 in
+  Alcotest.(check (list string)) "no flow has state on both instances" []
+    (List.filter_map
+       (fun k ->
+         if List.exists (Flow.equal k) at_dst then Some (Flow.to_string k)
+         else None)
+       (listed tb.H.prads1))
+
+(* A no-guarantee move has nobody listening to the source's events, but
+   with early release its get still locks the move filter there; the
+   lock must not outlive the move and drop later traffic the source is
+   given for flows it never saw. *)
+let test_ng_er_move_unlocks_source () =
+  let tb = H.prads_pair ~flows:10 ~rate:500.0 ~duration:0.5 () in
+  H.run_with tb ~at:0.3 (fun () ->
+      ignore
+        (Op_error.ok_exn
+           (Move.run tb.H.fab.ctrl
+              (Move.spec ~src:tb.H.nf1 ~dst:tb.H.nf2 ~filter:Filter.any
+                 ~guarantee:Move.No_guarantee ~early_release:true ()))));
+  let fresh =
+    Flow.make ~src:(ip 198 51 100 7) ~dst:(ip 172 16 0 1) ~sport:4242 ~dport:80
+      ()
+  in
+  let before = Opennf_sb.Runtime.processed_count tb.H.rt1 in
+  Opennf_sb.Runtime.receive tb.H.rt1
+    (Packet.create ~id:1_000_000 ~key:fresh ~flags:[ Packet.Syn ] ~sent_at:0.0
+       ());
+  Fabric.run tb.H.fab;
+  Alcotest.(check int) "a new flow is processed at the old source"
+    (before + 1)
+    (Opennf_sb.Runtime.processed_count tb.H.rt1)
+
 let suite =
   [
     Alcotest.test_case "OP move of idle flows completes" `Quick
@@ -190,4 +251,17 @@ let suite =
       test_move_under_source_overload;
     Alcotest.test_case "report accounting" `Quick test_move_report_accounting;
     Alcotest.test_case "spec validation" `Quick test_spec_validation;
+    (* ER implies PL today (Op_options.make); the explicit-PL cells keep
+       covering the combination should that coupling change. *)
+    Alcotest.test_case "LF+ER inside arrival window (6501)" `Quick
+      (test_er_move_inside_arrival_window Move.Loss_free ~parallel:false);
+    Alcotest.test_case "LF+PL+ER inside arrival window (6501)" `Quick
+      (test_er_move_inside_arrival_window Move.Loss_free ~parallel:true);
+    Alcotest.test_case "OP+ER inside arrival window (6501)" `Quick
+      (test_er_move_inside_arrival_window Move.Order_preserving
+         ~parallel:false);
+    Alcotest.test_case "OP+PL+ER inside arrival window (6501)" `Quick
+      (test_er_move_inside_arrival_window Move.Order_preserving ~parallel:true);
+    Alcotest.test_case "NG+ER move leaves the source unlocked" `Quick
+      test_ng_er_move_unlocks_source;
   ]

@@ -43,15 +43,18 @@ let print_config c =
 
 let config_arb = QCheck.make ~print:print_config config_gen
 
-(* Build the bed, run the move at the configured point, return the bed. *)
-let run_move_case c ~guarantee =
+(* Build the bed, run the move at [at] (by default the configured point
+   of the trace), return the bed. *)
+let run_move_case ?at c ~guarantee =
   let tb =
     H.prads_pair ~seed:c.seed ~flows:c.flows ~rate:c.rate
       ~packet_out_rate:c.packet_out_rate ()
   in
   let handshakes = 2.0 *. float_of_int c.flows /. c.rate in
   let trace_len = handshakes +. 2.0 in
-  let at = 0.05 +. (c.move_after *. trace_len) in
+  let at =
+    match at with Some at -> at | None -> 0.05 +. (c.move_after *. trace_len)
+  in
   H.run_with tb ~at (fun () ->
       ignore
         (Op_error.ok_exn
@@ -67,6 +70,12 @@ let no_loss tb =
 
 let state_fully_moved tb =
   Opennf_nfs.Prads.connection_count tb.H.prads1 = 0
+
+let per_flow_order_kept tb =
+  List.for_all
+    (fun key ->
+      Audit.order_violations ~filter:(Filter.of_key key) tb.H.fab.audit = [])
+    tb.H.keys
 
 let prop_loss_free_move_never_loses =
   QCheck.Test.make ~name:"loss-free move: no loss, no duplication (random)"
@@ -91,12 +100,32 @@ let prop_op_er_move_preserves_per_flow_order =
     config_arb (fun c ->
       let c = { c with early_release = true; parallel = true } in
       let tb = run_move_case c ~guarantee:Move.Order_preserving in
-      no_loss tb
-      && List.for_all
-           (fun key ->
-             Audit.order_violations ~filter:(Filter.of_key key) tb.H.fab.audit
-             = [])
-           tb.H.keys)
+      no_loss tb && per_flow_order_kept tb)
+
+(* Early release started while flows are still arriving: the trace's
+   handshakes span [0.05, 0.05 + 2 flows/rate], and a flow first seen
+   after the late-lock snapshot is the case both early-release bugs
+   lived in. [window] places the move uniformly in that span extended by
+   50 ms past its end. *)
+let window_arb =
+  let at c window =
+    0.05 +. (window *. ((2.0 *. float_of_int c.flows /. c.rate) +. 0.05))
+  in
+  QCheck.make
+    ~print:(fun (c, at) -> Printf.sprintf "%s at=%.4f" (print_config c) at)
+    QCheck.Gen.(
+      map
+        (fun (c, window) -> ({ c with early_release = true }, at c window))
+        (pair config_gen (float_bound_inclusive 1.0)))
+
+let prop_er_move_inside_arrival_window =
+  QCheck.Test.make
+    ~name:"early release inside the arrival window: LF and OP (random)"
+    ~count:20 window_arb (fun (c, at) ->
+      let lf = run_move_case ~at c ~guarantee:Move.Loss_free in
+      let op = run_move_case ~at c ~guarantee:Move.Order_preserving in
+      no_loss lf && state_fully_moved lf
+      && no_loss op && state_fully_moved op && per_flow_order_kept op)
 
 let prop_ng_move_moves_state =
   QCheck.Test.make
@@ -158,6 +187,7 @@ let suite =
       prop_loss_free_move_never_loses;
       prop_op_move_preserves_order;
       prop_op_er_move_preserves_per_flow_order;
+      prop_er_move_inside_arrival_window;
       prop_ng_move_moves_state;
       prop_copy_is_non_disruptive;
       prop_partial_move_respects_filter;

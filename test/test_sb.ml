@@ -13,6 +13,8 @@ open Opennf_state
 
 let ip = Ipaddr.v
 let key = Flow.make ~src:(ip 10 0 0 1) ~dst:(ip 172 16 0 1) ~sport:1234 ~dport:80 ()
+let flow_b = Flow.make ~src:(ip 10 0 0 2) ~dst:(ip 172 16 0 1) ~sport:1235 ~dport:80 ()
+let flow_c = Flow.make ~src:(ip 10 0 0 3) ~dst:(ip 172 16 0 1) ~sport:1236 ~dport:80 ()
 
 (* A probe NF: records processed packet ids, exports one chunk per seen
    flow. *)
@@ -307,7 +309,7 @@ let test_get_charges_serialization_time () =
   Engine.run b.e;
   Alcotest.(check bool) "10 chunks take >= 100ms" true (Engine.now b.e -. t0 >= 0.1)
 
-let test_late_lock_installs_per_flow_filters () =
+let test_late_lock_locks_at_export () =
   let costs = { Costs.dummy with Costs.serialize_chunk = 0.005 } in
   let b = make_bed ~costs () in
   Runtime.receive b.rt (packet ~id:1 ());
@@ -322,14 +324,66 @@ let test_late_lock_installs_per_flow_filters () =
   Alcotest.(check (list int)) "second packet locked out" [ 1 ]
     (List.rev b.probe.seen);
   Alcotest.(check bool) "drop event raised" true
-    (List.exists (fun (id, d) -> id = 2 && d = Protocol.Drop) (events b));
-  (* Disabling the parent filter also removes the late-lock children. *)
+    (List.exists (fun (id, d) -> id = 2 && d = Protocol.Drop) (events b))
+
+(* Three flows in the snapshot, exported 5 ms apart; returns the bed
+   right after the get was issued and the flows in export order. *)
+let late_lock_bed () =
+  let costs = { Costs.dummy with Costs.serialize_chunk = 0.005 } in
+  let b = make_bed ~costs () in
+  List.iteri
+    (fun i k -> Runtime.receive b.rt (packet ~id:(100 + i) ~k ()))
+    [ key; flow_b; flow_c ];
+  Engine.run b.e;
+  b.probe.seen <- [];
+  Runtime.control b.rt
+    (Protocol.Get_perflow
+       { req = 1; filter = Filter.any; stream = true; late_lock = true; compress = false });
+  let order =
+    List.filter_map Filter.exact_key
+      ((probe_impl b.probe).Nf_api.list_perflow Filter.any)
+  in
+  (b, order)
+
+let test_late_lock_drops_flow_new_after_snapshot () =
+  let b, _ = late_lock_bed () in
+  (* First seen mid-get: never in the snapshot, so it is locked from the
+     start instead of growing state no get will export. *)
+  let fresh = Flow.make ~src:(ip 10 0 0 9) ~dst:(ip 172 16 0 1) ~sport:9 ~dport:80 () in
+  Engine.schedule b.e ~delay:0.002 (fun () ->
+      Runtime.receive b.rt (packet ~id:7 ~k:(Flow.reverse fresh) ()));
+  Engine.run b.e;
+  Alcotest.(check (list int)) "not processed" [] b.probe.seen;
+  Alcotest.(check (list (pair int bool))) "drop event raised"
+    [ (7, true) ]
+    (List.map (fun (id, d) -> (id, d = Protocol.Drop)) (events b))
+
+let test_late_lock_processes_unexported_flow () =
+  let b, order = late_lock_bed () in
+  let last = List.nth order 2 in
+  (* The last flow's export starts at 10 ms; both directions of it are
+     still unlocked at 2 ms and 7 ms. *)
+  Engine.schedule b.e ~delay:0.002 (fun () ->
+      Runtime.receive b.rt (packet ~id:7 ~k:last ()));
+  Engine.schedule b.e ~delay:0.007 (fun () ->
+      Runtime.receive b.rt (packet ~id:8 ~k:(Flow.reverse last) ()));
+  Engine.run b.e;
+  Alcotest.(check (list int)) "processed before its export" [ 7; 8 ]
+    (List.rev b.probe.seen);
+  Alcotest.(check int) "no event" 0 (List.length (events b))
+
+let test_late_lock_one_disable_unlocks () =
+  let b, order = late_lock_bed () in
+  Engine.run b.e;
   Runtime.control b.rt (Protocol.Disable_events { filter = Filter.any });
   Engine.run b.e;
-  Runtime.receive b.rt (packet ~id:3 ());
+  List.iteri
+    (fun i k -> Runtime.receive b.rt (packet ~id:(10 + i) ~k ()))
+    (order @ [ Flow.make ~src:(ip 10 0 0 9) ~dst:(ip 172 16 0 1) ~sport:9 ~dport:80 () ]);
   Engine.run b.e;
-  Alcotest.(check bool) "flow unlocked after disable... but tombstone-free" true
-    (List.mem 3 b.probe.seen)
+  Alcotest.(check (list int)) "every flow processed again" [ 10; 11; 12; 13 ]
+    (List.rev b.probe.seen);
+  Alcotest.(check int) "no event" 0 (List.length (events b))
 
 let test_export_waits_for_in_service_packet () =
   (* A packet already on the CPU when the get arrives must have its
@@ -390,7 +444,13 @@ let suite =
     Alcotest.test_case "runtime: serialization time" `Quick
       test_get_charges_serialization_time;
     Alcotest.test_case "runtime: late locking" `Quick
-      test_late_lock_installs_per_flow_filters;
+      test_late_lock_locks_at_export;
+    Alcotest.test_case "runtime: late lock drops a flow new after the snapshot"
+      `Quick test_late_lock_drops_flow_new_after_snapshot;
+    Alcotest.test_case "runtime: late lock processes an unexported flow"
+      `Quick test_late_lock_processes_unexported_flow;
+    Alcotest.test_case "runtime: late lock lifted by one disable" `Quick
+      test_late_lock_one_disable_unlocks;
     Alcotest.test_case "runtime: export waits for in-service packet" `Quick
       test_export_waits_for_in_service_packet;
     Alcotest.test_case "runtime: export penalty bookkeeping" `Quick
