@@ -40,7 +40,9 @@ end
    slab — the GC never walks them — and the value is not an OCaml
    object at all: the NF reads and writes typed fields of the row
    payload through an integer handle. Point lookups go through a flat
-   open-addressing index (an int array: no buckets, no cons cells).
+   open-addressing index (an int array: no buckets, no cons cells)
+   whose entries carry a hash tag beside the row index, so a probe
+   reads a row only when the tags agree and a rehash reads no rows.
    Nothing else grows with the rows: insert and remove touch only the
    index and the row, and a non-exact [matching] sorts on query — it
    scans the live rows and sorts only the matches. *)
@@ -53,10 +55,18 @@ module Perflow_arena = struct
   let proto_rank = function Flow.Tcp -> 0 | Flow.Udp -> 1 | Flow.Icmp -> 2
   let protos = [| Flow.Tcp; Flow.Udp; Flow.Icmp |]
 
+  (* Index entry: 0 = empty, -1 = tombstone, else
+     [occupied | tag lsl 32 | row index], positive. The tag is the low
+     [tag_bits] of the key's hash; the slot count stays below
+     [1 lsl tag_bits], so the tag also holds the entry's home slot. *)
+  let tag_bits = 29
+  let tag_mask = (1 lsl tag_bits) - 1
+  let occupied = 1 lsl tag_bits (* above the tag, once shifted *)
+  let row_mask = (1 lsl 32) - 1
+  let max_slots = 1 lsl (tag_bits - 1)
+
   type t = {
     arena : Arena.t;
-    (* Open-addressing index: slot 0 = empty, -1 = tombstone, else a
-       live handle (handles are positive: live generations are odd). *)
     mutable idx : int array;
     mutable mask : int;
     mutable count : int;
@@ -76,12 +86,12 @@ module Perflow_arena = struct
   let arena t = t.arena
   let size t = t.count
 
-  (* Integer hash over the five key fields — applied identically to a
-     [Flow.key] record and to row bytes, so probes need no boxing. *)
+  (* Integer hash over the five canonical key fields, so probes need no
+     boxing. *)
   let[@inline] mix h v = (h lxor v) * 0x2545F4914F6CDD1D
   let[@inline] hash5 src dst pr sp dp =
     let h = mix (mix (mix (mix (mix 0x9E3779B9 src) dst) pr) sp) dp in
-    (h lxor (h lsr 29)) land max_int
+    (h lxor (h lsr 29)) land tag_mask
 
   let[@inline] row_matches t h src dst pr sp dp =
     Arena.get_u32 t.arena h 0 = src
@@ -90,32 +100,32 @@ module Perflow_arena = struct
     && Arena.get_u16 t.arena h 9 = sp
     && Arena.get_u16 t.arena h 11 = dp
 
-  (* From slot [i]: the slot holding the key, or -1. Canonical key
-     fields only. *)
-  let rec probe t i src dst pr sp dp =
-    let v = t.idx.(i) in
+  (* From slot [i]: the slot holding the key whose tagged entry head is
+     [want] ([occupied lor tag]), or -1. A tombstone's head (-1 lsr 32)
+     is above every [want], so one compare screens both. *)
+  let rec probe t i want src dst pr sp dp =
+    let v = Array.unsafe_get t.idx i in
     if v = 0 then -1
-    else if v > 0 && row_matches t v src dst pr sp dp then i
-    else probe t ((i + 1) land t.mask) src dst pr sp dp
+    else if
+      v lsr 32 = want
+      && row_matches t (Arena.handle_at t.arena (v land row_mask)) src dst pr
+           sp dp
+    then i
+    else probe t ((i + 1) land t.mask) want src dst pr sp dp
 
-  (* From slot [i] of [idx]: the first slot holding no live handle. *)
+  (* From slot [i] of [idx]: the first slot holding no live entry. *)
   let rec vacant idx mask i =
     if idx.(i) > 0 then vacant idx mask ((i + 1) land mask) else i
 
-  let hash_row t h =
-    hash5 (Arena.get_u32 t.arena h 0) (Arena.get_u32 t.arena h 4)
-      (Arena.get_u8 t.arena h 8) (Arena.get_u16 t.arena h 9)
-      (Arena.get_u16 t.arena h 11)
-
   let rehash t slots =
-    let idx = Array.make slots 0 in
+    if slots > max_slots then
+      invalid_arg "Perflow_arena: index would exceed 2^28 slots";
+    let idx = Array.make slots 0 and mask = slots - 1 in
     Array.iter
-      (fun v ->
-        if v > 0 then
-          idx.(vacant idx (slots - 1) (hash_row t v land (slots - 1))) <- v)
+      (fun v -> if v > 0 then idx.(vacant idx mask ((v lsr 32) land mask)) <- v)
       t.idx;
     t.idx <- idx;
-    t.mask <- slots - 1;
+    t.mask <- mask;
     t.tombs <- 0
 
   let key_of t h =
@@ -127,48 +137,70 @@ module Perflow_arena = struct
       dst_port = Arena.get_u16 t.arena h 11;
     }
 
+  (* The slot of a canonical key with hash [hash], or -1. *)
+  let[@inline] slot t hash src dst pr sp dp =
+    probe t (hash land t.mask) (occupied lor hash) src dst pr sp dp
+
+  let slot5 t src dst pr sp dp = slot t (hash5 src dst pr sp dp) src dst pr sp dp
+
+  (* Keys are canonicalized field by field: when [Flow.canonical] would
+     reverse [k], its endpoints are passed swapped, so no reversed
+     record is built. *)
+  let[@inline] reversed src dst sp dp = src > dst || (src = dst && sp > dp)
+
   (* The slot of the key's canonical form, or -1. *)
   let slot_of t k =
-    let k = Flow.canonical k in
-    let src = Ipaddr.to_int k.Flow.src_ip in
-    let dst = Ipaddr.to_int k.Flow.dst_ip and pr = proto_rank k.Flow.proto in
+    let src = Ipaddr.to_int k.Flow.src_ip and dst = Ipaddr.to_int k.Flow.dst_ip in
     let sp = k.Flow.src_port and dp = k.Flow.dst_port in
-    probe t (hash5 src dst pr sp dp land t.mask) src dst pr sp dp
+    let pr = proto_rank k.Flow.proto in
+    if reversed src dst sp dp then slot5 t dst src pr dp sp
+    else slot5 t src dst pr sp dp
+
+  let[@inline] handle_in t s =
+    Arena.handle_at t.arena (Array.unsafe_get t.idx s land row_mask)
 
   (* Box-free point lookup: [Arena.null] means absent. *)
   let find t k =
     let s = slot_of t k in
-    if s = -1 then Arena.null else t.idx.(s)
+    if s = -1 then Arena.null else handle_in t s
 
-  let insert t k =
-    let s = slot_of t k in
-    if s <> -1 then t.idx.(s)
+  let insert5 t src dst pr sp dp =
+    let hash = hash5 src dst pr sp dp in
+    let s = slot t hash src dst pr sp dp in
+    if s <> -1 then handle_in t s
     else begin
-      let k = Flow.canonical k in
+      (* Keep (live + tombstones) at or below half the slots once this
+         key is in: purge the tombstones, or double when the live keys
+         alone would pass half. Rehashing first leaves the store as it
+         was when the index is at its size limit. *)
+      let n = t.count + 1 and slots = t.mask + 1 in
+      if 2 * (n + t.tombs) > slots then
+        rehash t (if 2 * n > slots then 2 * slots else slots);
       let h = Arena.alloc t.arena in
-      Arena.set_u32 t.arena h 0 (Ipaddr.to_int k.Flow.src_ip);
-      Arena.set_u32 t.arena h 4 (Ipaddr.to_int k.Flow.dst_ip);
-      Arena.set_u8 t.arena h 8 (proto_rank k.Flow.proto);
-      Arena.set_u16 t.arena h 9 k.Flow.src_port;
-      Arena.set_u16 t.arena h 11 k.Flow.dst_port;
-      let i = vacant t.idx t.mask (hash_row t h land t.mask) in
+      Arena.set_u32 t.arena h 0 src;
+      Arena.set_u32 t.arena h 4 dst;
+      Arena.set_u8 t.arena h 8 pr;
+      Arena.set_u16 t.arena h 9 sp;
+      Arena.set_u16 t.arena h 11 dp;
+      let i = vacant t.idx t.mask (hash land t.mask) in
       if t.idx.(i) = -1 then t.tombs <- t.tombs - 1;
-      t.idx.(i) <- h;
-      t.count <- t.count + 1;
-      (* Keep (live + tombstones) at or below half the slots; one
-         doubling always suffices, as [count] grows by one. *)
-      if 2 * (t.count + t.tombs) > t.mask + 1 then
-        rehash t
-          (if 2 * (t.count + 1) > t.mask + 1 then 2 * (t.mask + 1)
-           else t.mask + 1);
+      t.idx.(i) <- ((occupied lor hash) lsl 32) lor Arena.index t.arena h;
+      t.count <- n;
       h
     end
+
+  let insert t k =
+    let src = Ipaddr.to_int k.Flow.src_ip and dst = Ipaddr.to_int k.Flow.dst_ip in
+    let sp = k.Flow.src_port and dp = k.Flow.dst_port in
+    let pr = proto_rank k.Flow.proto in
+    if reversed src dst sp dp then insert5 t dst src pr dp sp
+    else insert5 t src dst pr sp dp
 
   let remove t k =
     let s = slot_of t k in
     if s = -1 then false
     else begin
-      Arena.free t.arena t.idx.(s);
+      Arena.free t.arena (handle_in t s);
       t.idx.(s) <- -1;
       t.count <- t.count - 1;
       t.tombs <- t.tombs + 1;
@@ -228,14 +260,16 @@ module Perflow_arena = struct
       let h = find t key in
       if h = Arena.null then [] else [ (key_of t h, h) ]
     | None ->
-      let a = t.arena in
       let rows = ref (Array.make 48 0) and n = ref 0 in
-      Arena.iter_live a (fun h ->
-          let src = Arena.get_u32 a h 0
-          and dst = Arena.get_u32 a h 4
-          and pr = Arena.get_u8 a h 8
-          and sp = Arena.get_u16 a h 9
-          and dp = Arena.get_u16 a h 11 in
+      Arena.iter_rows t.arena (fun h b off ->
+          let src =
+            Bytes.get_uint16_le b off lor (Bytes.get_uint16_le b (off + 2) lsl 16)
+          and dst =
+            Bytes.get_uint16_le b (off + 4)
+            lor (Bytes.get_uint16_le b (off + 6) lsl 16)
+          and pr = Bytes.get_uint8 b (off + 8)
+          and sp = Bytes.get_uint16_le b (off + 9)
+          and dp = Bytes.get_uint16_le b (off + 11) in
           if
             Filter.matches_conn filter ~src:(Ipaddr.of_int src)
               ~dst:(Ipaddr.of_int dst) ~proto:protos.(pr) ~sport:sp ~dport:dp

@@ -51,6 +51,13 @@ module Perflow_arena : sig
       lookups probe a flat open-addressing int array, and that index
       and the slabs are all the store holds, so insert and remove leave
       no per-row node on the OCaml heap.
+
+      Each index slot is one int packing the row index with a 29-bit
+      tag of the key's hash, so a probe reads a row only when the tags
+      agree and a rehash reads no rows at all. Limit: the index keeps
+      its slot count below 2{^29} (at most 2{^28} slots, kept at most
+      half full: 2{^27} live flows); an insert that would grow it past
+      that raises [Invalid_argument].
       Ordered enumeration sorts on query (see {!matching}). *)
 
   val payload_off : int
@@ -67,13 +74,17 @@ module Perflow_arena : sig
       [payload_off]-relative plus the field offset. *)
 
   val find : t -> Flow.key -> Opennf_util.Arena.handle
-  (** Box-free lookup: the live handle, or {!Opennf_util.Arena.null}
-      when absent. Keys are canonicalized, as in {!Perflow.find}. *)
-
+  (** Allocation-free lookup: the live handle {!insert} returned for
+      the key, or {!Opennf_util.Arena.null} when absent. Keys are
+      canonicalized, as in {!Perflow.find}, but field by field: a
+      reply-direction key builds no reversed record. The probe
+      compares index tags and reads a row only on a tag match: short
+      of a 29-bit tag collision, the key's own row and no other. *)
 
   val insert : t -> Flow.key -> Opennf_util.Arena.handle
   (** The existing handle for the (canonicalized) key, or a fresh
-      zero-payload row with the key written. *)
+      zero-payload row with the key written (the handle
+      {!Opennf_util.Arena.alloc} issued for it). *)
 
   val remove : t -> Flow.key -> bool
   (** Frees the row; any retained handle becomes stale (every arena

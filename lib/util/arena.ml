@@ -74,6 +74,17 @@ let is_live t h =
   && s < Array.length t.gens
   && t.gens.(s).(idx land slab_mask) = g
 
+let index t h = idx_of t h
+
+(* The generation stamped on the row is the whole handle, less the
+   index: odd when live, even when freed or never used. *)
+let handle_at t idx =
+  let s = idx lsr slab_bits in
+  if idx < 0 || s >= Array.length t.gens then null
+  else
+    let g = Array.unsafe_get (Array.unsafe_get t.gens s) (idx land slab_mask) in
+    if g land 1 = 0 then null else (g lsl idx_bits) lor idx
+
 let add_slab t =
   let n = Array.length t.slabs in
   let slabs = Array.make (n + 1) Bytes.empty in
@@ -188,12 +199,16 @@ let set_f64 t h off v =
     (Int64.bits_of_float v)
 
 (* Live rows in ascending row-index order (deterministic, independent
-   of free-list history). *)
-let iter_live t f =
+   of free-list history). A row is live exactly when its generation is
+   odd, so the scan itself is the validation: each row is handed out
+   once, with its slab and byte offset, for reads that need no
+   further check. *)
+let iter_rows t f =
   for s = 0 to Array.length t.gens - 1 do
-    let gens = t.gens.(s) in
+    let gens = t.gens.(s) and slab = t.slabs.(s) in
     for r = 0 to slab_rows - 1 do
       let g = gens.(r) in
-      if g land 1 = 1 then f ((g lsl idx_bits) lor ((s lsl slab_bits) lor r))
+      if g land 1 = 1 then
+        f ((g lsl idx_bits) lor ((s lsl slab_bits) lor r)) slab (r * t.stride)
     done
   done

@@ -34,12 +34,26 @@ val free : t -> handle -> unit
     becomes invalid immediately. *)
 
 val is_live : t -> handle -> bool
+
+val index : t -> handle -> int
+(** The row index of a live handle (dense, from 0, below
+    {!capacity}); raises [Invalid_argument] on a stale handle. *)
+
+val handle_at : t -> int -> handle
+(** The live handle of row [i] (the one {!alloc} issued for its
+    current tenant), or {!null} when the row is freed, never used or
+    out of range. Reads the row's generation, never the row. *)
+
 val live : t -> int
 val capacity : t -> int
 
-val iter_live : t -> (handle -> unit) -> unit
-(** Live rows in ascending row-index order (deterministic, independent
-    of allocation/free history). *)
+val iter_rows : t -> (handle -> Bytes.t -> int -> unit) -> unit
+(** [iter_rows t f] calls [f h slab off] for each live row, in
+    ascending row-index order (deterministic, independent of
+    allocation/free history): [h] is its handle and its [stride] bytes
+    sit at [off] in [slab]. The scan checks liveness once per row, so
+    [f] reads the row's fields with no per-field validation. [f] must
+    not alloc or free, nor keep [slab]. *)
 
 (** {1 Typed field accessors}
 

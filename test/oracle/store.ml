@@ -23,7 +23,7 @@ let keyed_matching store ~relevant filter =
 
 let perflow_arena_matching store filter =
   let acc = ref [] in
-  Opennf_util.Arena.iter_live (S.Perflow_arena.arena store) (fun h ->
+  Opennf_util.Arena.iter_rows (S.Perflow_arena.arena store) (fun h _ _ ->
       let k = S.Perflow_arena.key_of store h in
       if Filter.matches_flow filter k then acc := (k, h) :: !acc);
   List.sort (fun (a, _) (b, _) -> Flow.compare a b) !acc

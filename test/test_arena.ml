@@ -86,6 +86,36 @@ let test_arena_stale_after_reuse () =
        0
      with Invalid_argument _ -> 1)
 
+(* The store's index keeps row indices, not handles: [index] and
+   [handle_at] must round-trip a live row to the very handle [alloc]
+   issued, answer [null] for a row with no live tenant, and leave a
+   handle retired through free-list reuse rejected. *)
+let test_arena_index_handle () =
+  let a = Arena.create ~stride:16 () in
+  let hs = Array.init 5 (fun _ -> Arena.alloc a) in
+  Array.iter
+    (fun h ->
+      Alcotest.(check int) "live row maps back to its handle" h
+        (Arena.handle_at a (Arena.index a h)))
+    hs;
+  let freed = hs.(2) in
+  let i = Arena.index a freed in
+  Arena.free a freed;
+  Alcotest.(check int) "freed row maps to null" Arena.null (Arena.handle_at a i);
+  Alcotest.(check int) "never-used row maps to null" Arena.null
+    (Arena.handle_at a 5);
+  Alcotest.(check int) "row beyond capacity maps to null" Arena.null
+    (Arena.handle_at a (Arena.capacity a));
+  expect_stale (fun () -> Arena.index a freed);
+  (* LIFO reuse: the same row, a new generation. *)
+  let reused = Arena.alloc a in
+  Alcotest.(check int) "row reused" i (Arena.index a reused);
+  Alcotest.(check int) "row maps to the new tenant" reused (Arena.handle_at a i);
+  Alcotest.(check bool) "new handle differs" true (reused <> freed);
+  expect_stale (fun () -> Arena.get_int a freed 0);
+  expect_stale (fun () -> Arena.set_int a freed 0 1);
+  expect_stale (fun () -> Arena.index a freed)
+
 let test_arena_growth_and_iter () =
   let a = Arena.create ~stride:8 () in
   (* Cross two slab boundaries so growth is exercised. *)
@@ -94,7 +124,7 @@ let test_arena_growth_and_iter () =
   Array.iteri (fun i h -> Arena.set_int a h 0 i) hs;
   Alcotest.(check int) "live" n (Arena.live a);
   Alcotest.(check bool) "capacity >= live" true (Arena.capacity a >= n);
-  (* Free every third row; iter_live must visit the rest in ascending
+  (* Free every third row; iter_rows must visit the rest in ascending
      row order regardless of the free pattern. *)
   let freed = ref 0 in
   Array.iteri
@@ -106,7 +136,7 @@ let test_arena_growth_and_iter () =
     hs;
   Alcotest.(check int) "live after frees" (n - !freed) (Arena.live a);
   let seen = ref [] in
-  Arena.iter_live a (fun h -> seen := Arena.get_int a h 0 :: !seen);
+  Arena.iter_rows a (fun h _ _ -> seen := Arena.get_int a h 0 :: !seen);
   let seen = List.rev !seen in
   Alcotest.(check int) "iter count" (n - !freed) (List.length seen);
   Alcotest.(check bool) "ascending row order" true
@@ -492,4 +522,6 @@ let suite =
       test_nat_port_wrap_and_recycle;
     Alcotest.test_case "nat: cursor wraps the range" `Quick
       test_nat_port_wraps_cursor;
+    Alcotest.test_case "arena: row index and handle conversions" `Quick
+      test_arena_index_handle;
   ]

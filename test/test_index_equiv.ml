@@ -126,6 +126,63 @@ let test_perflow_churn () =
         (Store.Perflow.matching store f)
   done
 
+(* The arena store's tagged open-addressing index against the boxed
+   store as reference (canonical key -> the handle the first insert
+   returned). The small universe makes home slots collide constantly;
+   the insert-heavy phase crosses the index's growth rehashes (64 to
+   16,384 slots), and the balanced and remove-heavy phases pile up
+   tombstones until same-size purge rehashes clear them. *)
+let test_perflow_arena_churn () =
+  let module Pfa = Store.Perflow_arena in
+  let null = Opennf_util.Arena.null in
+  let rng = Rng.create ~seed:2718 in
+  let store = Pfa.create ~payload:8 () and peak = ref 0 in
+  let reference = Store.Perflow.create () in
+  let check_find k =
+    Alcotest.(check int)
+      ("find " ^ Flow.to_string k ^ ": the first insert's handle, or null")
+      (Option.value (Store.Perflow.find reference k) ~default:null)
+      (Pfa.find store k)
+  in
+  let step ~inserts ~removes =
+    let k = key rng in
+    let r = Rng.int rng 100 in
+    if r < inserts then begin
+      let h = Pfa.insert store k in
+      match Store.Perflow.find reference k with
+      | Some first -> Alcotest.(check int) "insert of a present key" first h
+      | None -> Store.Perflow.set reference k h
+    end
+    else if r < inserts + removes then begin
+      Alcotest.(check bool) "remove reports presence"
+        (Store.Perflow.mem reference k) (Pfa.remove store k);
+      Store.Perflow.remove reference k;
+      Alcotest.(check int) "removed key is absent" null (Pfa.find store k)
+    end;
+    check_find k;
+    Alcotest.(check int) "size" (Store.Perflow.size reference) (Pfa.size store);
+    peak := max !peak (Pfa.size store)
+  in
+  let phase n ~inserts ~removes =
+    for i = 1 to n do
+      step ~inserts ~removes;
+      if i mod 500 = 0 then
+        Alcotest.check pairs "matching Filter.any"
+          (Store.Perflow.matching reference Filter.any)
+          (Pfa.matching store Filter.any)
+    done
+  in
+  phase 6000 ~inserts:80 ~removes:10;
+  phase 20000 ~inserts:45 ~removes:45;
+  phase 8000 ~inserts:15 ~removes:75;
+  (* Over 4,096 live keys: the index doubled from 64 to 16,384 slots. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "peak size %d > 4096" !peak)
+    true (!peak > 4096);
+  Alcotest.check pairs "final matching Filter.any"
+    (Store.Perflow.matching reference Filter.any)
+    (Pfa.matching store Filter.any)
+
 let suite =
   [
     Alcotest.test_case "flowtable: randomized churn equivalence" `Quick
@@ -134,4 +191,6 @@ let suite =
       test_flowtable_cache_invalidation;
     Alcotest.test_case "perflow store: randomized churn equivalence" `Quick
       test_perflow_churn;
+    Alcotest.test_case "perflow arena: randomized churn equivalence" `Quick
+      test_perflow_arena_churn;
   ]

@@ -325,6 +325,38 @@ let test_arena_insert_remove_alloc_budget () =
     (Printf.sprintf "remove stays under 16 minor words/op (got %.1f)" rem)
     true (rem <= 16.0)
 
+(* A point lookup canonicalizes field by field: a reply-direction key
+   swaps its endpoints in place instead of building the reversed
+   record, so [find] allocates nothing in either direction. *)
+let test_arena_find_alloc_budget () =
+  let n = 100_000 in
+  let keys =
+    Array.init n (fun i ->
+        let k =
+          Flow.make
+            ~src:(Ipaddr.of_int (0x0A000000 lor i))
+            ~dst:(Ipaddr.of_int 0xC0A80101)
+            ~proto:(if i land 4 = 0 then Flow.Tcp else Flow.Udp)
+            ~sport:(1024 + (i land 1023))
+            ~dport:443 ()
+        in
+        if i land 1 = 0 then k else Flow.reverse k)
+  in
+  let store = Store.Perflow_arena.create ~payload:32 () in
+  Array.iteri
+    (fun i k -> if i land 3 <> 3 then ignore (Store.Perflow_arena.insert store k))
+    keys;
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  Array.iter
+    (fun k -> if Store.Perflow_arena.find store k <> Opennf_util.Arena.null then incr hits)
+    keys;
+  let per_op = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check int) "present keys found, absent ones not" (n - (n / 4)) !hits;
+  Alcotest.(check bool)
+    (Printf.sprintf "find allocates 0 minor words/op (got %.3f)" per_op)
+    true (per_op < 0.01)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ perflow_equiv; per_host_equiv; keyed_equiv ]
@@ -339,4 +371,6 @@ let suite =
         test_boxed_arena_agree;
       Alcotest.test_case "alloc budget: boxed set/remove" `Quick
         test_perflow_set_remove_alloc_budget;
+      Alcotest.test_case "alloc budget: arena find" `Quick
+        test_arena_find_alloc_budget;
     ]
