@@ -65,6 +65,10 @@ let eo_cookie = 32 (* int *)
 let eo_next = 40 (* handle of the next row for the same key; null ends *)
 let e_stride = 48
 
+(* 8-byte int fields, sign-extended. *)
+let[@inline] get_int b o = Int64.to_int (Bytes.get_int64_le b o)
+let[@inline] set_int b o v = Bytes.set_int64_le b o (Int64.of_int v)
+
 type t = {
   by_cookie : (int, entry) Hashtbl.t;
   exact : Arena.t;
@@ -133,33 +137,25 @@ let has_flag_filter rule =
 
 (* --- exact index ---------------------------------------------------------
    Open addressing over int slots, same discipline as the arena-backed
-   per-flow stores: probes compare the packet's key fields against the
-   chain head's row bytes, so the hot path allocates nothing. *)
+   per-flow stores: probes compare the packet's key against the chain
+   head's {!Key_row} head (two 64-bit words, masked short of [eo_flag]),
+   so the hot path allocates nothing. *)
 
-let[@inline] emix h v = (h lxor v) * 0x2545F4914F6CDD1D
-
-let[@inline] ehash src dst pr sp dp =
-  let h = emix (emix (emix (emix (emix 0x9E3779B9 src) dst) pr) sp) dp in
-  (h lxor (h lsr 29)) land max_int
-
-let proto_rank = function Flow.Tcp -> 0 | Flow.Udp -> 1 | Flow.Icmp -> 2
-
-let[@inline] erow_matches t h src dst pr sp dp =
-  Arena.get_u32 t.exact h 0 = src
-  && Arena.get_u32 t.exact h 4 = dst
-  && Arena.get_u8 t.exact h 8 = pr
-  && Arena.get_u16 t.exact h 9 = sp
-  && Arena.get_u16 t.exact h 11 = dp
+(* Whether the row of live handle [h] holds the directed key. *)
+let row_holds t h src dst w1 =
+  let r = Arena.index t.exact h in
+  Key_row.matches (Arena.slab t.exact r) (Arena.offset t.exact r) src dst w1
 
 (* Slot holding the chain for the directed key, or -1. *)
 let eprobe_find t src dst pr sp dp =
-  let i = ref (ehash src dst pr sp dp land t.emask) in
+  let w1 = Key_row.word1 pr sp dp in
+  let i = ref (Key_row.hash src dst pr sp dp land t.emask) in
   let slot = ref (-1) in
   let continue = ref true in
   while !continue do
     let v = t.eidx.(!i) in
     if v = 0 then continue := false
-    else if v <> -1 && erow_matches t v src dst pr sp dp then begin
+    else if v <> -1 && row_holds t v src dst w1 then begin
       slot := !i;
       continue := false
     end
@@ -167,18 +163,15 @@ let eprobe_find t src dst pr sp dp =
   done;
   !slot
 
-let erehash t slots =
+let eresize t slots =
   let idx = Array.make slots 0 in
   let mask = slots - 1 in
   Array.iter
     (fun v ->
       if v <> 0 && v <> -1 then begin
-        let h =
-          ehash (Arena.get_u32 t.exact v 0) (Arena.get_u32 t.exact v 4)
-            (Arena.get_u8 t.exact v 8)
-            (Arena.get_u16 t.exact v 9)
-            (Arena.get_u16 t.exact v 11)
-        in
+        let r = Arena.index t.exact v in
+        let b = Arena.slab t.exact r and o = Arena.offset t.exact r in
+        let h = Key_row.hash_at b o in
         let i = ref (h land mask) in
         while idx.(!i) <> 0 do
           i := (!i + 1) land mask
@@ -195,10 +188,11 @@ let erehash t slots =
 let eindex_add t e (k : Flow.key) =
   let src = Ipaddr.to_int k.Flow.src_ip
   and dst = Ipaddr.to_int k.Flow.dst_ip
-  and pr = proto_rank k.Flow.proto
+  and pr = Key_row.rank k.Flow.proto
   and sp = k.Flow.src_port
   and dp = k.Flow.dst_port in
-  let i = ref (ehash src dst pr sp dp land t.emask) in
+  let w1 = Key_row.word1 pr sp dp in
+  let i = ref (Key_row.hash src dst pr sp dp land t.emask) in
   let free = ref (-1) in
   let found = ref (-1) in
   let continue = ref true in
@@ -212,28 +206,26 @@ let eindex_add t e (k : Flow.key) =
       if !free = -1 then free := !i;
       i := (!i + 1) land t.emask
     end
-    else if erow_matches t v src dst pr sp dp then begin
+    else if row_holds t v src dst w1 then begin
       found := !i;
       continue := false
     end
     else i := (!i + 1) land t.emask
   done;
   let h = Arena.alloc t.exact in
-  Arena.set_u32 t.exact h 0 src;
-  Arena.set_u32 t.exact h 4 dst;
-  Arena.set_u8 t.exact h 8 pr;
-  Arena.set_u16 t.exact h 9 sp;
-  Arena.set_u16 t.exact h 11 dp;
-  Arena.set_u8 t.exact h eo_flag (if has_flag_filter e.rule then 1 else 0);
-  Arena.set_int t.exact h eo_prio e.rule.priority;
-  Arena.set_int t.exact h eo_seq e.installed_seq;
-  Arena.set_int t.exact h eo_cookie e.rule.cookie;
+  let r = Arena.index t.exact h in
+  let b = Arena.slab t.exact r and o = Arena.offset t.exact r in
+  Key_row.write b o src dst w1;
+  Bytes.set_uint8 b (o + eo_flag) (if has_flag_filter e.rule then 1 else 0);
+  set_int b (o + eo_prio) e.rule.priority;
+  set_int b (o + eo_seq) e.installed_seq;
+  set_int b (o + eo_cookie) e.rule.cookie;
   if !found <> -1 then begin
-    Arena.set_int t.exact h eo_next t.eidx.(!found);
+    set_int b (o + eo_next) t.eidx.(!found);
     t.eidx.(!found) <- h
   end
   else begin
-    Arena.set_int t.exact h eo_next Arena.null;
+    set_int b (o + eo_next) Arena.null;
     if t.eidx.(!free) = -1 then t.etombs <- t.etombs - 1;
     t.eidx.(!free) <- h;
     t.ecount <- t.ecount + 1;
@@ -242,7 +234,7 @@ let eindex_add t e (k : Flow.key) =
       while 2 * (t.ecount + 1) > !slots do
         slots := !slots * 2
       done;
-      erehash t !slots
+      eresize t !slots
     end
   end
 
@@ -254,7 +246,7 @@ let eindex_remove t e (k : Flow.key) =
     eprobe_find t
       (Ipaddr.to_int k.Flow.src_ip)
       (Ipaddr.to_int k.Flow.dst_ip)
-      (proto_rank k.Flow.proto) k.Flow.src_port k.Flow.dst_port
+      (Key_row.rank k.Flow.proto) k.Flow.src_port k.Flow.dst_port
   in
   if s <> -1 then begin
     let cookie = e.rule.cookie in
@@ -361,35 +353,38 @@ let exact_best t p =
     eprobe_find t
       (Ipaddr.to_int k.Flow.src_ip)
       (Ipaddr.to_int k.Flow.dst_ip)
-      (proto_rank k.Flow.proto) k.Flow.src_port k.Flow.dst_port
+      (Key_row.rank k.Flow.proto) k.Flow.src_port k.Flow.dst_port
   in
   if s = -1 then None
   else begin
     let a = t.exact in
-    let best = ref Arena.null in
+    let found = ref false and best = ref 0 in
     let bp = ref min_int and bs = ref min_int in
     let h = ref t.eidx.(s) in
     while !h <> Arena.null do
-      let prio = Arena.get_int a !h eo_prio in
-      let seq = Arena.get_int a !h eo_seq in
+      let r = Arena.index a !h in
+      let b = Arena.slab a r and o = Arena.offset a r in
+      let prio = get_int b (o + eo_prio) in
+      let seq = get_int b (o + eo_seq) in
+      let cookie = get_int b (o + eo_cookie) in
       if prio > !bp || (prio = !bp && seq > !bs) then begin
         let ok =
-          Arena.get_u8 a !h eo_flag = 0
+          Bytes.get_uint8 b (o + eo_flag) = 0
           ||
-          match Hashtbl.find_opt t.by_cookie (Arena.get_int a !h eo_cookie) with
+          match Hashtbl.find_opt t.by_cookie cookie with
           | Some e -> rule_matches e.rule p
           | None -> false
         in
         if ok then begin
-          best := !h;
+          found := true;
+          best := cookie;
           bp := prio;
           bs := seq
         end
       end;
-      h := Arena.get_int a !h eo_next
+      h := get_int b (o + eo_next)
     done;
-    if !best = Arena.null then None
-    else Hashtbl.find_opt t.by_cookie (Arena.get_int a !best eo_cookie)
+    if !found then Hashtbl.find_opt t.by_cookie !best else None
   end
 
 let wild_best t p ~stop_at =

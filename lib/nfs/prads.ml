@@ -6,12 +6,25 @@ open Opennf_state
 
 (* Connection records are arena rows (the hot, million-entry state);
    asset records and the globals stay boxed — there is one asset per
-   host, not per flow, and their service maps are genuinely structured. *)
+   host, not per flow, and their service maps are genuinely structured.
+   A row is read and written in place: its handle is validated once
+   ([Arena.index]), then every field is a load or store at a raw byte
+   offset into the row's slab. *)
 let off_first = Pfa.payload_off (* f64 *)
 let off_last = Pfa.payload_off + 8 (* f64 *)
 let off_pkts = Pfa.payload_off + 16 (* int *)
 let off_bytes = Pfa.payload_off + 24 (* int *)
 let payload_bytes = 32
+
+(* Little-endian row fields; 8-byte ones hold an int sign-extended to
+   64 bits or a float's IEEE bits, as the arena's typed accessors
+   encode them. *)
+let[@inline] get_u32 b o =
+  Int32.to_int (Bytes.get_int32_le b o) land 0xFFFF_FFFF
+let[@inline] get_int b o = Int64.to_int (Bytes.get_int64_le b o)
+let[@inline] set_int b o v = Bytes.set_int64_le b o (Int64.of_int v)
+let[@inline] get_f64 b o = Int64.float_of_bits (Bytes.get_int64_le b o)
+let[@inline] set_f64 b o v = Bytes.set_int64_le b o (Int64.bits_of_float v)
 
 module Service_map = Map.Make (Int)
 
@@ -87,20 +100,17 @@ let process_packet t (p : Packet.t) =
   t.globals.g_pkts <- t.globals.g_pkts + 1;
   t.globals.g_bytes <- t.globals.g_bytes + p.wire_size;
   let a = Pfa.arena t.conns in
-  let h = Pfa.find t.conns p.key in
-  if h <> Arena.null then begin
-    Arena.set_f64 a h off_last t.now;
-    Arena.set_int a h off_pkts (Arena.get_int a h off_pkts + 1);
-    Arena.set_int a h off_bytes (Arena.get_int a h off_bytes + p.wire_size)
-  end
-  else begin
+  let known = Pfa.size t.conns in
+  let i = Arena.index a (Pfa.insert t.conns p.key) in
+  let b = Arena.slab a i and o = Arena.offset a i in
+  (* A new row's payload is zero, so its counters start from 0 too. *)
+  if Pfa.size t.conns > known then begin
     t.globals.g_flows <- t.globals.g_flows + 1;
-    let h = Pfa.insert t.conns p.key in
-    Arena.set_f64 a h off_first t.now;
-    Arena.set_f64 a h off_last t.now;
-    Arena.set_int a h off_pkts 1;
-    Arena.set_int a h off_bytes p.wire_size
+    set_f64 b (o + off_first) t.now
   end;
+  set_f64 b (o + off_last) t.now;
+  set_int b (o + off_pkts) (get_int b (o + off_pkts) + 1);
+  set_int b (o + off_bytes) (get_int b (o + off_bytes) + p.wire_size);
   let src_asset = touch_asset t p.key.Flow.src_ip in
   ignore (touch_asset t p.key.Flow.dst_ip);
   (* A reply from a server port reveals a service on the source host. *)
@@ -126,20 +136,22 @@ let fingerprint_of ~proto_rank ~src ~dport =
 
 let conn_chunk t h =
   let a = Pfa.arena t.conns in
+  let i = Arena.index a h in
+  let b = Arena.slab a i and o = Arena.offset a i in
   Chunk.encode ~kind:"prads.conn" (fun w ->
       let open Bytes_io.Writer in
-      let src = Arena.get_u32 a h 0 in
-      let proto_rank = Arena.get_u8 a h 8 in
-      let dport = Arena.get_u16 a h 11 in
+      let src = get_u32 b o in
+      let proto_rank = Bytes.get_uint8 b (o + 8) in
+      let dport = Bytes.get_uint16_le b (o + 11) in
       int w src;
-      int w (Arena.get_u32 a h 4);
+      int w (get_u32 b (o + 4));
       u8 w proto_rank;
-      u16 w (Arena.get_u16 a h 9);
+      u16 w (Bytes.get_uint16_le b (o + 9));
       u16 w dport;
-      f64 w (Arena.get_f64 a h off_first);
-      f64 w (Arena.get_f64 a h off_last);
-      int w (Arena.get_int a h off_pkts);
-      int w (Arena.get_int a h off_bytes);
+      f64 w (get_f64 b (o + off_first));
+      f64 w (get_f64 b (o + off_last));
+      int w (get_int b (o + off_pkts));
+      int w (get_int b (o + off_bytes));
       string w (fingerprint_of ~proto_rank ~src ~dport))
 
 (* Import replaces the row wholesale (same semantics as the boxed
@@ -164,11 +176,12 @@ let import_conn t chunk =
   let bytes = int r in
   let _fingerprint = string r in
   let a = Pfa.arena t.conns in
-  let h = Pfa.insert t.conns key in
-  Arena.set_f64 a h off_first first_seen;
-  Arena.set_f64 a h off_last last_seen;
-  Arena.set_int a h off_pkts pkts;
-  Arena.set_int a h off_bytes bytes
+  let i = Arena.index a (Pfa.insert t.conns key) in
+  let b = Arena.slab a i and o = Arena.offset a i in
+  set_f64 b (o + off_first) first_seen;
+  set_f64 b (o + off_last) last_seen;
+  set_int b (o + off_pkts) pkts;
+  set_int b (o + off_bytes) bytes
 
 let asset_chunk (a : asset) =
   Chunk.encode ~kind:"prads.asset" (fun w ->

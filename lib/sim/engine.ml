@@ -72,11 +72,12 @@ module Wheel = struct
     let f = time *. t.inv_width in
     if f >= max_vb_float then far_vb else int_of_float f
 
-  (* Sorted insert by (time, seq) into the chain rooted at [get]/[set]. *)
-  let insert_sorted ev ~head ~set_head =
+  (* Sorted insert by (time, seq) into the chain starting at [head];
+     returns the chain's new head. *)
+  let insert_sorted ev head =
     if head == nil || before ev head then begin
       ev.next <- head;
-      set_head ev
+      ev
     end
     else begin
       let prev = ref head in
@@ -84,15 +85,15 @@ module Wheel = struct
         prev := !prev.next
       done;
       ev.next <- !prev.next;
-      !prev.next <- ev
+      !prev.next <- ev;
+      head
     end
 
   let insert_bucket t ev =
     let i = ev.vb land t.mask in
-    insert_sorted ev ~head:t.buckets.(i) ~set_head:(fun e -> t.buckets.(i) <- e)
+    t.buckets.(i) <- insert_sorted ev t.buckets.(i)
 
-  let insert_overflow t ev =
-    insert_sorted ev ~head:t.overflow ~set_head:(fun e -> t.overflow <- e)
+  let insert_overflow t ev = t.overflow <- insert_sorted ev t.overflow
 
   let next_pow2 n =
     let p = ref min_buckets in
@@ -200,10 +201,10 @@ module Wheel = struct
           (* Nothing due this year: direct minimum over chain heads.
              Distinct buckets never hold equal times (same time = same
              bucket), so (time, seq) comparison needs no extra care. *)
-          Array.iter
-            (fun h ->
-              if h != nil && (!best == nil || before h !best) then best := h)
-            t.buckets
+          for b = 0 to t.mask do
+            let h = t.buckets.(b) in
+            if h != nil && (!best == nil || before h !best) then best := h
+          done
         end
       end;
       (match t.overflow with
@@ -241,10 +242,6 @@ module Wheel = struct
     if t.size >= 1 && t.wheel_size < (t.mask + 1) / 8 && t.mask + 1 > min_buckets
     then rebuild t;
     ev
-
-  let peek_opt t =
-    let ev = peek t in
-    if ev == nil then None else Some ev
 end
 
 type t = {
@@ -295,8 +292,6 @@ let schedule t ~delay thunk =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t (t.clock +. delay) thunk
 
-let peek t = Wheel.peek_opt t.q
-
 (* Dispatch exactly one event. Shared by [run] and [run_until], so
    bounded stepping observes the same dispatch sequence as a free
    [run]. *)
@@ -314,12 +309,13 @@ let run_until t ~until =
   t.running <- true;
   Fun.protect ~finally:(fun () -> t.running <- false) (fun () ->
       let rec loop () =
-        match peek t with
-        | None -> Empty
-        | Some ev when ev.time > until -> Reached_until
-        | Some _ ->
+        let ev = Wheel.peek t.q in
+        if ev == nil then Empty
+        else if ev.time > until then Reached_until
+        else begin
           dispatch_one t;
           loop ()
+        end
       in
       loop ())
 
@@ -328,10 +324,9 @@ let run ?(until = infinity) t =
   t.running <- true;
   let continue = ref true in
   while !continue do
-    match peek t with
-    | None -> continue := false
-    | Some ev when ev.time > until -> continue := false
-    | Some _ -> dispatch_one t
+    let ev = Wheel.peek t.q in
+    if ev == nil || ev.time > until then continue := false
+    else dispatch_one t
   done;
   if until <> infinity && t.clock < until then t.clock <- until;
   t.running <- false

@@ -5,7 +5,10 @@ open Opennf_net
    its entries once, in a hash table or an arena (O(1) point lookups on
    the packet path), with no secondary index or sorted mirror, and
    sorts on query: an enumeration collects the matches and sorts only
-   those. *)
+   those. On the packet path nothing is polymorphic: the arena store
+   compares a key as two 64-bit words of its row head ({!Key_row}) and
+   hands back a handle the NF validates once before it works on the
+   row in place, and the per-host table hashes and compares ints. *)
 
 module Perflow = struct
   (* One canonical-keyed table and nothing else: an exact-key filter is
@@ -38,27 +41,28 @@ end
 (* Arena-backed per-flow store: same key semantics as {!Perflow}
    (canonicalized 5-tuples) but rows live in an {!Opennf_util.Arena}
    slab — the GC never walks them — and the value is not an OCaml
-   object at all: the NF reads and writes typed fields of the row
-   payload through an integer handle. Point lookups go through a flat
+   object at all: the NF validates a handle once and reads and writes
+   the row payload in place. Point lookups go through a flat
    open-addressing index (an int array: no buckets, no cons cells)
    whose entries carry a hash tag beside the row index, so a probe
-   reads a row only when the tags agree and a rehash reads no rows.
+   reads a row only when the tags agree — straight from the entry's
+   row index, with no generation read first — and compares its key as
+   two 64-bit words ({!Key_row}); growing the index reads no rows.
    Nothing else grows with the rows: insert and remove touch only the
    index and the row, and a non-exact [matching] sorts on query — it
    scans the live rows and sorts only the matches. *)
 module Perflow_arena = struct
   module Arena = Opennf_util.Arena
 
-  (* Row layout: canonical key at offset 0, payload at {!payload_off}.
-     13 key bytes, then padding so NF payload layouts start 8-aligned. *)
+  (* Row layout: the {!Key_row} head (13 key bytes, bytes 13-15 zero),
+     then the payload at {!payload_off}, 8-aligned. *)
   let payload_off = 16
-  let proto_rank = function Flow.Tcp -> 0 | Flow.Udp -> 1 | Flow.Icmp -> 2
-  let protos = [| Flow.Tcp; Flow.Udp; Flow.Icmp |]
 
   (* Index entry: 0 = empty, -1 = tombstone, else
      [occupied | tag lsl 32 | row index], positive. The tag is the low
      [tag_bits] of the key's hash; the slot count stays below
-     [1 lsl tag_bits], so the tag also holds the entry's home slot. *)
+     [1 lsl tag_bits], so the tag also holds the entry's home slot. An
+     entry's row is live for as long as the entry is. *)
   let tag_bits = 29
   let tag_mask = (1 lsl tag_bits) - 1
   let occupied = 1 lsl tag_bits (* above the tag, once shifted *)
@@ -86,38 +90,25 @@ module Perflow_arena = struct
   let arena t = t.arena
   let size t = t.count
 
-  (* Integer hash over the five canonical key fields, so probes need no
-     boxing. *)
-  let[@inline] mix h v = (h lxor v) * 0x2545F4914F6CDD1D
-  let[@inline] hash5 src dst pr sp dp =
-    let h = mix (mix (mix (mix (mix 0x9E3779B9 src) dst) pr) sp) dp in
-    (h lxor (h lsr 29)) land tag_mask
-
-  let[@inline] row_matches t h src dst pr sp dp =
-    Arena.get_u32 t.arena h 0 = src
-    && Arena.get_u32 t.arena h 4 = dst
-    && Arena.get_u8 t.arena h 8 = pr
-    && Arena.get_u16 t.arena h 9 = sp
-    && Arena.get_u16 t.arena h 11 = dp
-
   (* From slot [i]: the slot holding the key whose tagged entry head is
      [want] ([occupied lor tag]), or -1. A tombstone's head (-1 lsr 32)
      is above every [want], so one compare screens both. *)
-  let rec probe t i want src dst pr sp dp =
+  let rec probe t i want src dst w1 =
     let v = Array.unsafe_get t.idx i in
     if v = 0 then -1
     else if
       v lsr 32 = want
-      && row_matches t (Arena.handle_at t.arena (v land row_mask)) src dst pr
-           sp dp
+      &&
+      let r = v land row_mask in
+      Key_row.matches (Arena.slab t.arena r) (Arena.offset t.arena r) src dst w1
     then i
-    else probe t ((i + 1) land t.mask) want src dst pr sp dp
+    else probe t ((i + 1) land t.mask) want src dst w1
 
   (* From slot [i] of [idx]: the first slot holding no live entry. *)
   let rec vacant idx mask i =
     if idx.(i) > 0 then vacant idx mask ((i + 1) land mask) else i
 
-  let rehash t slots =
+  let resize t slots =
     if slots > max_slots then
       invalid_arg "Perflow_arena: index would exceed 2^28 slots";
     let idx = Array.make slots 0 and mask = slots - 1 in
@@ -129,19 +120,23 @@ module Perflow_arena = struct
     t.tombs <- 0
 
   let key_of t h =
+    let i = Arena.index t.arena h in
+    let b = Arena.slab t.arena i and o = Arena.offset t.arena i in
+    (* [Ipaddr.of_int] keeps the low 32 bits of the sign-extended loads. *)
     {
-      Flow.src_ip = Ipaddr.of_int (Arena.get_u32 t.arena h 0);
-      dst_ip = Ipaddr.of_int (Arena.get_u32 t.arena h 4);
-      proto = protos.(Arena.get_u8 t.arena h 8);
-      src_port = Arena.get_u16 t.arena h 9;
-      dst_port = Arena.get_u16 t.arena h 11;
+      Flow.src_ip = Ipaddr.of_int (Int32.to_int (Bytes.get_int32_le b o));
+      dst_ip = Ipaddr.of_int (Int32.to_int (Bytes.get_int32_le b (o + 4)));
+      proto = Key_row.proto_of_rank (Bytes.get_uint8 b (o + 8));
+      src_port = Bytes.get_uint16_le b (o + 9);
+      dst_port = Bytes.get_uint16_le b (o + 11);
     }
 
-  (* The slot of a canonical key with hash [hash], or -1. *)
-  let[@inline] slot t hash src dst pr sp dp =
-    probe t (hash land t.mask) (occupied lor hash) src dst pr sp dp
+  let[@inline] tag src dst pr sp dp =
+    Key_row.hash src dst pr sp dp land tag_mask
 
-  let slot5 t src dst pr sp dp = slot t (hash5 src dst pr sp dp) src dst pr sp dp
+  (* The slot of a canonical key with tag [tag], or -1. *)
+  let[@inline] slot t tag src dst w1 =
+    probe t (tag land t.mask) (occupied lor tag) src dst w1
 
   (* Keys are canonicalized field by field: when [Flow.canonical] would
      reverse [k], its endpoints are passed swapped, so no reversed
@@ -152,39 +147,38 @@ module Perflow_arena = struct
   let slot_of t k =
     let src = Ipaddr.to_int k.Flow.src_ip and dst = Ipaddr.to_int k.Flow.dst_ip in
     let sp = k.Flow.src_port and dp = k.Flow.dst_port in
-    let pr = proto_rank k.Flow.proto in
-    if reversed src dst sp dp then slot5 t dst src pr dp sp
-    else slot5 t src dst pr sp dp
+    let pr = Key_row.rank k.Flow.proto in
+    if reversed src dst sp dp then
+      slot t (tag dst src pr dp sp) dst src (Key_row.word1 pr dp sp)
+    else slot t (tag src dst pr sp dp) src dst (Key_row.word1 pr sp dp)
 
   let[@inline] handle_in t s =
     Arena.handle_at t.arena (Array.unsafe_get t.idx s land row_mask)
 
-  (* Box-free point lookup: [Arena.null] means absent. *)
+  (* Box-free point lookup: [Arena.null] means absent. Only the
+     matching row's handle is built. *)
   let find t k =
     let s = slot_of t k in
     if s = -1 then Arena.null else handle_in t s
 
   let insert5 t src dst pr sp dp =
-    let hash = hash5 src dst pr sp dp in
-    let s = slot t hash src dst pr sp dp in
+    let hash = tag src dst pr sp dp and w1 = Key_row.word1 pr sp dp in
+    let s = slot t hash src dst w1 in
     if s <> -1 then handle_in t s
     else begin
       (* Keep (live + tombstones) at or below half the slots once this
          key is in: purge the tombstones, or double when the live keys
-         alone would pass half. Rehashing first leaves the store as it
+         alone would pass half. Resizing first leaves the store as it
          was when the index is at its size limit. *)
       let n = t.count + 1 and slots = t.mask + 1 in
       if 2 * (n + t.tombs) > slots then
-        rehash t (if 2 * n > slots then 2 * slots else slots);
+        resize t (if 2 * n > slots then 2 * slots else slots);
       let h = Arena.alloc t.arena in
-      Arena.set_u32 t.arena h 0 src;
-      Arena.set_u32 t.arena h 4 dst;
-      Arena.set_u8 t.arena h 8 pr;
-      Arena.set_u16 t.arena h 9 sp;
-      Arena.set_u16 t.arena h 11 dp;
+      let r = Arena.index t.arena h in
+      Key_row.write (Arena.slab t.arena r) (Arena.offset t.arena r) src dst w1;
       let i = vacant t.idx t.mask (hash land t.mask) in
       if t.idx.(i) = -1 then t.tombs <- t.tombs - 1;
-      t.idx.(i) <- ((occupied lor hash) lsl 32) lor Arena.index t.arena h;
+      t.idx.(i) <- ((occupied lor hash) lsl 32) lor r;
       t.count <- n;
       h
     end
@@ -192,7 +186,7 @@ module Perflow_arena = struct
   let insert t k =
     let src = Ipaddr.to_int k.Flow.src_ip and dst = Ipaddr.to_int k.Flow.dst_ip in
     let sp = k.Flow.src_port and dp = k.Flow.dst_port in
-    let pr = proto_rank k.Flow.proto in
+    let pr = Key_row.rank k.Flow.proto in
     if reversed src dst sp dp then insert5 t dst src pr dp sp
     else insert5 t src dst pr sp dp
 
@@ -272,7 +266,8 @@ module Perflow_arena = struct
           and dp = Bytes.get_uint16_le b (off + 11) in
           if
             Filter.matches_conn filter ~src:(Ipaddr.of_int src)
-              ~dst:(Ipaddr.of_int dst) ~proto:protos.(pr) ~sport:sp ~dport:dp
+              ~dst:(Ipaddr.of_int dst) ~proto:(Key_row.proto_of_rank pr)
+              ~sport:sp ~dport:dp
           then begin
             if 3 * !n = Array.length !rows then
               rows := Array.append !rows !rows;
@@ -291,7 +286,7 @@ module Perflow_arena = struct
           {
             Flow.src_ip = Ipaddr.of_int (k1 lsr 24);
             dst_ip = Ipaddr.of_int (((k1 land 0xFFFFFF) lsl 8) lor (k2 lsr 40));
-            proto = protos.((k2 lsr 32) land 0xFF);
+            proto = Key_row.proto_of_rank ((k2 lsr 32) land 0xFF);
             src_port = (k2 lsr 16) land 0xFFFF;
             dst_port = k2 land 0xFFFF;
           }
@@ -302,12 +297,27 @@ module Perflow_arena = struct
 end
 
 module Per_host = struct
-  type 'a t = (Ipaddr.t, 'a) Hashtbl.t
+  (* A monomorphic table: hashing and equality are int operations, with
+     no polymorphic [caml_hash] or [compare] per lookup. The hash mixes
+     every address bit into the low bits the table indexes by: the
+     identity would put hosts that differ only in a high octet in one
+     bucket. *)
+  module H = Hashtbl.Make (struct
+    type t = Ipaddr.t
 
-  let create () : 'a t = Hashtbl.create 64
-  let find = Hashtbl.find_opt
-  let set = Hashtbl.replace
-  let remove = Hashtbl.remove
+    let equal = Ipaddr.equal
+
+    let hash ip =
+      let h = Ipaddr.to_int ip * 0x2545F4914F6CDD1D in
+      (h lxor (h lsr 29)) land max_int
+  end)
+
+  type 'a t = 'a H.t
+
+  let create () : 'a t = H.create 64
+  let find = H.find_opt
+  let set = H.replace
+  let remove = H.remove
 
   let update t ip ~default ~f =
     let current = match find t ip with Some v -> v | None -> default () in
@@ -338,18 +348,18 @@ module Per_host = struct
       List.filter_map
         (fun ip ->
           if Filter.matches_host filter ip then
-            Option.map (fun v -> (ip, v)) (Hashtbl.find_opt t ip)
+            Option.map (fun v -> (ip, v)) (H.find_opt t ip)
           else None)
         hosts
     | None ->
-      Hashtbl.fold
+      H.fold
         (fun ip v acc ->
           if Filter.matches_host filter ip then (ip, v) :: acc else acc)
         t []
       |> List.sort (fun (a, _) (b, _) -> Ipaddr.compare a b)
 
-  let fold t ~init ~f = Hashtbl.fold (fun k v acc -> f k v acc) t init
-  let size = Hashtbl.length
+  let fold t ~init ~f = H.fold (fun k v acc -> f k v acc) t init
+  let size = H.length
 end
 
 module Keyed = struct

@@ -54,7 +54,9 @@ module Perflow_arena : sig
 
       Each index slot is one int packing the row index with a 29-bit
       tag of the key's hash, so a probe reads a row only when the tags
-      agree and a rehash reads no rows at all. Limit: the index keeps
+      agree — straight from the slot's row index, comparing the key as
+      two 64-bit words ({!Opennf_net.Key_row}) — and growing the index
+      reads no rows at all. Limit: the index keeps
       its slot count below 2{^29} (at most 2{^28} slots, kept at most
       half full: 2{^27} live flows); an insert that would grow it past
       that raises [Invalid_argument].
@@ -69,9 +71,11 @@ module Perflow_arena : sig
       caller-defined fields after the key. *)
 
   val arena : t -> Opennf_util.Arena.t
-  (** The underlying arena, for typed payload access and direct
-      chunk-codec reads. Offsets passed to accessors must be
-      [payload_off]-relative plus the field offset. *)
+  (** The underlying arena, for payload access: validate a handle once
+      with [Arena.index], then read and write the row in place at
+      [Arena.offset] in [Arena.slab]. Payload fields sit at
+      [payload_off] plus their own offset; the row's first 16 bytes are
+      the key head, which callers only read. *)
 
   val find : t -> Flow.key -> Opennf_util.Arena.handle
   (** Allocation-free lookup: the live handle {!insert} returned for
@@ -79,12 +83,14 @@ module Perflow_arena : sig
       canonicalized, as in {!Perflow.find}, but field by field: a
       reply-direction key builds no reversed record. The probe
       compares index tags and reads a row only on a tag match: short
-      of a 29-bit tag collision, the key's own row and no other. *)
+      of a 29-bit tag collision, the key's own row and no other. A
+      handle is built for the matching row only. *)
 
   val insert : t -> Flow.key -> Opennf_util.Arena.handle
   (** The existing handle for the (canonicalized) key, or a fresh
       zero-payload row with the key written (the handle
-      {!Opennf_util.Arena.alloc} issued for it). *)
+      {!Opennf_util.Arena.alloc} issued for it). {!size} tells the two
+      apart. Inserting a key already present allocates nothing. *)
 
   val remove : t -> Flow.key -> bool
   (** Frees the row; any retained handle becomes stale (every arena
@@ -106,7 +112,13 @@ end
 
 module Per_host : sig
   type 'a t
-  (** Host-scoped multi-flow state (e.g. per-host scan counters). *)
+  (** Host-scoped multi-flow state (e.g. per-host scan counters), in a
+      monomorphic table keyed by address: a lookup hashes and compares
+      ints, never through the polymorphic [Hashtbl.hash]/[compare].
+      The hash is a multiplicative mix with its high bits folded down,
+      not the identity, since the table indexes by the low bits and
+      hosts that differ only in a high octet would otherwise share a
+      bucket. *)
 
   val create : unit -> 'a t
   val find : 'a t -> Ipaddr.t -> 'a option

@@ -8,11 +8,13 @@
 
    Handles are generation-stamped (the pattern proven by Lz's
    match-finder table): a handle packs (generation << 32 | row index),
-   every alloc/free bumps the row's generation, and each accessor
-   validates the stamp — so a handle kept across a free (or across a
-   free-list reuse of the row) raises instead of silently reading
-   someone else's row. Live rows always carry an odd generation, which
-   also rejects forged or [null] handles against never-used rows.
+   every alloc/free bumps the row's generation, and [index] and each
+   typed accessor validate the stamp — so a handle kept across a free
+   (or across a free-list reuse of the row) raises instead of silently
+   reading someone else's row. A hot path validates once per row with
+   [index] and then works on the row's bytes in place. Live rows always
+   carry an odd generation, which also rejects forged or [null] handles
+   against never-used rows.
 
    Freed rows are threaded onto a free list through their own first 8
    bytes (hence the stride >= 8 requirement) — freeing costs no
@@ -129,12 +131,18 @@ let free t h =
   t.free_head <- idx;
   t.live <- t.live - 1
 
+(* Row locator: no liveness check. A caller validates a handle once
+   with [index] (or knows the row is live, as an index entry does) and
+   then reads and writes the row's bytes in place. *)
+let slab t idx = t.slabs.(idx lsr slab_bits)
+let offset t idx = (idx land slab_mask) * t.stride
+
 (* --- typed field accessors ----------------------------------------------
 
    Each accessor validates the handle and addresses [off] bytes into the
-   row. Integer accessors compose 16-bit loads/stores so no Int32/Int64
-   box is allocated on the hot path; [f64] goes through Int64 bits (a
-   short-lived box, irrelevant next to what a boxed record costs). *)
+   row. They compose 16-bit loads/stores so no Int32/Int64 box is
+   allocated. A hot path that touches several fields of one row uses
+   the locator above instead. *)
 
 let[@inline] addr t idx off = ((idx land slab_mask) * t.stride) + off
 
@@ -160,13 +168,6 @@ let get_u32 t h off =
   let p = addr t idx off in
   Bytes.get_uint16_le b p lor (Bytes.get_uint16_le b (p + 2) lsl 16)
 
-let set_u32 t h off v =
-  let idx = idx_of t h in
-  let b = t.slabs.(idx lsr slab_bits) in
-  let p = addr t idx off in
-  Bytes.set_uint16_le b p (v land 0xFFFF);
-  Bytes.set_uint16_le b (p + 2) ((v lsr 16) land 0xFFFF)
-
 (* Full-width OCaml int (63-bit): arithmetic shifts sign-extend on the
    way out exactly as the truncated top bits demand, mirroring
    [Bytes_io]'s box-free int codec. *)
@@ -187,16 +188,6 @@ let set_int t h off v =
   Bytes.set_uint16_le b (p + 2) ((v asr 16) land 0xFFFF);
   Bytes.set_uint16_le b (p + 4) ((v asr 32) land 0xFFFF);
   Bytes.set_uint16_le b (p + 6) ((v asr 48) land 0xFFFF)
-
-let get_f64 t h off =
-  let idx = idx_of t h in
-  Int64.float_of_bits
-    (Bytes.get_int64_le t.slabs.(idx lsr slab_bits) (addr t idx off))
-
-let set_f64 t h off v =
-  let idx = idx_of t h in
-  Bytes.set_int64_le t.slabs.(idx lsr slab_bits) (addr t idx off)
-    (Int64.bits_of_float v)
 
 (* Live rows in ascending row-index order (deterministic, independent
    of free-list history). A row is live exactly when its generation is

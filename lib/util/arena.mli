@@ -2,10 +2,12 @@
 
     Rows live in [Bytes] slabs the GC never traverses, so holding a
     million rows adds nothing to marking cost. Handles are
-    generation-stamped: every accessor validates its handle and raises
-    [Invalid_argument] on a handle that was freed (or whose row was
-    reused off the free list) — dangling state is an error, never a
-    silent misread. *)
+    generation-stamped: {!index} and every typed accessor validate their
+    handle and raise [Invalid_argument] on a handle that was freed (or
+    whose row was reused off the free list) — dangling state is an
+    error, never a silent misread. A caller that touches several fields
+    validates once with {!index} and then works on the row's bytes in
+    place ({!slab}, {!offset}). *)
 
 type handle = int
 (** Packed (generation, row index). Treat as opaque; [null] and any
@@ -47,6 +49,18 @@ val handle_at : t -> int -> handle
 val live : t -> int
 val capacity : t -> int
 
+(** {1 Rows in place}
+
+    A caller validates a handle once ({!index}), then reads and writes
+    the row's [stride] bytes at [offset t i] in [slab t i] — one check
+    per row, not one per field. Neither function checks liveness. *)
+
+val slab : t -> int -> Bytes.t
+(** The slab holding row [i] (below {!capacity}). *)
+
+val offset : t -> int -> int
+(** Row [i]'s byte offset within its slab. *)
+
 val iter_rows : t -> (handle -> Bytes.t -> int -> unit) -> unit
 (** [iter_rows t f] calls [f h slab off] for each live row, in
     ascending row-index order (deterministic, independent of
@@ -57,19 +71,17 @@ val iter_rows : t -> (handle -> Bytes.t -> int -> unit) -> unit
 
 (** {1 Typed field accessors}
 
-    [off] is a byte offset within the row; the caller owns the layout.
-    Integer accessors are box-free; [f64] round-trips exact IEEE bits. *)
+    One validated, box-free read or write of one field: [off] is a byte
+    offset within the row; the caller owns the layout. *)
 
 val get_u8 : t -> handle -> int -> int
 val set_u8 : t -> handle -> int -> int -> unit
 val get_u16 : t -> handle -> int -> int
 val set_u16 : t -> handle -> int -> int -> unit
 val get_u32 : t -> handle -> int -> int
-val set_u32 : t -> handle -> int -> int -> unit
 
 val get_int : t -> handle -> int -> int
-(** Full 63-bit OCaml int in 8 bytes (sign-preserving). *)
+(** Full 63-bit OCaml int in 8 bytes (sign-extended to 64 bits, as
+    [Int64.of_int] writes it). *)
 
 val set_int : t -> handle -> int -> int -> unit
-val get_f64 : t -> handle -> int -> float
-val set_f64 : t -> handle -> int -> float -> unit

@@ -24,23 +24,37 @@ open Opennf_net
 
 (* --- arena unit tests -------------------------------------------------- *)
 
+(* In-place f64 fields through the row locator, as the NFs write them. *)
+let set_f64 a h off v =
+  let i = Arena.index a h in
+  Bytes.set_int64_le (Arena.slab a i) (Arena.offset a i + off)
+    (Int64.bits_of_float v)
+
+let get_f64 a h off =
+  let i = Arena.index a h in
+  Int64.float_of_bits
+    (Bytes.get_int64_le (Arena.slab a i) (Arena.offset a i + off))
+
 let test_arena_roundtrip () =
   let a = Arena.create ~stride:40 () in
   let h = Arena.alloc a in
+  let i = Arena.index a h in
   Arena.set_u8 a h 0 0xAB;
   Arena.set_u16 a h 1 0xBEEF;
-  Arena.set_u32 a h 3 0xDEADBEEF;
+  Bytes.set_int32_le (Arena.slab a i) (Arena.offset a i + 3) 0xDEADBEEFl;
   Arena.set_int a h 8 (-123456789);
   Arena.set_int a h 16 max_int;
   Arena.set_int a h 24 min_int;
-  Arena.set_f64 a h 32 (-3.5e-9);
+  set_f64 a h 32 (-3.5e-9);
   Alcotest.(check int) "u8" 0xAB (Arena.get_u8 a h 0);
   Alcotest.(check int) "u16" 0xBEEF (Arena.get_u16 a h 1);
-  Alcotest.(check int) "u32" 0xDEADBEEF (Arena.get_u32 a h 3);
+  Alcotest.(check int) "u32 written in place" 0xDEADBEEF (Arena.get_u32 a h 3);
   Alcotest.(check int) "negative int" (-123456789) (Arena.get_int a h 8);
   Alcotest.(check int) "max_int" max_int (Arena.get_int a h 16);
   Alcotest.(check int) "min_int" min_int (Arena.get_int a h 24);
-  Alcotest.(check (float 0.0)) "f64 exact" (-3.5e-9) (Arena.get_f64 a h 32)
+  Alcotest.(check int) "int as Int64.of_int" (-123456789)
+    (Int64.to_int (Bytes.get_int64_le (Arena.slab a i) (Arena.offset a i + 8)));
+  Alcotest.(check (float 0.0)) "f64 exact" (-3.5e-9) (get_f64 a h 32)
 
 let test_arena_zeroed_on_reuse () =
   let a = Arena.create ~stride:16 () in
@@ -53,6 +67,47 @@ let test_arena_zeroed_on_reuse () =
   Alcotest.(check int) "row reused" (h1 land 0xFFFFFFFF) (h2 land 0xFFFFFFFF);
   Alcotest.(check int) "field 0 zeroed" 0 (Arena.get_int a h2 0);
   Alcotest.(check int) "field 8 zeroed" 0 (Arena.get_int a h2 8)
+
+(* Every byte of a reused row comes back zero, read in place: the key
+   compare reads bytes 13-15 of the store's key head, and a fresh
+   payload starts its counters from zero. *)
+let test_arena_reuse_all_zero () =
+  let stride = 40 in
+  let a = Arena.create ~stride () in
+  let h1 = Arena.alloc a in
+  let i = Arena.index a h1 in
+  Bytes.fill (Arena.slab a i) (Arena.offset a i) stride '\xff';
+  Arena.free a h1;
+  let h2 = Arena.alloc a in
+  Alcotest.(check int) "row reused" i (Arena.index a h2);
+  let b = Arena.slab a i and o = Arena.offset a i in
+  for j = 0 to stride - 1 do
+    Alcotest.(check int) (Printf.sprintf "byte %d zero" j) 0
+      (Bytes.get_uint8 b (o + j))
+  done;
+  (* The same through the store: a removed key's row, reused by the next
+     insert, holds only the new key. *)
+  let store = Pfa.create ~payload:16 () in
+  let k1 =
+    Flow.make ~src:(Ipaddr.v 255 255 255 254) ~dst:(Ipaddr.v 255 255 255 255)
+      ~proto:Flow.Icmp ~sport:65535 ~dport:65535 ()
+  in
+  let k2 =
+    Flow.make ~src:(Ipaddr.v 10 0 0 1) ~dst:(Ipaddr.v 10 0 0 2) ~sport:1
+      ~dport:2 ()
+  in
+  let pa = Pfa.arena store in
+  let r = Arena.index pa (Pfa.insert store k1) in
+  let b = Arena.slab pa r and o = Arena.offset pa r in
+  Bytes.fill b (o + 13) (Pfa.payload_off + 16 - 13) '\xff';
+  ignore (Pfa.remove store k1);
+  Alcotest.(check int) "row reused by the next key" r
+    (Arena.index pa (Pfa.insert store k2));
+  for j = 13 to Pfa.payload_off + 15 do
+    Alcotest.(check int) (Printf.sprintf "row byte %d zero" j) 0
+      (Bytes.get_uint8 b (o + j))
+  done;
+  Alcotest.(check int) "old key absent" Arena.null (Pfa.find store k1)
 
 let expect_stale f =
   Alcotest.(check bool) "stale handle rejected" true
@@ -213,7 +268,7 @@ let pfa_equiv =
           | 0 | 1 ->
             let h = Pfa.insert store k in
             Arena.set_int a h off_v x;
-            Arena.set_f64 a h off_f (float_of_int y);
+            set_f64 a h off_f (float_of_int y);
             model := Flow.Map.add k (x, float_of_int y) !model
           | 2 ->
             let h = Pfa.find store k in
@@ -239,7 +294,7 @@ let pfa_equiv =
           (match (h <> Arena.null, Flow.Map.find_opt k !model) with
           | false, None -> ()
           | true, Some (v, f) ->
-            if Arena.get_int a h off_v <> v || Arena.get_f64 a h off_f <> f then
+            if Arena.get_int a h off_v <> v || get_f64 a h off_f <> f then
               QCheck.Test.fail_reportf "payload mismatch at %s"
                 (Flow.to_string k);
             if Pfa.key_of store h <> k then
@@ -505,6 +560,8 @@ let suite =
     Alcotest.test_case "arena: field roundtrip" `Quick test_arena_roundtrip;
     Alcotest.test_case "arena: rows zeroed on reuse" `Quick
       test_arena_zeroed_on_reuse;
+    Alcotest.test_case "arena: reused row is all zero in place" `Quick
+      test_arena_reuse_all_zero;
     Alcotest.test_case "arena: stale after free" `Quick
       test_arena_stale_after_free;
     Alcotest.test_case "arena: stale after reuse" `Quick

@@ -183,6 +183,166 @@ let test_perflow_arena_churn () =
     (Store.Perflow.matching reference Filter.any)
     (Pfa.matching store Filter.any)
 
+(* --- key rows -------------------------------------------------------------
+
+   Both arena indexes compare a key as two 64-bit words. Word 0 holds
+   [src] in its low half and [dst] in its high half, so bit 31 of [dst]
+   is bit 63 of the word: a compare truncated to a 63-bit int would
+   merge keys that differ only there. *)
+
+(* Pairs that differ only in bit 31 of [dst], and pairs that differ
+   only in bit 31 of [src] (its top bit), both in canonical order. *)
+let top_bit_pairs n =
+  List.concat
+    (List.init n (fun i ->
+         let lo = 0x0A000000 lor (i lsl 4) in
+         let mk src dst =
+           Flow.make ~src:(Ipaddr.of_int src) ~dst:(Ipaddr.of_int dst)
+             ~sport:(1024 + (i land 255)) ~dport:443 ()
+         in
+         [
+           (mk 7 lo, mk 7 (lo lor 0x80000000));
+           (mk lo 0xFFFFFFF0, mk (lo lor 0x80000000) 0xFFFFFFF0);
+         ]))
+
+let test_key_rows_top_bits_distinct () =
+  let module Pfa = Store.Perflow_arena in
+  let null = Opennf_util.Arena.null in
+  let pairs_ = top_bit_pairs 2000 in
+  let store = Pfa.create ~payload:8 () in
+  List.iter
+    (fun (a, b) ->
+      let ha = Pfa.insert store a in
+      let hb = Pfa.insert store b in
+      if ha = hb then
+        Alcotest.failf "%s and %s share a row" (Flow.to_string a)
+          (Flow.to_string b);
+      Alcotest.(check int) "find a" ha (Pfa.find store a);
+      Alcotest.(check int) "find b" hb (Pfa.find store b);
+      Alcotest.check pairs "exact matching of b"
+        [ (b, hb) ]
+        (Pfa.matching store (Filter.of_key b)))
+    pairs_;
+  Alcotest.(check int) "every key has its own row" (2 * List.length pairs_)
+    (Pfa.size store);
+  List.iter
+    (fun (a, b) ->
+      Alcotest.(check bool) "remove b" true (Pfa.remove store b);
+      Alcotest.(check int) "b gone" null (Pfa.find store b);
+      if Pfa.find store a = null then
+        Alcotest.failf "removing %s removed %s" (Flow.to_string b)
+          (Flow.to_string a))
+    pairs_;
+  Alcotest.(check int) "one of each pair left" (List.length pairs_)
+    (Pfa.size store);
+  (* The hash already separates such pairs (their hashes differ in bit
+     31, which lands in both the store's tag and the home slot), so the
+     probes above may never compare one key's row against the other's.
+     The compare itself must tell them apart too. *)
+  let row = Bytes.make 16 '\000' in
+  let fields k =
+    ( Ipaddr.to_int k.Flow.src_ip,
+      Ipaddr.to_int k.Flow.dst_ip,
+      Key_row.word1 (Key_row.rank k.Flow.proto) k.Flow.src_port
+        k.Flow.dst_port )
+  in
+  List.iter
+    (fun (a, b) ->
+      let sa, da, wa = fields a and sb, db, wb = fields b in
+      Key_row.write row 0 sa da wa;
+      Alcotest.(check bool) "row of a holds a" true
+        (Key_row.matches row 0 sa da wa);
+      Alcotest.(check bool) "row of a does not hold b" false
+        (Key_row.matches row 0 sb db wb);
+      Key_row.write row 0 sb db wb;
+      Alcotest.(check bool) "row of b does not hold a" false
+        (Key_row.matches row 0 sa da wa))
+    pairs_;
+  let table = Flowtable.create () in
+  List.iteri
+    (fun i (a, b) ->
+      Flowtable.install table ~cookie:(2 * i) ~priority:1
+        ~filters:[ Filter.of_key a ] ~actions:[ Flowtable.Forward "a" ];
+      Flowtable.install table ~cookie:((2 * i) + 1) ~priority:1
+        ~filters:[ Filter.of_key b ] ~actions:[ Flowtable.Forward "b" ])
+    pairs_;
+  List.iteri
+    (fun i (a, b) ->
+      let look k =
+        cookie_of
+          (Flowtable.lookup table (Packet.create ~id:i ~key:k ~sent_at:0.0 ()))
+      in
+      Alcotest.(check (option int)) "rule of a" (Some (2 * i)) (look a);
+      Alcotest.(check (option int)) "rule of b" (Some ((2 * i) + 1)) (look b))
+    pairs_
+
+(* Extreme field values survive the row: all-ones and all-zero
+   addresses, ICMP (the highest protocol rank), ports 0 and 65535. *)
+let test_key_rows_extremes () =
+  let module Pfa = Store.Perflow_arena in
+  let keys =
+    [
+      Flow.make ~src:(Ipaddr.v 255 255 255 255) ~dst:(Ipaddr.v 0 0 0 0)
+        ~proto:Flow.Icmp ~sport:65535 ~dport:0 ();
+      Flow.make ~src:(Ipaddr.v 0 0 0 0) ~dst:(Ipaddr.v 255 255 255 255)
+        ~proto:Flow.Udp ~sport:0 ~dport:65535 ();
+      Flow.make ~src:(Ipaddr.v 255 255 255 255) ~dst:(Ipaddr.v 255 255 255 255)
+        ~proto:Flow.Icmp ~sport:65535 ~dport:65535 ();
+      Flow.make ~src:(Ipaddr.v 0 0 0 0) ~dst:(Ipaddr.v 0 0 0 0) ~proto:Flow.Tcp
+        ~sport:0 ~dport:0 ();
+    ]
+  in
+  let store = Pfa.create ~payload:0 () in
+  let table = Flowtable.create () in
+  List.iteri
+    (fun i k ->
+      let h = Pfa.insert store k in
+      Alcotest.(check string) "key_of returns the canonical key"
+        (Flow.to_string (Flow.canonical k))
+        (Flow.to_string (Pfa.key_of store h));
+      Alcotest.(check int) "find" h (Pfa.find store k);
+      Alcotest.(check int) "find the reply direction" h
+        (Pfa.find store (Flow.reverse k));
+      Flowtable.install table ~cookie:i ~priority:1 ~filters:[ Filter.of_key k ]
+        ~actions:[ Flowtable.Forward "nf" ])
+    keys;
+  Alcotest.(check int) "distinct rows" (List.length keys) (Pfa.size store);
+  Alcotest.check pairs "matching Filter.any"
+    (List.sort (fun (a, _) (b, _) -> Flow.compare a b)
+       (List.map (fun k -> (Flow.canonical k, Pfa.find store k)) keys))
+    (Pfa.matching store Filter.any);
+  List.iteri
+    (fun i k ->
+      Alcotest.(check (option int)) ("flow table: " ^ Flow.to_string k) (Some i)
+        (cookie_of
+           (Flowtable.lookup table (Packet.create ~id:i ~key:k ~sent_at:0.0 ()))))
+    keys
+
+(* A flag-constrained exact rule keeps a marker in byte 13 of its row,
+   just past the key: the key compare must mask it off. *)
+let test_flowtable_flag_row_matches () =
+  let k =
+    Flow.make ~src:(Ipaddr.v 10 0 0 1) ~dst:(Ipaddr.v 192 168 9 9) ~sport:4242
+      ~dport:80 ()
+  in
+  let table = Flowtable.create () in
+  Flowtable.install table ~cookie:5 ~priority:10
+    ~filters:
+      [
+        Filter.make ~src:(Ipaddr.Prefix.host k.Flow.src_ip)
+          ~dst:(Ipaddr.Prefix.host k.Flow.dst_ip) ~proto:Flow.Tcp
+          ~src_port:k.Flow.src_port ~dst_port:k.Flow.dst_port
+          ~tcp_flag:Packet.Syn ();
+      ]
+    ~actions:[ Flowtable.Forward "nf" ];
+  let look flags =
+    cookie_of
+      (Flowtable.lookup table (Packet.create ~id:1 ~key:k ~flags ~sent_at:0.0 ()))
+  in
+  Alcotest.(check (option int)) "SYN packet matches the flagged rule" (Some 5)
+    (look [ Packet.Syn ]);
+  Alcotest.(check (option int)) "non-SYN packet does not" None (look [])
+
 let suite =
   [
     Alcotest.test_case "flowtable: randomized churn equivalence" `Quick
@@ -193,4 +353,10 @@ let suite =
       test_perflow_churn;
     Alcotest.test_case "perflow arena: randomized churn equivalence" `Quick
       test_perflow_arena_churn;
+    Alcotest.test_case "key rows: top address bits keep keys distinct" `Quick
+      test_key_rows_top_bits_distinct;
+    Alcotest.test_case "key rows: extreme fields round-trip" `Quick
+      test_key_rows_extremes;
+    Alcotest.test_case "flowtable: flag-marked exact row matches its key" `Quick
+      test_flowtable_flag_row_matches;
   ]

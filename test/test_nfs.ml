@@ -302,6 +302,98 @@ let test_prads_stats_merge () =
   Alcotest.(check int) "packets summed" 2 pkts;
   Alcotest.(check int) "flows summed" 2 flows
 
+(* A fixed packet sequence over new and existing flows, both directions,
+   extreme addresses and ports, and a server-port ACK. The exported
+   bytes were recorded from the field-by-field accessor implementation;
+   reading and writing rows in place must not change one byte. *)
+let prads_golden_packets () =
+  let pkt ~id ?(flags = []) ?(payload = "") ~at key =
+    Packet.create ~id ~key ~flags ~payload ~sent_at:at ()
+  in
+  let web = http_key (ip 10 0 0 1) (ip 8 8 8 8) 5555 in
+  let ssh =
+    Flow.make ~src:(ip 192 168 1 7) ~dst:(ip 172 16 0 9) ~sport:40000
+      ~dport:22 ()
+  in
+  let top =
+    Flow.make ~src:(ip 255 255 255 255) ~dst:(ip 0 0 0 0) ~proto:Flow.Udp
+      ~sport:65535 ~dport:0 ()
+  in
+  let ping =
+    Flow.make ~src:(ip 128 0 0 1) ~dst:(ip 10 0 0 1) ~proto:Flow.Icmp
+      ~sport:0 ~dport:0 ()
+  in
+  [
+    pkt ~id:1 ~flags:[ Syn ] ~at:0.001 web;
+    pkt ~id:2 ~flags:[ Syn; Ack ] ~at:0.002 (Flow.reverse web);
+    pkt ~id:3 ~flags:[ Ack ] ~payload:"GET / HTTP/1.1" ~at:0.003 web;
+    pkt ~id:4 ~flags:[ Syn; Ack ] ~at:0.004 (Flow.reverse ssh);
+    pkt ~id:5 ~payload:"x" ~at:0.005 top;
+    pkt ~id:6 ~payload:"yy" ~at:0.006 (Flow.reverse top);
+    pkt ~id:7 ~at:0.007 ping;
+    pkt ~id:8 ~flags:[ Ack ] ~payload:"SSH-2.0" ~at:0.0075 ssh;
+    pkt ~id:9 ~flags:[ Ack ] ~payload:"200 OK" ~at:0.009 (Flow.reverse web);
+    pkt ~id:10 ~at:0.008 (Flow.reverse ping);
+  ]
+
+let test_prads_golden_bytes () =
+  let prads = Opennf_nfs.Prads.create () in
+  let impl = Opennf_nfs.Prads.impl prads in
+  feed impl (prads_golden_packets ());
+  let digest chunks =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "|"
+            (List.map (fun (c : Chunk.t) -> c.kind ^ ":" ^ c.data) chunks)))
+  in
+  let exports export list =
+    List.map (fun flowid -> Option.get (export flowid)) (list Filter.any)
+  in
+  let perflow = exports impl.Nf_api.export_perflow impl.Nf_api.list_perflow in
+  let multiflow =
+    exports impl.Nf_api.export_multiflow impl.Nf_api.list_multiflow
+  in
+  Alcotest.(check int) "connections" 4 (List.length perflow);
+  Alcotest.(check int) "assets" 7 (List.length multiflow);
+  Alcotest.(check string) "export_perflow bytes"
+    "7f776e7177e41c531d6ef9be04d08489" (digest perflow);
+  Alcotest.(check string) "export_multiflow bytes"
+    "6474a7ac590cd9fa4e13d41c01f040a0" (digest multiflow);
+  Alcotest.(check string) "export_allflows bytes"
+    "7e220201bdec5fcdfe73519e434fad3d"
+    (digest (impl.Nf_api.export_allflows ()))
+
+(* A packet of a known flow updates its row and two asset records and
+   allocates no more than the parent implementation measured (4.0
+   minor words); inserting a key already present allocates nothing. *)
+let test_prads_alloc_budget () =
+  let prads = Opennf_nfs.Prads.create () in
+  let impl = Opennf_nfs.Prads.impl prads in
+  feed impl (prads_golden_packets ());
+  let p =
+    Packet.create ~id:99 ~key:(http_key (ip 10 0 0 1) (ip 8 8 8 8) 5555)
+      ~flags:[ Ack ] ~payload:"more" ~sent_at:0.01 ()
+  in
+  let per_pkt =
+    Helpers.minor_words_per ~iters:100_000 (fun () ->
+        impl.Nf_api.process_packet p)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "existing-flow packet <= 4.0 minor words (got %.2f)"
+       per_pkt)
+    true (per_pkt <= 4.0);
+  let store = Store.Perflow_arena.create ~payload:32 () in
+  let k = Flow.reverse (http_key (ip 10 0 0 1) (ip 8 8 8 8) 5555) in
+  ignore (Store.Perflow_arena.insert store k);
+  let per_insert =
+    Helpers.minor_words_per ~iters:100_000 (fun () ->
+        ignore (Store.Perflow_arena.insert store k))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "insert of a present key allocates 0 words (got %.3f)"
+       per_insert)
+    true (per_insert < 0.01)
+
 (* --- proxy ------------------------------------------------------------------- *)
 
 let proxy_key client sport =
@@ -543,6 +635,10 @@ let suite =
     Alcotest.test_case "prads: conn roundtrip" `Quick test_prads_conn_roundtrip;
     Alcotest.test_case "prads: asset merge" `Quick test_prads_asset_merge;
     Alcotest.test_case "prads: stats merge" `Quick test_prads_stats_merge;
+    Alcotest.test_case "prads: export bytes are golden" `Quick
+      test_prads_golden_bytes;
+    Alcotest.test_case "alloc budget: prads existing-flow packet" `Quick
+      test_prads_alloc_budget;
     Alcotest.test_case "proxy: hit/miss" `Quick test_proxy_hit_miss;
     Alcotest.test_case "proxy: crash without entry" `Quick
       test_proxy_crash_on_missing_entry;

@@ -184,6 +184,33 @@ let test_proc_many_interleaved () =
   Engine.run e;
   Alcotest.(check int) "all processes ran" 5050 !total
 
+(* Schedule and dispatch one event with one other event pending: the
+   event record (6 words) and its boxed time (2) are all it allocates.
+   The dispatch loop's peek returns the event itself, not an option;
+   the wheel's sorted insert returns the chain's new head instead of
+   taking a closure; and the minimum search keeps its candidate in a
+   local, not a ref a closure captures. It was 17 words with all
+   three. *)
+let test_engine_dispatch_alloc_budget () =
+  let e = Engine.create () in
+  Engine.schedule_at e 1e9 ignore;
+  let n = 100_000 and left = ref 0 in
+  let rec tick () =
+    decr left;
+    if !left > 0 then Engine.schedule e ~delay:1e-6 tick
+  in
+  let cycle () =
+    left := n;
+    Engine.schedule e ~delay:1e-6 tick;
+    ignore (Engine.run_until e ~until:(Engine.now e +. 1.0))
+  in
+  let per_event = Helpers.minor_words_per ~iters:1 cycle /. float_of_int n in
+  Alcotest.(check int) "the far event stays pending" 1 (Engine.pending e);
+  Alcotest.(check bool)
+    (Printf.sprintf "dispatch allocates < 8.5 minor words (got %.2f)"
+       per_event)
+    true (per_event < 8.5)
+
 let suite =
   [
     Alcotest.test_case "engine: time order" `Quick test_engine_time_order;
@@ -209,4 +236,6 @@ let suite =
       test_proc_blocking_outside_raises;
     Alcotest.test_case "proc: suspend/resume" `Quick test_proc_suspend_resume;
     Alcotest.test_case "proc: 100 interleaved" `Quick test_proc_many_interleaved;
+    Alcotest.test_case "alloc budget: engine dispatch" `Quick
+      test_engine_dispatch_alloc_budget;
   ]
