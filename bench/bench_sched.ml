@@ -92,7 +92,7 @@ let run_once ~obs ~cap ~ops ~flows ~overlap ~batch =
             let filter = op_filter (if overlap then 0 else i) in
             if i mod 2 = 0 then
               let ivar =
-                Move.submit fab.sched
+                Move.submit_sharded fab.group
                   (Move.spec ~src:nf1 ~dst:nf2 ~filter ~guarantee:Move.Loss_free
                      ~parallel:true ())
               in
@@ -105,7 +105,7 @@ let run_once ~obs ~cap ~ops ~flows ~overlap ~batch =
                 | Error e -> failwith (Format.asprintf "%a" Op_error.pp e)
             else
               let ivar =
-                Copy_op.submit fab.sched ~src:nf1 ~dst:nf2 ~filter
+                Copy_op.submit_sharded fab.group ~src:nf1 ~dst:nf2 ~filter
                   ~scope:[ Opennf_state.Scope.Per ] ()
               in
               fun () ->
@@ -119,7 +119,7 @@ let run_once ~obs ~cap ~ops ~flows ~overlap ~batch =
       in
       List.iter (fun wait -> wait ()) pending;
       finished := Engine.now fab.engine);
-  let stats = Sched.stats fab.sched in
+  let stats = Sched.stats (Shard.sched fab.group 0) in
   let n = max 1 (List.length !durations) in
   {
     makespan = !finished -. 1.0;

@@ -221,10 +221,7 @@ let run_report flows rate seed shards openmetrics folded =
   Proc.spawn fab.engine (fun () -> Controller.set_route fab.ctrl Filter.any nf1);
   Engine.schedule_at fab.engine (handshakes +. 0.55) (fun () ->
       Proc.spawn fab.engine (fun () ->
-          let submit spec =
-            if shards <= 1 then Move.submit fab.sched spec
-            else Move.submit_sharded fab.Fabric.group spec
-          in
+          let submit = Move.submit_sharded fab.Fabric.group in
           let out =
             submit
               (Move.spec ~src:nf1 ~dst:nf2 ~filter:Filter.any

@@ -16,7 +16,6 @@ type mode =
 
 type t = {
   ctrl : Controller.t;
-  sched : Sched.t option;
   normal : Controller.nf;
   standby : Controller.nf;
   mode : mode;
@@ -27,15 +26,8 @@ type t = {
   mutable recovered_at : float option;
 }
 
-(* Refresh copies are independent background work; with a scheduler they
-   queue behind conflicting moves instead of racing them. *)
 let copy t ~filter ~scope =
-  match t.sched with
-  | None ->
-    Copy_op.run t.ctrl ~src:t.normal ~dst:t.standby ~filter ~scope ()
-  | Some s ->
-    Proc.Ivar.read
-      (Copy_op.submit s ~src:t.normal ~dst:t.standby ~filter ~scope ())
+  Copy_op.run t.ctrl ~src:t.normal ~dst:t.standby ~filter ~scope ()
 
 (* Copy the per-flow state for the event packet's flow to the standby
    (Figure 9, updateStandby); SYN/RST packets also update multi-flow
@@ -74,12 +66,11 @@ let detect_mode ~normal ~standby =
 (* Scopes the HTTP-request trigger, as in Figure 9 line 6. *)
 let local_net = Ipaddr.Prefix.of_string "10.0.0.0/8"
 
-let init_standby ctrl ?sched ~normal ~standby () =
+let init_standby ctrl ~normal ~standby () =
   let mode = detect_mode ~normal ~standby in
   let t =
     {
       ctrl;
-      sched;
       normal;
       standby;
       mode;
@@ -110,7 +101,7 @@ let init_standby ctrl ?sched ~normal ~standby () =
       List.map
         (fun filter ->
           Op_error.ok_exn
-            (Notify.enable ?sched ctrl normal filter (update_standby t)))
+            (Notify.enable ctrl normal filter (update_standby t)))
         triggers;
     (* Seed the standby's multi-flow state once; SYN/RST notifications
        keep the relevant parts fresh afterwards. *)

@@ -24,16 +24,13 @@ type t
 
 val init_standby :
   Controller.t ->
-  ?sched:Sched.t ->
   normal:Controller.nf ->
   standby:Controller.nf ->
   unit ->
   t
 (** Registers the notifications. The HTTP-request trigger is scoped to
     10.0.0.0/8, as in Figure 9 line 6. Multi-flow state is
-    copied up front so scan counters exist at the standby. With [sched],
-    every refresh copy is admitted through the scheduler, so refreshes
-    queue behind conflicting moves instead of racing them. *)
+    copied up front so scan counters exist at the standby. *)
 
 val fail_over : t -> filter:Filter.t -> unit
 (** Blocking: reroute matching traffic to the standby (the "normal"

@@ -7,7 +7,6 @@ type sync_pair = { a : Controller.nf; b : Controller.nf }
 
 type t = {
   ctrl : Controller.t;
-  sched : Sched.t option;
   mutable assignment : (Controller.nf * Ipaddr.Prefix.t list) list;
   sync_period : float;
   mutable sync_pairs : sync_pair list;
@@ -20,16 +19,12 @@ let prefix_filter prefix = Filter.of_src_prefix prefix
 (* Copies and moves here run in fault-free scenarios; a typed error is
    a wiring bug, surfaced loudly by [Op_error.ok_exn]. *)
 let copy t ~src ~dst ~filter ~scope =
-  Op_error.ok_exn
-    (match t.sched with
-    | None -> Copy_op.run t.ctrl ~src ~dst ~filter ~scope ()
-    | Some s -> Proc.Ivar.read (Copy_op.submit s ~src ~dst ~filter ~scope ()))
+  Op_error.ok_exn (Copy_op.run t.ctrl ~src ~dst ~filter ~scope ())
 
-let create ctrl ?sched ~instances ?(sync_period = 60.0) () =
+let create ctrl ~instances ?(sync_period = 60.0) () =
   let t =
     {
       ctrl;
-      sched;
       assignment = instances;
       sync_period;
       sync_pairs = [];
@@ -99,12 +94,7 @@ let move_prefix t prefix ~to_ =
       Move.spec ~src:old_inst ~dst:to_ ~filter ~scope:[ Scope.Per ]
         ~guarantee:Move.Loss_free ~parallel:true ()
     in
-    let report =
-      Op_error.ok_exn
-        (match t.sched with
-        | None -> Move.run t.ctrl spec
-        | Some s -> Proc.Ivar.read (Move.submit s spec))
-    in
+    let report = Op_error.ok_exn (Move.run t.ctrl spec) in
     let target_known = List.exists (fun (nf, _) -> same_nf nf to_) t.assignment in
     t.assignment <-
       List.map

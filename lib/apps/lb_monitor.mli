@@ -13,7 +13,6 @@ type t
 
 val create :
   Controller.t ->
-  ?sched:Sched.t ->
   instances:(Controller.nf * Ipaddr.Prefix.t list) list ->
   ?sync_period:float ->
   unit ->
@@ -21,10 +20,7 @@ val create :
 (** Blocking: installs the initial prefix→instance routes. The periodic
     multi-flow synchronization loops start at the first reassignment
     (pairs that never exchanged a prefix have nothing to keep
-    consistent). [sync_period] defaults to 60 s, as in Figure 8. With
-    [sched], prefix moves and sync copies are admitted through the
-    scheduler: moves of disjoint prefixes overlap, while operations on
-    the same prefix or instance pair serialize. *)
+    consistent). [sync_period] defaults to 60 s, as in Figure 8. *)
 
 val move_prefix : t -> Ipaddr.Prefix.t -> to_:Controller.nf -> Move.report
 (** Blocking: the paper's [movePrefix(prefix, oldInst, newInst)]. *)

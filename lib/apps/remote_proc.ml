@@ -5,7 +5,6 @@ open Opennf
 
 type t = {
   ctrl : Controller.t;
-  sched : Sched.t option;
   cloud : Controller.nf;
   mutable offloaded : Flow.key list;  (* Newest first. *)
   mutable in_flight : Flow.Set.t;
@@ -22,18 +21,14 @@ let on_alert t local_nf alert =
             Move.spec ~src:local_nf ~dst:t.cloud ~filter:(Filter.of_key flow)
               ~scope:[ Scope.Per ] ~guarantee:Move.Loss_free ~parallel:true ()
           in
-          ignore
-            (Op_error.ok_exn
-               (match t.sched with
-               | None -> Move.run t.ctrl spec
-               | Some s -> Proc.Ivar.read (Move.submit s spec)));
+          ignore (Op_error.ok_exn (Move.run t.ctrl spec));
           t.in_flight <- Flow.Set.remove flow t.in_flight;
           t.offloaded <- flow :: t.offloaded)
     end
   | Port_scan _ | Malware _ | Weird _ -> ()
 
-let start ctrl ?sched ~local ~cloud () =
-  let t = { ctrl; sched; cloud; offloaded = []; in_flight = Flow.Set.empty } in
+let start ctrl ~local ~cloud () =
+  let t = { ctrl; cloud; offloaded = []; in_flight = Flow.Set.empty } in
   List.iter
     (fun (nf, ids) -> Opennf_nfs.Ids.on_alert ids (on_alert t nf))
     local;

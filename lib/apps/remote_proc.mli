@@ -14,15 +14,12 @@ type t
 
 val start :
   Controller.t ->
-  ?sched:Sched.t ->
   local:(Controller.nf * Opennf_nfs.Ids.t) list ->
   cloud:Controller.nf ->
   unit ->
   t
 (** Hooks each local IDS's alert stream (the stand-in for watching Bro's
-    log output). With [sched], offload moves are admitted through the
-    scheduler — moves of distinct flows overlap, and they queue behind
-    any conflicting operation on the same instances and flows. *)
+    log output). *)
 
 val offloaded : t -> Flow.key list
 (** Flows moved to the cloud so far, oldest first. *)

@@ -55,10 +55,6 @@ let run t ~src ~dst ~filter ?(scope = [ Scope.Multi ]) ?options
       state_bytes = tally.Op_engine.bytes;
     }
 
-let start t ~src ~dst ~filter ?scope ?options ?parallel () =
-  Op_engine.background t (fun () ->
-      run t ~src ~dst ~filter ?scope ?options ?parallel ())
-
 (* A copy reads the source, writes the destination and leaves
    forwarding state alone. *)
 let footprint ~src ~dst ~filter =
@@ -66,12 +62,6 @@ let footprint ~src ~dst ~filter =
     ~reads:[ Controller.nf_name src ]
     ~writes:[ Controller.nf_name dst ]
     ()
-
-let submit sched ~src ~dst ~filter ?scope ?options ?parallel () =
-  Sched.submit sched
-    ~footprint:(footprint ~src ~dst ~filter)
-    (fun () ->
-      run (Sched.ctrl sched) ~src ~dst ~filter ?scope ?options ?parallel ())
 
 let submit_sharded group ~src ~dst ~filter ?scope ?options ?parallel () =
   Shard.submit group

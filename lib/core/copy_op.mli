@@ -40,37 +40,11 @@ val run :
 (** Blocking. Defaults: scope [[Multi]] (the common case in §6),
     [parallel] true. [options] overrides [parallel] when given. *)
 
-val start :
-  Controller.t ->
-  src:Controller.nf ->
-  dst:Controller.nf ->
-  filter:Filter.t ->
-  ?scope:Scope.t list ->
-  ?options:Op_options.t ->
-  ?parallel:bool ->
-  unit ->
-  (report, Op_error.t) result Proc.Ivar.t
-
 val footprint :
   src:Controller.nf -> dst:Controller.nf -> filter:Filter.t ->
   Sched.Footprint.t
 (** What a copy touches: source read, destination written, no
     forwarding changes. *)
-
-val submit :
-  Sched.t ->
-  src:Controller.nf ->
-  dst:Controller.nf ->
-  filter:Filter.t ->
-  ?scope:Scope.t list ->
-  ?options:Op_options.t ->
-  ?parallel:bool ->
-  unit ->
-  (report, Op_error.t) result Proc.Ivar.t
-(** Queue the copy on the scheduler; it runs once no conflicting
-    operation is ahead of it. Two copies out of the same source may
-    overlap (reads don't conflict); a copy conflicts with any move
-    touching the same instances and flows. *)
 
 val submit_sharded :
   Shard.t ->
@@ -82,4 +56,9 @@ val submit_sharded :
   ?parallel:bool ->
   unit ->
   (report, Op_error.t) result Proc.Ivar.t
-(** {!submit} routed through a shard group (see {!Move.submit_sharded}). *)
+(** Queue the copy on the shard group, the one admission path (see
+    {!Move.submit_sharded}); it runs once no conflicting operation is
+    ahead of it, on the schedulers of both instances' home shards, led
+    by the source's home shard. Two copies out of the same source may
+    overlap (reads don't conflict); a copy conflicts with any move
+    touching the same instances and flows. *)

@@ -9,7 +9,6 @@ type t = {
   audit : Audit.t;
   switch : Switch.t;
   ctrl : Controller.t;
-  sched : Sched.t;
   group : Shard.t;
   faults : Faults.t;
   monitor : Opennf_obs.Monitor.t option;
@@ -68,14 +67,12 @@ let create ?(seed = 1) ?obs ?config ?flow_mod_delay ?packet_out_rate
     audit;
     switch;
     ctrl = ctrls.(0);
-    sched = scheds.(0);
     group;
     faults;
     monitor;
   }
 
 let shards t = Shard.count t.group
-let sched_of t k = Shard.sched t.group k
 
 let add_nf ?backend ?shard t ~name ~impl ~costs =
   let shard =

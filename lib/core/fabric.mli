@@ -22,13 +22,15 @@ type t = {
   ctrl : Controller.t;
       (** Shard 0's controller — {e the} controller of an unsharded
           fabric. *)
-  sched : Sched.t;
-      (** Ready-made operation scheduler over [ctrl]; idle (and free)
-          until something is submitted to it. *)
   group : Shard.t;
-      (** The full shard group (a single-member group when [shards]
-          is 1). Shard-aware submission ({!Move.submit_sharded}) goes
-          through this. *)
+      (** The shard group: one controller and one scheduler per shard
+          (a single-member group when [shards] is 1). It is the one
+          admission path for northbound operations:
+          {!Move.submit_sharded}, {!Copy_op.submit_sharded},
+          [Share.start ~shard_group] and [Notify.enable ~shard_group].
+          Each scheduler is idle (and free) until something is
+          submitted to it; read shard [k]'s queue statistics with
+          [Sched.stats (Shard.sched group k)]. *)
   faults : Opennf_sim.Faults.t;
   monitor : Opennf_obs.Monitor.t option;
       (** The live §5.1 guarantee checker ({!Opennf_obs.Monitor}) on the
@@ -92,8 +94,6 @@ val live_findings : t -> Opennf_obs.Monitor.finding list
 (** Online findings (order/duplicate violations) streamed by the live
     monitor so far, in detection order; [[]] when {!monitored} is
     false. *)
-
-val sched_of : t -> int -> Sched.t
 
 val add_nf :
   ?backend:Opennf_state.Backend.t ->

@@ -132,8 +132,8 @@ val run :
   Controller.t -> spec -> (report, Op_error.t) result
 (** Blocking; call from a simulation process. [notify_release] fires per
     flow as its put is acknowledged under [early_release] (used by
-    {!submit} to shrink the scheduler footprint); plain callers omit
-    it. *)
+    {!submit_sharded} to shrink the scheduler footprint); plain callers
+    omit it. *)
 
 val start : Controller.t -> spec -> (report, Op_error.t) result Proc.Ivar.t
 (** Spawn the move and return an ivar filled with its result. *)
@@ -142,14 +142,11 @@ val footprint : spec -> Sched.Footprint.t
 (** What the move touches: both instances written, the filter's flows
     covered, forwarding state updated. *)
 
-val submit : Sched.t -> spec -> (report, Op_error.t) result Proc.Ivar.t
-(** Queue the move on the scheduler; it runs once no conflicting
-    operation is ahead of it. Under [early_release], flows leave the
-    held footprint as their chunks land. *)
-
 val submit_sharded : Shard.t -> spec -> (report, Op_error.t) result Proc.Ivar.t
-(** {!submit} routed through a shard group: a move within one shard goes
-    to that shard's scheduler; a cross-shard move is admitted by the
-    two-shard handshake and led by the source's home shard. Early
-    release reaches every involved scheduler. With a 1-shard group this
-    is exactly [submit]. *)
+(** Queue the move on the shard group ({!Fabric.t.group}), the one
+    admission path for northbound operations; it runs once no
+    conflicting operation is ahead of it. A move within one shard waits
+    on that shard's scheduler (a 1-shard group has only shard 0's); a
+    cross-shard move is admitted by the two-shard handshake and led by
+    the source's home shard. Under [early_release], flows leave the held
+    footprint on every involved scheduler as their chunks land. *)

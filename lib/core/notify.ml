@@ -9,7 +9,7 @@ type handle = {
 
 let ( let* ) = Result.bind
 
-let enable ?sched ?shard_group t nf filter callback =
+let enable ?shard_group t nf filter callback =
   let act () =
     let* () = Op_engine.ensure_alive t nf in
     let sub =
@@ -22,19 +22,18 @@ let enable ?sched ?shard_group t nf filter callback =
     Controller.enable_events t nf filter Protocol.Process;
     Ok { nf; filter; sub }
   in
-  (* The enable itself is a short read of the instance: route it
-     through a scheduler so events are not armed in the middle of a
+  (* The enable itself is a short read of the instance: admit it on the
+     instance's home shard so events are not armed in the middle of a
      conflicting write (e.g. a move of the same flows), but hold
-     nothing afterwards — notifications coexist with later ops. With a
-     shard group, the read runs on the instance's home shard. *)
-  let fp () =
-    Sched.Footprint.make ~filters:[ filter ]
-      ~reads:[ Controller.nf_name nf ] ()
-  in
-  match (shard_group, sched) with
-  | Some g, _ -> Shard.run g ~footprint:(fp ()) ~nfs:[ nf ] act
-  | None, Some s -> Sched.run s ~footprint:(fp ()) act
-  | None, None -> act ()
+     nothing afterwards — notifications coexist with later ops. *)
+  match shard_group with
+  | Some g ->
+    let fp =
+      Sched.Footprint.make ~filters:[ filter ]
+        ~reads:[ Controller.nf_name nf ] ()
+    in
+    Shard.run g ~footprint:fp ~nfs:[ nf ] act
+  | None -> act ()
 
 let disable t handle =
   Controller.disable_events t handle.nf handle.filter;

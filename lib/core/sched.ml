@@ -105,7 +105,6 @@ let create ?(max_concurrent = 8) ctrl =
     h_wait = Opennf_obs.Metrics.hist metrics ("sched.wait_s" ^ sfx);
   }
 
-let ctrl t = t.ctrl
 let waiting_count t = List.length t.waiting
 
 let stats (t : t) : stats =
@@ -215,8 +214,6 @@ let submit t ~footprint body =
   in
   enqueue t { id; footprint; start; enq_vt = Engine.now t.engine; span };
   ivar
-
-let run t ~footprint body = Proc.Ivar.read (submit t ~footprint body)
 
 let release_flow t ~footprint key =
   Footprint.release footprint key;

@@ -66,15 +66,10 @@ val create : ?max_concurrent:int -> Controller.t -> t
     caps simultaneously admitted operations; raises [Invalid_argument]
     below 1. Creation schedules nothing on the engine. *)
 
-val ctrl : t -> Controller.t
-
 val submit : t -> footprint:Footprint.t -> (unit -> 'a) -> 'a Proc.Ivar.t
 (** Queue [body] under [footprint]. Once admitted it runs in its own
     simulation process; the ivar resolves with its result. The footprint
     is held until [body] returns. *)
-
-val run : t -> footprint:Footprint.t -> (unit -> 'a) -> 'a
-(** [submit] and block for the result. *)
 
 val release_flow : t -> footprint:Footprint.t -> Flow.key -> unit
 (** Shrink a held footprint: [key]'s state has safely landed, so

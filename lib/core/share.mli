@@ -47,7 +47,6 @@ val footprint :
 
 val start :
   Controller.t ->
-  ?sched:Sched.t ->
   ?shard_group:Shard.t ->
   instances:Controller.nf list ->
   filter:Filter.t ->
@@ -57,12 +56,10 @@ val start :
   (t, Op_error.t) result
 (** Blocking (performs the initial state synchronization). [scope]
     defaults to [[Multi]]. An empty instance list is
-    [Error (Bad_spec _)]. With [sched], the share's {!footprint} is
-    acquired before any setup and held until {!stop}, so conflicting
-    operations queue behind it. [shard_group] does the same across a
-    sharded control plane — the footprint is held on every shard the
-    instances live on (ascending shard-id order) — and takes precedence
-    over [sched]. *)
+    [Error (Bad_spec _)]. With [shard_group], the share's {!footprint}
+    is acquired before any setup on every shard the instances live on
+    (ascending shard-id order) and held until {!stop}, so conflicting
+    operations queue behind it. *)
 
 val stats : t -> stats
 

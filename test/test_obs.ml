@@ -38,7 +38,7 @@ let traced_scenario ?(trace = true) () =
   Engine.schedule_at fab.engine 0.3 (fun () ->
       Proc.spawn fab.engine (fun () ->
           let ivar =
-            Move.submit fab.sched
+            Move.submit_sharded fab.group
               (Move.spec ~src:nf1 ~dst:nf2 ~filter:Filter.any
                  ~guarantee:Move.Loss_free ~parallel:true ())
           in

@@ -136,7 +136,7 @@ let run_scheduled fab specs =
   let finished = ref 0.0 in
   Engine.schedule_at fab.Fabric.engine 0.1 (fun () ->
       Proc.spawn fab.Fabric.engine (fun () ->
-          let ivars = List.map (Move.submit fab.Fabric.sched) specs in
+          let ivars = List.map (Move.submit_sharded fab.Fabric.group) specs in
           results := List.map Proc.Ivar.read ivars;
           finished := Engine.now fab.Fabric.engine));
   Fabric.run fab;
@@ -158,7 +158,7 @@ let test_disjoint_moves_concurrent () =
       Alcotest.(check int) "src drained" 0 (Dummy.flow_count p.d1);
       Alcotest.(check int) "dst imported all" flows (Dummy.imported_count p.d2))
     pairs;
-  let stats = Sched.stats fab.Fabric.sched in
+  let stats = Sched.stats (Shard.sched fab.Fabric.group 0) in
   Alcotest.(check int) "all admitted at once" n stats.Sched.peak_active;
   Alcotest.(check int) "all completed" n stats.Sched.completed;
   (* Overlap in virtual time: the makespan must undercut the sum of the
@@ -189,7 +189,7 @@ let test_overlapping_moves_serialize () =
     reports;
   Alcotest.(check int) "flows back at the source" flows (Dummy.flow_count p.d1);
   Alcotest.(check int) "destination drained" 0 (Dummy.flow_count p.d2);
-  let stats = Sched.stats fab.Fabric.sched in
+  let stats = Sched.stats (Shard.sched fab.Fabric.group 0) in
   Alcotest.(check int) "never ran together" 1 stats.Sched.peak_active;
   Alcotest.(check int) "second waited" 1 stats.Sched.peak_waiting
 
@@ -199,7 +199,7 @@ let test_cap_one_serializes_everything () =
   let specs = List.mapi (fun i p -> spec_for ~filter:(two_sided i) p) pairs in
   let results, _ = run_scheduled fab specs in
   List.iter (fun r -> ignore (Op_error.ok_exn r)) results;
-  let stats = Sched.stats fab.Fabric.sched in
+  let stats = Sched.stats (Shard.sched fab.Fabric.group 0) in
   Alcotest.(check int) "cap respected" 1 stats.Sched.peak_active;
   Alcotest.(check int) "all completed" n stats.Sched.completed
 
@@ -215,21 +215,21 @@ let test_share_hold_blocks_move () =
   let flows = 6 in
   let fab, pairs = dummy_bed ~n:1 ~flows ~subnet_of:(fun _ -> 0) () in
   let p = List.hd pairs in
-  let sched = fab.Fabric.sched in
+  let group = fab.Fabric.group in
   let move_done = ref None in
   Engine.schedule_at fab.Fabric.engine 0.1 (fun () ->
       Proc.spawn fab.Fabric.engine (fun () ->
           let share =
             Op_error.ok_exn
-              (Share.start fab.Fabric.ctrl ~sched ~instances:[ p.src; p.dst ]
+              (Share.start fab.Fabric.ctrl ~shard_group:group ~instances:[ p.src; p.dst ]
                  ~filter:(two_sided 0) ~consistency:Share.Strong ())
           in
-          let ivar = Move.submit sched (spec_for ~filter:(two_sided 0) p) in
+          let ivar = Move.submit_sharded group (spec_for ~filter:(two_sided 0) p) in
           (* The move conflicts with the live share; give it time to run
              if the scheduler (wrongly) admitted it. *)
           Proc.sleep 0.5;
           Alcotest.(check int) "move queued behind the share" 1
-            (Sched.waiting_count sched);
+            (Sched.waiting_count (Shard.sched group 0));
           Alcotest.(check bool) "move not finished under the hold" true
             (Proc.Ivar.peek ivar = None);
           Share.stop share;
@@ -280,7 +280,7 @@ let test_crash_under_concurrency () =
     Alcotest.(check int) "unrelated move unaffected" flows r.Move.per_chunks;
     Alcotest.(check int) "its flows all arrived" flows (Dummy.imported_count p1.d2)
   | _ -> Alcotest.fail "expected two results");
-  let stats = Sched.stats fab.Fabric.sched in
+  let stats = Sched.stats (Shard.sched fab.Fabric.group 0) in
   Alcotest.(check int) "scheduler retired both" 2 stats.Sched.completed
 
 (* --- southbound batching ------------------------------------------------ *)
@@ -392,7 +392,7 @@ let prop_overlap_conserves_chunks =
             (fun i c -> if i = last then c = flows else c = 0)
             (List.init (List.length counts) Fun.id)
             counts)
-      && (Sched.stats fab.Fabric.sched).Sched.peak_active = 1)
+      && (Sched.stats (Shard.sched fab.Fabric.group 0)).Sched.peak_active = 1)
 
 let suite =
   [

@@ -143,7 +143,7 @@ let test_disjoint_sharded_equals_serial () =
       Alcotest.(check int)
         (Printf.sprintf "shard %d completed its moves" k)
         (n / 2)
-        (Sched.stats (Fabric.sched_of fab k)).Sched.completed)
+        (Sched.stats (Shard.sched fab.Fabric.group k)).Sched.completed)
     [ 0; 1 ];
   (* Two controller CPUs overlap in virtual time. *)
   Alcotest.(check bool)
@@ -307,7 +307,7 @@ let test_cross_shard_serialization () =
       Alcotest.(check int)
         (Printf.sprintf "shard %d never ran the legs together" k)
         1
-        (Sched.stats (Fabric.sched_of fab k)).Sched.peak_active)
+        (Sched.stats (Shard.sched fab.Fabric.group k)).Sched.peak_active)
     [ 0; 1 ]
 
 (* --- crash containment ---------------------------------------------------- *)
@@ -344,7 +344,7 @@ let test_crash_contained_to_one_shard () =
       Alcotest.(check int)
         (Printf.sprintf "shard %d retired its move" k)
         1
-        (Sched.stats (Fabric.sched_of fab k)).Sched.completed)
+        (Sched.stats (Shard.sched fab.Fabric.group k)).Sched.completed)
     [ 0; 1 ]
 
 (* --- single-shard smoke --------------------------------------------------- *)
@@ -470,6 +470,101 @@ let test_sharded_metrics_namespaced () =
         >= 1))
     [ 0; 1 ]
 
+(* --- admission on the instances' home shard -------------------------------- *)
+
+(* A 2-shard fabric with both instances pinned to shard 1 and a move of
+   their flows admitted first: every later operation on those flows
+   must queue on shard 1's scheduler, the one the move holds. Shard 0
+   admits nothing. *)
+let home_shard_bed ~flows =
+  let fab = Fabric.create ~seed:5 ~shards:2 () in
+  let d1 = Dummy.create () and d2 = Dummy.create () in
+  Dummy.seed_flows d1 (List.init flows (key_in_subnet 0));
+  let src, _ =
+    Fabric.add_nf fab ~shard:1 ~name:"src0" ~impl:(Dummy.impl d1)
+      ~costs:Costs.dummy
+  in
+  let dst, _ =
+    Fabric.add_nf fab ~shard:1 ~name:"dst0" ~impl:(Dummy.impl d2)
+      ~costs:Costs.dummy
+  in
+  Proc.spawn fab.engine (fun () ->
+      Controller.set_route fab.ctrl (two_sided 0) src);
+  let move =
+    Move.spec ~src ~dst ~filter:(two_sided 0) ~guarantee:Move.Loss_free
+      ~parallel:true ()
+  in
+  (fab, src, dst, d1, d2, move)
+
+let check_only_shard_one_admitted fab ~ops =
+  let stats k = Sched.stats (Shard.sched fab.Fabric.group k) in
+  Alcotest.(check int) "shard 0 admitted nothing" 0 (stats 0).Sched.admitted;
+  Alcotest.(check int) "shard 1 admitted both" ops (stats 1).Sched.admitted;
+  Alcotest.(check int) "shard 1 never ran them together" 1
+    (stats 1).Sched.peak_active;
+  Alcotest.(check int) "the second waited on shard 1" 1
+    (stats 1).Sched.peak_waiting;
+  Alcotest.(check int) "no cross-shard handshake" 0
+    (Shard.cross_shard_ops fab.Fabric.group)
+
+let test_copy_queues_on_home_shard () =
+  let flows = 8 in
+  let fab, src, dst, d1, d2, move = home_shard_bed ~flows in
+  let group = fab.Fabric.group in
+  let results = ref None in
+  Engine.schedule_at fab.Fabric.engine 0.1 (fun () ->
+      Proc.spawn fab.Fabric.engine (fun () ->
+          let m = Move.submit_sharded group move in
+          let c =
+            Copy_op.submit_sharded group ~src ~dst ~filter:(two_sided 0)
+              ~scope:[ Opennf_state.Scope.Per ] ()
+          in
+          Alcotest.(check int) "copy queued behind the move" 1
+            (Sched.waiting_count (Shard.sched group 1));
+          results := Some (Proc.Ivar.read m, Proc.Ivar.read c)));
+  Fabric.run fab;
+  (match !results with
+  | None -> Alcotest.fail "operations never completed"
+  | Some (m, c) ->
+    let m = Op_error.ok_exn m and c = Op_error.ok_exn c in
+    Alcotest.(check int) "move carried every flow" flows m.Move.per_chunks;
+    (* Admitted after the move, the copy reads a drained source. *)
+    Alcotest.(check int) "copy found the source drained" 0 c.Copy_op.chunks;
+    Alcotest.(check bool) "copy started after the move finished" true
+      (c.Copy_op.started >= m.Move.finished));
+  Alcotest.(check int) "source drained" 0 (Dummy.flow_count d1);
+  Alcotest.(check int) "destination holds every flow" flows
+    (Dummy.flow_count d2);
+  check_only_shard_one_admitted fab ~ops:2
+
+let test_notify_waits_on_home_shard () =
+  let flows = 8 in
+  let fab, src, _, _, _, move = home_shard_bed ~flows in
+  let group = fab.Fabric.group in
+  let outcome = ref None in
+  Engine.schedule_at fab.Fabric.engine 0.1 (fun () ->
+      Proc.spawn fab.Fabric.engine (fun () ->
+          let m = Move.submit_sharded group move in
+          let h =
+            Op_error.ok_exn
+              (Notify.enable ~shard_group:group fab.Fabric.ctrl src
+                 (two_sided 0) ignore)
+          in
+          let enabled_at = Engine.now fab.Fabric.engine in
+          let move_done = Proc.Ivar.peek m in
+          Notify.disable fab.Fabric.ctrl h;
+          outcome := Some (enabled_at, move_done)));
+  Fabric.run fab;
+  (match !outcome with
+  | None -> Alcotest.fail "notify never enabled"
+  | Some (_, None) -> Alcotest.fail "notify enabled while the move ran"
+  | Some (enabled_at, Some r) ->
+    let r = Op_error.ok_exn r in
+    Alcotest.(check int) "move carried every flow" flows r.Move.per_chunks;
+    Alcotest.(check bool) "enable returned after the move finished" true
+      (enabled_at >= r.Move.finished));
+  check_only_shard_one_admitted fab ~ops:2
+
 let suite =
   [
     Alcotest.test_case "partition basics" `Quick test_partition_basics;
@@ -492,3 +587,9 @@ let suite =
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_partition_total_stable; prop_sharded_equals_serial ]
+  @ [
+      Alcotest.test_case "copy queues behind a move on the home shard" `Quick
+        test_copy_queues_on_home_shard;
+      Alcotest.test_case "notify waits out a move on the home shard" `Quick
+        test_notify_waits_on_home_shard;
+    ]
