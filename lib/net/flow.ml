@@ -46,9 +46,11 @@ let equal a b =
 
 (* [compare k (reverse k) <= 0], decided on the swapped fields in place:
    the reversed record is built only when it is the answer. *)
-let canonical k =
+let is_canonical k =
   let c = Ipaddr.compare k.src_ip k.dst_ip in
-  if c < 0 || (c = 0 && k.src_port <= k.dst_port) then k else reverse k
+  c < 0 || (c = 0 && k.src_port <= k.dst_port)
+
+let canonical k = if is_canonical k then k else reverse k
 
 let hash k =
   Opennf_util.Hashing.combine5 (Ipaddr.hash k.src_ip) (Ipaddr.hash k.dst_ip)

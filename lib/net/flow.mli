@@ -25,6 +25,11 @@ val canonical : key -> key
 (** Direction-independent representative: the lexicographically smaller
     of [k] and [reverse k]. [canonical k = canonical (reverse k)]. *)
 
+val is_canonical : key -> bool
+(** [canonical k == k]: [k] is its connection's representative
+    direction. Decided on the fields, with no reversed key built. A key
+    equal to its own reverse is canonical. *)
+
 val compare : key -> key -> int
 val equal : key -> key -> bool
 val hash : key -> int

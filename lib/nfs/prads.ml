@@ -77,23 +77,22 @@ let os_of_host ip =
   | 2 -> "macos"
   | _ -> "bsd"
 
+let new_asset ip =
+  {
+    ip;
+    os_guess = os_of_host ip;
+    services = Service_map.empty;
+    a_first_seen = 0.0;
+    a_last_seen = 0.0;
+  }
+
+(* One probe per host and no allocation once the host is known. *)
 let touch_asset t ip =
-  match Store.Per_host.find t.assets ip with
-  | Some a ->
-    a.a_last_seen <- t.now;
-    a
-  | None ->
-    let a =
-      {
-        ip;
-        os_guess = os_of_host ip;
-        services = Service_map.empty;
-        a_first_seen = t.now;
-        a_last_seen = t.now;
-      }
-    in
-    Store.Per_host.set t.assets ip a;
-    a
+  let known = Store.Per_host.size t.assets in
+  let a = Store.Per_host.find_or_add t.assets ip new_asset in
+  if Store.Per_host.size t.assets > known then a.a_first_seen <- t.now;
+  a.a_last_seen <- t.now;
+  a
 
 let process_packet t (p : Packet.t) =
   t.now <- Float.max t.now p.sent_at;

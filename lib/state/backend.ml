@@ -1,5 +1,7 @@
 module Engine = Opennf_sim.Engine
 module Proc = Opennf_sim.Proc
+module Arena = Opennf_util.Arena
+module Pfa = Store.Perflow_arena
 open Opennf_net
 
 type kind = Local | Shared | Replicated
@@ -84,10 +86,17 @@ type t = {
   mutable exporter : (Scope.t -> Filter.t -> Chunk.t option) option;
   mutable applier : (Scope.t -> Filter.t -> Chunk.t option -> unit) option;
   (* Keys the standby has been sent, so a later disappearance at the
-     primary is propagated as a delete (and never-sent keys are not). *)
-  sent_per : unit Filter.Table.t;
-  sent_multi : unit Filter.Table.t;
+     primary is propagated as a delete (and never-sent keys are not).
+     Per-flow flowids are directed, so a connection's row records each
+     direction in its one payload byte: [canonical_sent] when the
+     canonical key's flowid was sent, [reverse_sent] when its
+     reverse's. A row lives while either bit is set. *)
+  sent_flows : Pfa.t;
+  sent_hosts : unit Store.Per_host.t;
 }
+
+let canonical_sent = 1
+let reverse_sent = 2
 
 let kind t = t.kind
 let role t = t.role
@@ -103,8 +112,8 @@ let mk ?(name = "backend") kind role link =
     peer = None;
     exporter = None;
     applier = None;
-    sent_per = Filter.Table.create 64;
-    sent_multi = Filter.Table.create 64;
+    sent_flows = Pfa.create ~payload:1 ();
+    sent_hosts = Store.Per_host.create ();
   }
 
 let local ?name () = mk ?name Local Sole None
@@ -201,11 +210,6 @@ let get_store (type a) t ~name ~(id : a Type.Id.t) ~make : a =
 let set_exporter t f = t.exporter <- Some f
 let set_applier t f = t.applier <- Some f
 
-let sent_tbl t = function
-  | Scope.Per -> t.sent_per
-  | Scope.Multi -> t.sent_multi
-  | Scope.All -> assert false
-
 let send_pending l =
   match l.pending with
   | [] -> ()
@@ -237,25 +241,49 @@ let push l e =
 
 (* Export one key's current value into the pending frame. A key that no
    longer exists becomes a delete only if the standby was sent it. *)
-let export_key t l export scope flowid =
-  let sent = sent_tbl t scope in
-  match export scope flowid with
+let export_flow t l export key =
+  let flowid = Filter.of_key key in
+  let bit = if Flow.is_canonical key then canonical_sent else reverse_sent in
+  let a = Pfa.arena t.sent_flows in
+  match export Scope.Per flowid with
   | Some chunk ->
-    Filter.Table.replace sent flowid ();
-    push l { e_scope = scope; e_flowid = flowid; e_chunk = Some chunk }
+    let i = Arena.index a (Pfa.insert t.sent_flows key) in
+    let b = Arena.slab a i and o = Arena.offset a i + Pfa.payload_off in
+    Bytes.set_uint8 b o (Bytes.get_uint8 b o lor bit);
+    push l { e_scope = Scope.Per; e_flowid = flowid; e_chunk = Some chunk }
   | None ->
-    if Filter.Table.mem sent flowid then begin
-      Filter.Table.remove sent flowid;
-      push l { e_scope = scope; e_flowid = flowid; e_chunk = None }
+    let h = Pfa.find t.sent_flows key in
+    if h <> Arena.null then begin
+      let i = Arena.index a h in
+      let b = Arena.slab a i and o = Arena.offset a i + Pfa.payload_off in
+      let bits = Bytes.get_uint8 b o in
+      if bits land bit <> 0 then begin
+        if bits = bit then ignore (Pfa.remove t.sent_flows key)
+        else Bytes.set_uint8 b o (bits lxor bit);
+        push l { e_scope = Scope.Per; e_flowid = flowid; e_chunk = None }
+      end
     end
+
+let export_host t l export ip =
+  let flowid = Filter.of_src_host ip in
+  match export Scope.Multi flowid with
+  | Some chunk ->
+    Store.Per_host.set t.sent_hosts ip ();
+    push l { e_scope = Scope.Multi; e_flowid = flowid; e_chunk = Some chunk }
+  | None -> (
+    match Store.Per_host.find t.sent_hosts ip with
+    | Some () ->
+      Store.Per_host.remove t.sent_hosts ip;
+      push l { e_scope = Scope.Multi; e_flowid = flowid; e_chunk = None }
+    | None -> ())
 
 let note_packet t (key : Flow.key) =
   match (t.role, t.link, t.exporter) with
   | Primary, Some l, Some export ->
-    export_key t l export Scope.Per (Filter.of_key key);
-    export_key t l export Scope.Multi (Filter.of_src_host key.Flow.src_ip);
+    export_flow t l export key;
+    export_host t l export key.Flow.src_ip;
     if not (Ipaddr.equal key.Flow.dst_ip key.Flow.src_ip) then
-      export_key t l export Scope.Multi (Filter.of_src_host key.Flow.dst_ip);
+      export_host t l export key.Flow.dst_ip;
     send_pending l
   | _ -> ()
 

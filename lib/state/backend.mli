@@ -108,10 +108,15 @@ val note_packet : t -> Flow.key -> unit
     source host and, when different, its destination host (Multi scope,
     {!Filter.of_src_host}), in that order, and sends them as one frame
     (or several, under [batch_bytes]). A key the exporter no longer has
-    is sent as a delete only if the standby was sent it before. The
-    delta stream stays as fresh as the packet stream, and replication
-    work rides the packet's own service time (no extra virtual-time
-    events on the primary). *)
+    is sent as a delete only if the standby was sent it since its last
+    delete. Per-flow flowids are directed: each direction of a
+    connection the standby was sent gets its own delete, and a
+    direction it was never sent gets none. The primary records the sent
+    keys in a {!Store.Perflow_arena} (a row per connection, a bit per
+    direction) and a {!Store.Per_host} table, with no boxed flowid per
+    key. The delta stream stays as fresh as the packet stream, and
+    replication work rides the packet's own service time (no extra
+    virtual-time events on the primary). *)
 
 val drain : t -> unit
 (** Blocking (call from a process): wait until the standby has applied

@@ -319,6 +319,16 @@ module Per_host = struct
   let set = H.replace
   let remove = H.remove
 
+  (* The hit path allocates nothing: [H.find] hands the value back
+     unwrapped, and a miss is the exception. *)
+  let find_or_add t ip make =
+    match H.find t ip with
+    | v -> v
+    | exception Not_found ->
+      let v = make ip in
+      H.add t ip v;
+      v
+
   let update t ip ~default ~f =
     let current = match find t ip with Some v -> v | None -> default () in
     set t ip (f current)

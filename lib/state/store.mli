@@ -124,6 +124,13 @@ module Per_host : sig
   val find : 'a t -> Ipaddr.t -> 'a option
   val set : 'a t -> Ipaddr.t -> 'a -> unit
   val remove : 'a t -> Ipaddr.t -> unit
+
+  val find_or_add : 'a t -> Ipaddr.t -> (Ipaddr.t -> 'a) -> 'a
+  (** [find_or_add t ip make]: the host's value, or [make ip] stored
+      under [ip] when it has none ({!size} tells the two apart). A host
+      already present allocates nothing, given a [make] that is a
+      closed function rather than a closure built per call. *)
+
   val update : 'a t -> Ipaddr.t -> default:(unit -> 'a) -> f:('a -> 'a) -> unit
   val matching : 'a t -> Filter.t -> (Ipaddr.t * 'a) list
   (** Hosts accepted by the filter's address constraints

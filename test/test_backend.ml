@@ -307,6 +307,127 @@ let test_toy_drain_blocks_until_applied () =
     "drain returns only once the standby applied the frame"
     (Some (Some "v")) !after_drain
 
+(* One delta entry, rendered "<scope> <flowid> put <value>|del". *)
+let entry_str scope flowid (chunk : Chunk.t option) =
+  Printf.sprintf "%s %s %s"
+    (match (scope : Scope.t) with
+    | Scope.Per -> "per"
+    | Scope.Multi -> "multi"
+    | Scope.All -> "all")
+    (Filter.to_string flowid)
+    (match chunk with Some c -> "put " ^ c.Chunk.data | None -> "del")
+
+(* The standby's applied entries, newest first. *)
+let log_entries sb =
+  let log = ref [] in
+  Backend.set_applier sb (fun scope flowid chunk ->
+      log := entry_str scope flowid chunk :: !log);
+  log
+
+(* Per-flow flowids are directed: each direction the standby was sent
+   is deleted once when the state goes, and a direction it was never
+   sent is not deleted at all. *)
+let test_toy_directed_deletes () =
+  let engine = Engine.create () in
+  let pb, sb, pstore, _, _ = toy engine in
+  let log = log_entries sb in
+  let fwd = pkt 1 2 and other = pkt 3 4 in
+  let rev = Flow.reverse fwd in
+  let self = Flow.make ~src:(host 5) ~dst:(host 5) ~sport:7 ~dport:7 () in
+  let put k = Filter.Table.replace pstore (Filter.of_key k) "v" in
+  let del k = Filter.Table.remove pstore (Filter.of_key k) in
+  let at t f = Engine.schedule_at engine t f in
+  let note = Backend.note_packet pb in
+  at 0.0 (fun () ->
+      List.iter put [ fwd; rev; other; self ];
+      List.iter note [ fwd; rev; other; self ]);
+  at 0.1 (fun () ->
+      List.iter del [ fwd; rev; other; self ];
+      (* One delete per sent direction, then none. *)
+      List.iter note [ fwd; rev; fwd; rev ];
+      (* [other]'s reverse was never sent: no delete for it. *)
+      List.iter note [ Flow.reverse other; other; other ];
+      (* A key equal to its own reverse has one direction. *)
+      List.iter note [ self; self ]);
+  Engine.run engine;
+  let put_entry k =
+    entry_str Scope.Per (Filter.of_key k) (Some (Chunk.v ~kind:"toy" "v"))
+  and del_entry k = entry_str Scope.Per (Filter.of_key k) None in
+  Alcotest.(check (list string)) "one delete per sent direction"
+    (List.map put_entry [ fwd; rev; other; self ]
+    @ List.map del_entry [ fwd; rev; other; self ])
+    (List.rev !log)
+
+(* Random put/remove/note sequences over directed keys and hosts: the
+   standby receives exactly the entries the boxed-flowid sent-key
+   record ([Oracle.Sent_keys]) would have sent. Hosts 1-3 and ports
+   1-2 make both directions of a connection, keys equal to their own
+   reverse and shared hosts common. *)
+type sent_op =
+  | Put_flow of Flow.key * int
+  | Remove_flow of Flow.key
+  | Put_host of int * int
+  | Remove_host of int
+  | Note of Flow.key
+
+let sent_op_gen =
+  QCheck.Gen.(
+    let key =
+      map
+        (fun (s, d, sp, dp) ->
+          Flow.make ~src:(host s) ~dst:(host d) ~sport:sp ~dport:dp ())
+        (quad (int_range 1 3) (int_range 1 3) (int_range 1 2) (int_range 1 2))
+    in
+    frequency
+      [
+        (3, map2 (fun k v -> Put_flow (k, v)) key (int_bound 9));
+        (2, map (fun k -> Remove_flow k) key);
+        (1, map2 (fun h v -> Put_host (h, v)) (int_range 1 3) (int_bound 9));
+        (1, map (fun h -> Remove_host h) (int_range 1 3));
+        (4, map (fun k -> Note k) key);
+      ])
+
+let print_sent_op = function
+  | Put_flow (k, v) -> Printf.sprintf "put %s=%d" (Flow.to_string k) v
+  | Remove_flow k -> "rm " ^ Flow.to_string k
+  | Put_host (h, v) -> Printf.sprintf "put host%d=%d" h v
+  | Remove_host h -> Printf.sprintf "rm host%d" h
+  | Note k -> "note " ^ Flow.to_string k
+
+let prop_sent_keys_match_model =
+  QCheck.Test.make
+    ~name:"delta entries == boxed-flowid sent-key model (random)" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list print_sent_op)
+       QCheck.Gen.(list_size (int_range 1 60) sent_op_gen))
+    (fun ops ->
+      let engine = Engine.create () in
+      let pb, sb, pstore, _, _ = toy engine in
+      let log = log_entries sb in
+      let export _ flowid =
+        Filter.Table.find_opt pstore flowid
+        |> Option.map (fun v -> Chunk.v ~kind:"toy" v)
+      in
+      let model = Oracle.Sent_keys.create () and expected = ref [] in
+      Engine.schedule_at engine 0.0 (fun () ->
+          List.iter
+            (function
+              | Put_flow (k, v) ->
+                Filter.Table.replace pstore (Filter.of_key k) (string_of_int v)
+              | Remove_flow k -> Filter.Table.remove pstore (Filter.of_key k)
+              | Put_host (h, v) ->
+                Filter.Table.replace pstore (key h) (string_of_int v)
+              | Remove_host h -> Filter.Table.remove pstore (key h)
+              | Note k ->
+                List.iter
+                  (fun (scope, flowid, chunk) ->
+                    expected := entry_str scope flowid chunk :: !expected)
+                  (Oracle.Sent_keys.note_packet model export k);
+                Backend.note_packet pb k)
+            ops);
+      Engine.run engine;
+      !log = !expected)
+
 (* --- PRADS over a shared backend ----------------------------------------- *)
 
 (* Two instances on one store; traffic starts on nf1, a mid-run move
@@ -674,3 +795,7 @@ let suite =
         prop_shared_matches_local_oracle;
         prop_replicated_survives_random_crash;
       ]
+  @ [
+      Alcotest.test_case "delta link: one delete per sent direction" `Quick
+        test_toy_directed_deletes;
+    ]

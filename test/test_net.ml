@@ -68,7 +68,8 @@ let flow_arbitrary =
 let flow_canonical_prop =
   QCheck.Test.make ~name:"flow canonical direction-independent" ~count:500
     flow_arbitrary (fun k ->
-      Flow.equal (Flow.canonical k) (Flow.canonical (Flow.reverse k)))
+      Flow.equal (Flow.canonical k) (Flow.canonical (Flow.reverse k))
+      && Flow.is_canonical k = (Flow.canonical k == k))
 
 let flow_hash_consistent_prop =
   QCheck.Test.make ~name:"flow equal implies same hash" ~count:500

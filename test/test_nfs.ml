@@ -379,9 +379,9 @@ let test_prads_alloc_budget () =
         impl.Nf_api.process_packet p)
   in
   Alcotest.(check bool)
-    (Printf.sprintf "existing-flow packet <= 4.0 minor words (got %.2f)"
+    (Printf.sprintf "existing-flow packet allocates 0 words (got %.3f)"
        per_pkt)
-    true (per_pkt <= 4.0);
+    true (per_pkt < 0.01);
   let store = Store.Perflow_arena.create ~payload:32 () in
   let k = Flow.reverse (http_key (ip 10 0 0 1) (ip 8 8 8 8) 5555) in
   ignore (Store.Perflow_arena.insert store k);

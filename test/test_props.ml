@@ -191,4 +191,5 @@ let suite =
       prop_ng_move_moves_state;
       prop_copy_is_non_disruptive;
       prop_partial_move_respects_filter;
+      Test_backend.prop_sent_keys_match_model;
     ]

@@ -79,7 +79,19 @@ let test_per_host_store () =
     Store.Per_host.matching s
       (Filter.of_src_prefix (Ipaddr.Prefix.of_string "10.0.0.0/31"))
   in
-  Alcotest.(check int) "prefix selects one" 1 (List.length hits)
+  Alcotest.(check int) "prefix selects one" 1 (List.length hits);
+  let made = ref 0 in
+  let make ip = incr made; Ipaddr.to_int ip in
+  Alcotest.(check int) "find_or_add: a present host keeps its value" 7
+    (Store.Per_host.find_or_add s (ip 10 0 0 2) make);
+  Alcotest.(check int) "find_or_add: an absent host gets make's value"
+    (Ipaddr.to_int (ip 10 0 0 3))
+    (Store.Per_host.find_or_add s (ip 10 0 0 3) make);
+  Alcotest.(check int) "find_or_add: and keeps it"
+    (Ipaddr.to_int (ip 10 0 0 3))
+    (Store.Per_host.find_or_add s (ip 10 0 0 3) make);
+  Alcotest.(check (pair int int)) "make ran once; the size grew by one" (1, 3)
+    (!made, Store.Per_host.size s)
 
 let test_keyed_store () =
   let s =
