@@ -3,6 +3,7 @@ module Proc = Opennf_sim.Proc
 module Faults = Opennf_sim.Faults
 module Protocol = Opennf_sb.Protocol
 module Runtime = Opennf_sb.Runtime
+module Int_table = Opennf_util.Int_table
 open Opennf_net
 open Opennf_state
 
@@ -101,10 +102,10 @@ and t = {
   to_switch : Switch.to_switch Channel.t;
   inbox : (inbound * int) Proc.Mailbox.t;  (* message, wire size *)
   nfs : (string, nf) Hashtbl.t;
-  pending : (int, pending) Hashtbl.t;
-  barriers : (int, unit Proc.Ivar.t) Hashtbl.t;
-  event_subs : (int, event_sub) Hashtbl.t;
-  pkt_in_subs : (int, pkt_in_sub) Hashtbl.t;
+  pending : pending Int_table.t;
+  barriers : unit Proc.Ivar.t Int_table.t;
+  event_subs : event_sub Int_table.t;
+  pkt_in_subs : pkt_in_sub Int_table.t;
   route_cookies : int Filter.Table.t;
   final_cookies : int Filter.Table.t;
   mutable on_death : (string -> unit) list;
@@ -170,14 +171,14 @@ let set_group peers =
 (* Subscriptions live in hashtables so unsubscribe is O(1); dispatch
    still visits them in subscription (id) order for determinism. *)
 let iter_subs tbl f =
-  Hashtbl.fold (fun id sub acc -> (id, sub) :: acc) tbl []
+  Int_table.fold (fun id sub acc -> (id, sub) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   |> List.iter (fun (_, sub) -> f sub)
 
 let rec dispatch_reply t (reply : Protocol.reply) =
   match reply with
   | Protocol.Piece { req; flowid; chunk } -> (
-    match Hashtbl.find_opt t.pending req with
+    match Int_table.find_opt t.pending req with
     | Some (Get g) ->
       (* A retried or duplicated streaming get may replay a piece;
          idempotent request ids mean replays are ignored. *)
@@ -189,16 +190,16 @@ let rec dispatch_reply t (reply : Protocol.reply) =
       else Opennf_obs.Metrics.incr t.m_dup_pieces
     | Some (Write _) | None -> ())
   | Protocol.Done { req; chunks } -> (
-    match Hashtbl.find_opt t.pending req with
+    match Int_table.find_opt t.pending req with
     | Some (Get g) ->
-      Hashtbl.remove t.pending req;
+      Int_table.remove t.pending req;
       ignore
         (Proc.Ivar.fill_if_empty g.result (Ok (List.rev g.chunks @ chunks)))
     | Some (Write _) | None -> ())
   | Protocol.Ack { req } -> (
-    match Hashtbl.find_opt t.pending req with
+    match Int_table.find_opt t.pending req with
     | Some (Write ivar) ->
-      Hashtbl.remove t.pending req;
+      Int_table.remove t.pending req;
       ignore (Proc.Ivar.fill_if_empty ivar (Ok ()))
     | Some (Get _) | None -> ())
   | Protocol.Event { nf; packet; disposition } ->
@@ -220,9 +221,9 @@ let dispatch t msg =
         if Filter.matches_flow sub.ps_filter packet.Packet.key then
           sub.ps_callback packet)
   | From_switch (Switch.Barrier_reply { id }) -> (
-    match Hashtbl.find_opt t.barriers id with
+    match Int_table.find_opt t.barriers id with
     | Some ivar ->
-      Hashtbl.remove t.barriers id;
+      Int_table.remove t.barriers id;
       Proc.Ivar.fill ivar ()
     | None -> ())
 
@@ -274,10 +275,10 @@ let create engine audit ~switch ?(config = default_config) ?faults ?resilience
       to_switch;
       inbox = Proc.Mailbox.create engine;
       nfs = Hashtbl.create 16;
-      pending = Hashtbl.create 64;
-      barriers = Hashtbl.create 16;
-      event_subs = Hashtbl.create 16;
-      pkt_in_subs = Hashtbl.create 16;
+      pending = Int_table.create 64;
+      barriers = Int_table.create 16;
+      event_subs = Int_table.create 16;
+      pkt_in_subs = Int_table.create 16;
       route_cookies = Filter.Table.create 64;
       final_cookies = Filter.Table.create 64;
       on_death = [];
@@ -455,13 +456,13 @@ let supervise t nf ~req ~result ~resend r =
         | None ->
           note_deadline_miss t nf r;
           if not nf.live then begin
-            Hashtbl.remove t.pending req;
+            Int_table.remove t.pending req;
             ignore
               (Proc.Ivar.fill_if_empty result
                  (Error (Op_error.Nf_crashed { nf = nf.nf_name })))
           end
           else if n >= r.max_retries then begin
-            Hashtbl.remove t.pending req;
+            Int_table.remove t.pending req;
             ignore
               (Proc.Ivar.fill_if_empty result
                  (Error
@@ -501,10 +502,10 @@ let start_call t nf ~req ~request ~pending_entry ~result =
   (* Request ids come from one shared counter, so two in-flight calls can
      never share a pending slot; a collision here means an id was reused
      and replies would be mis-routed — fail loudly instead. *)
-  if Hashtbl.mem t.pending req then
+  if Int_table.mem t.pending req then
     invalid_arg
       (Printf.sprintf "Controller: duplicate in-flight request id %d" req);
-  Hashtbl.replace t.pending req pending_entry;
+  Int_table.replace t.pending req pending_entry;
   send_request t nf request;
   match t.resilience with
   | None -> ()
@@ -636,7 +637,7 @@ let fresh_sub t =
 let subscribe_events t ~nf filter callback =
   let h = home_of_name t nf in
   let id = fresh_sub h in
-  Hashtbl.replace h.event_subs id
+  Int_table.replace h.event_subs id
     { es_nf = nf; es_filter = filter; es_callback = callback };
   [ (h, id) ]
 
@@ -648,7 +649,7 @@ let subscribe_packet_in t filter callback =
   Array.to_list (group t)
   |> List.map (fun p ->
          let id = fresh_sub p in
-         Hashtbl.replace p.pkt_in_subs id
+         Int_table.replace p.pkt_in_subs id
            { ps_filter = filter; ps_callback = callback };
          (p, id))
 
@@ -656,8 +657,8 @@ let subscribe_packet_in t filter callback =
 let unsubscribe _t subs =
   List.iter
     (fun (p, id) ->
-      Hashtbl.remove p.event_subs id;
-      Hashtbl.remove p.pkt_in_subs id)
+      Int_table.remove p.event_subs id;
+      Int_table.remove p.pkt_in_subs id)
     subs
 
 (* --- forwarding state ----------------------------------------------------- *)
@@ -686,7 +687,7 @@ let barrier t =
   let id = t.next_barrier in
   t.next_barrier <- t.next_barrier + 1;
   let ivar = Proc.Ivar.create t.engine in
-  Hashtbl.replace t.barriers id ivar;
+  Int_table.replace t.barriers id ivar;
   Channel.send t.to_switch ~size:128 (Switch.Barrier { id });
   Proc.Ivar.read ivar
 

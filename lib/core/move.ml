@@ -1,6 +1,7 @@
 module Engine = Opennf_sim.Engine
 module Proc = Opennf_sim.Proc
 module Protocol = Opennf_sb.Protocol
+module Int_table = Opennf_util.Int_table
 open Opennf_net
 open Opennf_state
 
@@ -124,13 +125,13 @@ type relay_state = {
   released : unit Flow.Table.t;
   (* Packet ids already relayed: a duplicated event message must not
      become a duplicated packet at the destination. *)
-  seen : (int, unit) Hashtbl.t;
+  seen : unit Int_table.t;
   mutable relayed : int;
 }
 
 let relay rs (p : Packet.t) =
-  if not (Hashtbl.mem rs.seen p.Packet.id) then begin
-    Hashtbl.replace rs.seen p.Packet.id ();
+  if not (Int_table.mem rs.seen p.Packet.id) then begin
+    Int_table.replace rs.seen p.Packet.id ();
     if rs.mark_do_not_buffer then p.Packet.do_not_buffer <- true;
     rs.relayed <- rs.relayed + 1;
     Controller.packet_out rs.ctrl ~port:rs.dst_port p
@@ -244,14 +245,14 @@ let order_preserving_handoff t spec ctx ~frame =
   let dst_name = Controller.nf_name spec.dst in
   (* Track which packets dst has finished processing, so we can wait for
      the last packet the switch sent toward the source. *)
-  let dst_processed = Hashtbl.create 256 in
+  let dst_processed = Int_table.create 256 in
   let waiting : (int * unit Proc.Ivar.t) option ref = ref None in
   let dst_sub =
     Controller.subscribe_events t ~nf:dst_name spec.filter
       (fun p disposition ->
         match disposition with
         | Protocol.Process ->
-          Hashtbl.replace dst_processed p.Packet.id ();
+          Int_table.replace dst_processed p.Packet.id ();
           (match !waiting with
           | Some (id, ivar) when id = p.Packet.id ->
             waiting := None;
@@ -306,7 +307,7 @@ let order_preserving_handoff t spec ctx ~frame =
       match !last_packet with
       | None -> Ok ()
       | Some p ->
-        if Hashtbl.mem dst_processed p.Packet.id then Ok ()
+        if Int_table.mem dst_processed p.Packet.id then Ok ()
         else begin
           let ivar = Proc.Ivar.create engine in
           waiting := Some (p.Packet.id, ivar);
@@ -384,7 +385,7 @@ let run ?notify_release t spec =
       global_q = Queue.create ();
       flow_q = Flow.Table.create 64;
       released = Flow.Table.create 64;
-      seen = Hashtbl.create 256;
+      seen = Int_table.create 256;
       relayed = 0;
     }
   in

@@ -133,7 +133,8 @@ val run :
 (** Blocking; call from a simulation process. [notify_release] fires per
     flow as its put is acknowledged under [early_release] (used by
     {!submit_sharded} to shrink the scheduler footprint); plain callers
-    omit it. *)
+    omit it. With [parallel] it runs outside any process (see
+    {!Op_engine.transfer}'s [on_put_ack]) and must not block. *)
 
 val start : Controller.t -> spec -> (report, Op_error.t) result Proc.Ivar.t
 (** Spawn the move and return an ivar filled with its result. *)

@@ -246,12 +246,14 @@ let transfer frame ~src ~dst ~scope ~filter ?(parallel = false)
               match on_put_ack with
               | None -> ()
               | Some f ->
-                Proc.spawn frame.engine (fun () ->
-                    match Proc.Ivar.read ack with
-                    | Ok () ->
-                      phase "ack";
-                      f flowid
-                    | Error _ -> ()))
+                (* Runs where a reader registered now would resume:
+                   with resilience on, before the put's supervisor,
+                   whose process registers when it first runs. *)
+                Proc.Ivar.upon ack (function
+                  | Ok () ->
+                    phase "ack";
+                    f flowid
+                  | Error _ -> ()))
             filter
         in
         (match got with

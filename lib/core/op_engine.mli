@@ -10,7 +10,7 @@
 
     Everything here replicates the legacy per-operation code paths
     {e exactly} — same southbound call order, same chunk-recording
-    order, same process spawns — so fault-free runs stay bit-identical
+    order, same wake-up instants — so fault-free runs stay bit-identical
     in virtual time to the pre-refactor code. *)
 
 open Opennf_net
@@ -116,6 +116,11 @@ val transfer :
     [List.rev]), [on_captured] fires when the get completes (before the
     pipelined calls drain), [on_deleted] never fires, and [on_put_ack]
     fires per chunk as its put is acked (early release hangs off this).
+    The parallel [on_put_ack] is an {!Proc.Ivar.upon} callback on the
+    put's ack, registered as the piece arrives: it runs where a reader
+    registered at that point would resume, but outside any process, so
+    it must not block — a blocking call in it raises
+    [Proc.Not_in_process].
     Sequentially, [record] holds the chunks in arrival order and the
     hooks fire in capture → delete → install order, with [on_put_ack]
     called per chunk after install. [Scope.All] forces the sequential

@@ -1,6 +1,7 @@
 module Engine = Opennf_sim.Engine
 module Proc = Opennf_sim.Proc
 module Protocol = Opennf_sb.Protocol
+module Int_table = Opennf_util.Int_table
 open Opennf_net
 open Opennf_state
 
@@ -21,7 +22,7 @@ type t = {
   scope : Scope.t list;
   consistency : consistency;
   groups : (Filter.t, group) Hashtbl.t;
-  completion : (int, unit Proc.Ivar.t) Hashtbl.t;
+  completion : unit Proc.Ivar.t Int_table.t;
   mutable subs : Controller.subscription list;
   strict_cookie : int option;
   release_hold : unit -> unit;
@@ -71,7 +72,7 @@ let rec drain t group =
   | Some (nf, pkt) ->
     pkt.Packet.do_not_drop <- true;
     let done_ivar = Proc.Ivar.create (Controller.engine t.ctrl) in
-    Hashtbl.replace t.completion pkt.Packet.id done_ivar;
+    Int_table.replace t.completion pkt.Packet.id done_ivar;
     t.packets_serialized <- t.packets_serialized + 1;
     Controller.packet_out t.ctrl ~port:(Controller.nf_name nf) pkt;
     (* A dead instance never signals completion; with a resilience
@@ -89,7 +90,7 @@ let rec drain t group =
         | Some () -> true
         | None -> false)
     in
-    Hashtbl.remove t.completion pkt.Packet.id;
+    Int_table.remove t.completion pkt.Packet.id;
     (* State reads/updates at the instance are complete; propagate. *)
     if completed then sync_group t nf group.flowid;
     drain t group
@@ -117,7 +118,7 @@ let enqueue t nf pkt =
 let on_event t nf (pkt : Packet.t) disposition =
   match disposition with
   | Protocol.Process -> (
-    match Hashtbl.find_opt t.completion pkt.Packet.id with
+    match Int_table.find_opt t.completion pkt.Packet.id with
     (* fill_if_empty: a duplicated event message must not double-fill. *)
     | Some ivar -> ignore (Proc.Ivar.fill_if_empty ivar ())
     | None ->
@@ -165,7 +166,7 @@ let start ctrl ?shard_group ~instances ~filter
         scope;
         consistency;
         groups = Hashtbl.create 16;
-        completion = Hashtbl.create 64;
+        completion = Int_table.create 64;
         subs = [];
         strict_cookie;
         release_hold;

@@ -38,13 +38,7 @@ let chunk_bits = 12
 let chunk_rows = 1 lsl chunk_bits
 let chunk_mask = chunk_rows - 1
 
-(* Packet-id sets, hashed by the id itself. *)
-module Ids = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash (id : int) = id
-end)
+module Int_table = Opennf_util.Int_table
 
 type t = {
   engine : Engine.t;
@@ -57,13 +51,13 @@ type t = {
   mutable nf_names : string array;
   mutable last_nf : string;  (** One-entry intern cache (physical). *)
   mutable last_nf_id : int;
-  arrived : unit Ids.t;
+  arrived : unit Int_table.t;
   mutable taps : (Trace.ev -> unit) list;
   (* First-time indexes, read only by post-run queries: built from the
      rows on demand, [indexed] rows so far. *)
-  first_forward : (int, float) Hashtbl.t;
-  first_arrival : (int, float) Hashtbl.t;
-  first_process : (int, float) Hashtbl.t;
+  first_forward : float Int_table.t;
+  first_arrival : float Int_table.t;
+  first_process : float Int_table.t;
   mutable indexed : int;
 }
 
@@ -83,11 +77,11 @@ let create engine =
     nf_names = Array.make 16 "";
     last_nf = "";
     last_nf_id = -1;
-    arrived = Ids.create 1024;
+    arrived = Int_table.create 1024;
     taps = [];
-    first_forward = Hashtbl.create 16;
-    first_arrival = Hashtbl.create 16;
-    first_process = Hashtbl.create 16;
+    first_forward = Int_table.create 16;
+    first_arrival = Int_table.create 16;
+    first_process = Int_table.create 16;
     indexed = 0;
   }
 
@@ -219,8 +213,8 @@ let log t kind (p : Packet.t) nf =
       List.iter (fun f -> f ev) taps
 
 let log_switch_arrival t p =
-  if not (Ids.mem t.arrived p.Packet.id) then begin
-    Ids.add t.arrived p.Packet.id ();
+  if not (Int_table.mem t.arrived p.Packet.id) then begin
+    Int_table.add t.arrived p.Packet.id ();
     log t k_arrival p "sw"
   end
 
@@ -301,8 +295,8 @@ let ensure_indexes t =
       | _ -> None
     in
     match tbl with
-    | Some tbl when not (Hashtbl.mem tbl (pkt_at t i)) ->
-      Hashtbl.add tbl (pkt_at t i) (vt_at t i)
+    | Some tbl when not (Int_table.mem tbl (pkt_at t i)) ->
+      Int_table.add tbl (pkt_at t i) (vt_at t i)
     | _ -> ()
   done;
   t.indexed <- t.len
@@ -336,12 +330,12 @@ let count t kind keep =
 
 (* First occurrences only, in row order. *)
 let first_ids t kind keep =
-  let seen = Hashtbl.create 64 in
+  let seen = Int_table.create 64 in
   List.filter
     (fun id ->
-      if Hashtbl.mem seen id then false
+      if Int_table.mem seen id then false
       else begin
-        Hashtbl.add seen id ();
+        Int_table.add seen id ();
         true
       end)
     (ids t kind keep)
@@ -358,10 +352,12 @@ let processed_count ?nf t = count t k_process (by_nf nf t)
 let lost ?filter t ~nfs =
   let ids_of_nfs = List.filter_map (Hashtbl.find_opt t.names) nfs in
   let in_nfs i = List.mem (nf_id_at t i) ids_of_nfs in
-  let processed = Hashtbl.create 1024 in
-  List.iter (fun id -> Hashtbl.replace processed id ()) (ids t k_process in_nfs);
+  let processed = Int_table.create 1024 in
+  List.iter
+    (fun id -> Int_table.replace processed id ())
+    (ids t k_process in_nfs);
   first_ids t k_forward (fun i -> in_filter filter t i && in_nfs i)
-  |> List.filter (fun id -> not (Hashtbl.mem processed id))
+  |> List.filter (fun id -> not (Int_table.mem processed id))
 
 let duplicated ?filter t =
   let counts = Hashtbl.create 1024 in
@@ -373,17 +369,17 @@ let duplicated ?filter t =
   Hashtbl.fold (fun id n acc -> if n > 1 then id :: acc else acc) counts []
 
 let violations_against t reference_order ?filter () =
-  let pos = Hashtbl.create 1024 in
-  List.iteri (fun i id -> Hashtbl.replace pos id i) reference_order;
+  let pos = Int_table.create 1024 in
+  List.iteri (fun i id -> Int_table.replace pos id i) reference_order;
   let proc =
-    List.filter (fun id -> Hashtbl.mem pos id) (processed_order ?filter t)
+    List.filter (fun id -> Int_table.mem pos id) (processed_order ?filter t)
   in
   (* A violation is an inversion between the reference position and the
      processing position. Report adjacent-in-processing inversions, which
      is enough to witness any reordering. *)
   let rec scan acc = function
     | a :: (b :: _ as rest) ->
-      let pa = Hashtbl.find pos a and pb = Hashtbl.find pos b in
+      let pa = Int_table.find pos a and pb = Int_table.find pos b in
       let acc = if pa > pb then (b, a) :: acc else acc in
       scan acc rest
     | [ _ ] | [] -> List.rev acc
@@ -399,7 +395,8 @@ let arrival_order_violations ?filter t =
 let added_latency t ~pkt =
   ensure_indexes t;
   match
-    (Hashtbl.find_opt t.first_arrival pkt, Hashtbl.find_opt t.first_process pkt)
+    ( Int_table.find_opt t.first_arrival pkt,
+      Int_table.find_opt t.first_process pkt )
   with
   | Some arrival, Some proc -> Some (proc -. arrival)
   | _ -> None
@@ -409,8 +406,8 @@ let buffered_ids ?nf t = ids t k_buffer (by_nf nf t)
 
 let first_forward_time t ~pkt =
   ensure_indexes t;
-  Hashtbl.find_opt t.first_forward pkt
+  Int_table.find_opt t.first_forward pkt
 
 let process_time t ~pkt =
   ensure_indexes t;
-  Hashtbl.find_opt t.first_process pkt
+  Int_table.find_opt t.first_process pkt

@@ -65,6 +65,18 @@ module Ivar = struct
 
   let peek t = match t.state with Full v -> Some v | Empty _ -> None
 
+  (* A callback waits in the same list as blocked readers' resume
+     thunks, so [fill] schedules it in the slot a reader registered at
+     this point would resume in. *)
+  let upon t f =
+    match t.state with
+    | Full v -> Engine.schedule t.engine ~delay:0.0 (fun () -> f v)
+    | Empty waiters ->
+      let run () =
+        match t.state with Full v -> f v | Empty _ -> assert false
+      in
+      t.state <- Empty (run :: waiters)
+
   let read t =
     match t.state with
     | Full v -> v
@@ -114,24 +126,22 @@ module Mailbox = struct
   type 'a t = {
     engine : Engine.t;
     queue : 'a Queue.t;
-    mutable waiters : (unit -> unit) list;
+    waiters : (unit -> unit) Queue.t;  (** Blocked receivers, oldest first. *)
   }
 
-  let create engine = { engine; queue = Queue.create (); waiters = [] }
+  let create engine =
+    { engine; queue = Queue.create (); waiters = Queue.create () }
 
   let send t v =
     Queue.push v t.queue;
-    match t.waiters with
-    | [] -> ()
-    | resume :: rest ->
-      t.waiters <- rest;
-      Engine.schedule t.engine ~delay:0.0 resume
+    if not (Queue.is_empty t.waiters) then
+      Engine.schedule t.engine ~delay:0.0 (Queue.pop t.waiters)
 
   let rec recv t =
     if Queue.is_empty t.queue then begin
       (try
          perform
-           (Suspend (fun resume -> t.waiters <- t.waiters @ [ resume ]))
+           (Suspend (fun resume -> Queue.push resume t.waiters))
        with Effect.Unhandled _ -> raise Not_in_process);
       (* A competing receiver may have taken the message; loop. *)
       recv t

@@ -44,6 +44,17 @@ module Ivar : sig
   val read : 'a t -> 'a
   (** Block the calling process until the ivar is filled. *)
 
+  val upon : 'a t -> ('a -> unit) -> unit
+  (** [upon t f] runs [f v] once [t] holds [v], in the slot a reader
+      blocked at this point would resume in: on an empty ivar [f] joins
+      the waiters and is scheduled at the fill with delay 0, in
+      registration order among readers and other callbacks; on a full
+      ivar it is scheduled with delay 0, after the events already
+      queued. [f] runs as a plain event, outside any process, so it must
+      not block ([sleep], [Ivar.read] and [Mailbox.recv] raise
+      [Not_in_process] there). It costs one closure, where a process
+      spawned to read the ivar costs an event, a fiber and an effect. *)
+
   val read_timeout : 'a t -> timeout:float -> 'a option
   (** Block until the ivar is filled or [timeout] virtual seconds pass,
       whichever comes first; [None] on timeout. The deadline mechanism

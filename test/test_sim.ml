@@ -211,6 +211,61 @@ let test_engine_dispatch_alloc_budget () =
        per_event)
     true (per_event < 8.5)
 
+(* [Ivar.upon] puts its callback where a reader blocked at the same
+   point would resume: among the waiters in registration order, run at
+   the fill as a delay-0 event; on a full ivar, after the events already
+   queued. The callback runs outside any process. *)
+let test_proc_ivar_upon () =
+  let waiting middle =
+    let e = Engine.create () in
+    let iv = Proc.Ivar.create e in
+    let log = ref [] in
+    let note s = log := s :: !log in
+    let reader name =
+      Proc.spawn e (fun () ->
+          note (Printf.sprintf "%s=%d" name (Proc.Ivar.read iv)));
+      Engine.run e
+    in
+    reader "first";
+    (match middle with
+    | `Reader -> reader "middle"
+    | `Upon -> Proc.Ivar.upon iv (fun v -> note (Printf.sprintf "middle=%d" v)));
+    reader "last";
+    Engine.schedule e ~delay:1.0 (fun () ->
+        Engine.schedule e ~delay:0.0 (fun () -> note "before");
+        Proc.Ivar.fill iv 7;
+        Engine.schedule e ~delay:0.0 (fun () -> note "after"));
+    Engine.run e;
+    List.rev !log
+  in
+  let full middle =
+    let e = Engine.create () in
+    let iv = Proc.Ivar.create e in
+    Proc.Ivar.fill iv 3;
+    let log = ref [] in
+    let note s = log := s :: !log in
+    Engine.schedule e ~delay:0.0 (fun () -> note "queued");
+    (match middle with
+    | `Reader ->
+      Proc.spawn e (fun () -> note (Printf.sprintf "cb=%d" (Proc.Ivar.read iv)))
+    | `Upon -> Proc.Ivar.upon iv (fun v -> note (Printf.sprintf "cb=%d" v)));
+    Engine.schedule e ~delay:0.0 (fun () -> note "later");
+    Engine.run e;
+    List.rev !log
+  in
+  let check = Alcotest.(check (list string)) in
+  let on_fill = [ "before"; "first=7"; "middle=7"; "last=7"; "after" ] in
+  check "three readers" on_fill (waiting `Reader);
+  check "reader, callback, reader" on_fill (waiting `Upon);
+  check "full ivar: a reader" [ "queued"; "cb=3"; "later" ] (full `Reader);
+  check "full ivar: a callback" [ "queued"; "cb=3"; "later" ] (full `Upon);
+  let e = Engine.create () in
+  let iv = Proc.Ivar.create e in
+  Proc.Ivar.upon iv (fun () -> Proc.sleep 1.0);
+  Proc.Ivar.fill iv ();
+  Alcotest.check_raises "a callback cannot block" Proc.Not_in_process (fun () ->
+      Engine.run e)
+
 let suite =
   [
     Alcotest.test_case "engine: time order" `Quick test_engine_time_order;
@@ -238,4 +293,6 @@ let suite =
     Alcotest.test_case "proc: 100 interleaved" `Quick test_proc_many_interleaved;
     Alcotest.test_case "alloc budget: engine dispatch" `Quick
       test_engine_dispatch_alloc_budget;
+    Alcotest.test_case "ivar upon: resumes where a reader would" `Quick
+      test_proc_ivar_upon;
   ]
