@@ -51,14 +51,17 @@ let create ?(seed = 1) ?obs ?config ?flow_mod_delay ?packet_out_rate
   if shards > 1 then
     Switch.set_packet_in_router switch (fun (p : Packet.t) ->
         Shard.of_key ~shards p.Packet.key);
-  (* The live checker subscribes through the audit (the shared hub trace
-     when tracing, the audit's own tap otherwise) and never schedules or
-     records, so virtual-time results are unchanged. *)
+  (* The live checker reads the audit rows and the hub's op spans (none
+     when the hub is not tracing); it never schedules or records, so
+     virtual-time results are unchanged. *)
   let monitor =
     if not monitor then None
     else begin
       let m = Opennf_obs.Monitor.create () in
-      Audit.subscribe audit (Opennf_obs.Monitor.feed m);
+      Audit.subscribe audit (Opennf_obs.Monitor.row m);
+      Opennf_obs.Trace.on_event
+        (Opennf_obs.Hub.trace (Engine.obs engine))
+        (Opennf_obs.Monitor.op_event m);
       Some m
     end
   in
@@ -110,8 +113,11 @@ let monitored t = Option.is_some t.monitor
 
 (* The verdict replays the audit rows through a fresh monitor: a
    streaming pass, nothing materialized. *)
-let verdict ?history t =
-  Opennf_obs.Monitor.replay ?history (Audit.events t.audit)
+let verdict t =
+  let m = Opennf_obs.Monitor.create () in
+  Audit.replay t.audit ~row:(Opennf_obs.Monitor.row m)
+    ~hub:(Opennf_obs.Monitor.op_event m);
+  Opennf_obs.Monitor.verdict m
 
 let live_findings t =
   match t.monitor with

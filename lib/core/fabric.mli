@@ -33,11 +33,12 @@ type t = {
           [Sched.stats (Shard.sched group k)]. *)
   faults : Opennf_sim.Faults.t;
   monitor : Opennf_obs.Monitor.t option;
-      (** The live §5.1 guarantee checker ({!Opennf_obs.Monitor}) on the
-          fabric's audit stream, when the fabric was created with
-          [~monitor:true]. Online findings (order/duplicate) surface on
-          it during the run; use {!verdict} for the full end-of-run
-          check. *)
+      (** The live §5.1 guarantee checker ({!Opennf_obs.Monitor}), when
+          the fabric was created with [~monitor:true]: it reads every
+          audit row ({!Audit.subscribe}) and, when the hub is tracing,
+          the hub's op spans ({!Opennf_obs.Trace.on_event}). Online
+          findings (order/duplicate) surface on it during the run; use
+          {!verdict} for the full end-of-run check. *)
 }
 
 val create :
@@ -70,7 +71,7 @@ val create :
     With [shards = 1] every event is bit-identical to earlier fabrics.
 
     [monitor] (default: the [OPENNF_MONITOR] environment variable, else
-    false) attaches an {!Opennf_obs.Monitor} to the audit stream — a
+    false) attaches an {!Opennf_obs.Monitor} to the audit rows — a
     pure observer, so monitored runs keep virtual-time results
     byte-identical to unmonitored ones. *)
 
@@ -79,16 +80,16 @@ val shards : t -> int
 val monitored : t -> bool
 (** Whether a live guarantee monitor is attached ([~monitor:true]). *)
 
-val verdict :
-  ?history:int -> t -> Opennf_obs.Monitor.finding list
-(** End-of-run guarantee check: streams the audit rows
-    ({!Audit.events}, with the hub's op spans interleaved when the run
-    was traced, so findings keep their op/phase context) through
-    {!Opennf_obs.Monitor.replay}. The result is deterministic, equal to
-    {!Opennf_obs.Monitor.replay} over the hub trace of a traced run,
-    and available on {e any} fabric, monitored or not (the audit ledger
-    is always on). Nothing is materialized: no trace, no sorted event
-    list. Call after {!run} returns. *)
+val verdict : t -> Opennf_obs.Monitor.finding list
+(** End-of-run guarantee check: feeds a fresh {!Opennf_obs.Monitor}
+    the audit rows ({!Audit.replay}, with the hub's op spans
+    interleaved at their emission positions when the run was traced,
+    so findings keep their op/phase context) and returns its
+    {!Opennf_obs.Monitor.verdict}. The result is deterministic, equal
+    to the live {!monitor}'s view of the same run, and available on
+    {e any} fabric, monitored or not (the audit ledger is always on).
+    Nothing is materialized: no trace, no sorted event list. Call after
+    {!run} returns. *)
 
 val live_findings : t -> Opennf_obs.Monitor.finding list
 (** Online findings (order/duplicate violations) streamed by the live

@@ -1,10 +1,9 @@
 module Engine = Opennf_sim.Engine
 module Trace = Opennf_obs.Trace
+module Monitor = Opennf_obs.Monitor
 
-type record = { pkt : int; key : Flow.key; nf : string; time : float }
-
-(* Record kinds, one byte per row; [kind_names] are the trace instant
-   names (and the [on_record] names) of each kind. *)
+(* Record kinds, one byte per row; [kinds] maps each byte onto its
+   {!Monitor.kind}, whose name is the row's mirror instant name. *)
 let k_arrival = 0
 let k_forward = 1
 let k_nf_arrival = 2
@@ -13,8 +12,8 @@ let k_drop = 4
 let k_event = 5
 let k_buffer = 6
 
-let kind_names =
-  [| "arrival"; "forward"; "nf_arrival"; "process"; "drop"; "event"; "buffer" |]
+let kinds =
+  Monitor.[| Arrival; Forward; Nf_arrival; Process; Drop; Event; Buffer |]
 
 (* The ledger is a sequence of fixed-size row chunks — one [row_bytes]
    row per audit record, nothing boxed per row — so logging a packet
@@ -23,7 +22,8 @@ let kind_names =
    opens a fresh one. The rows are the only storage: when the engine's
    hub is tracing, each row is also mirrored as a [cat:"audit"] trace
    instant (so the Chrome export and the timeline still show packets
-   interleaved with op spans), but queries never read the mirror. *)
+   interleaved with op spans), but nothing reads the mirror back except
+   [replay], which skips it. *)
 
 (* Row layout: each field's byte offset in its row. *)
 let o_kind = 0 (* u8 *)
@@ -40,9 +40,21 @@ let chunk_mask = chunk_rows - 1
 
 module Int_table = Opennf_util.Int_table
 
+type subscriber =
+  Monitor.kind ->
+  pkt:int ->
+  nf:string ->
+  src:int ->
+  dst:int ->
+  proto:int ->
+  sport:int ->
+  dport:int ->
+  vt:float ->
+  unit
+
 type t = {
   engine : Engine.t;
-  hub : Trace.t;  (** The hub trace when tracing, else {!Trace.disabled}. *)
+  hub : Trace.t;  (** The hub trace ({!Trace.disabled} when not tracing). *)
   mutable len : int;
   mutable chunks : Bytes.t array;  (** Row [i] is in chunk [i lsr chunk_bits]. *)
   mutable hub_pos : int array;
@@ -52,21 +64,16 @@ type t = {
   mutable last_nf : string;  (** One-entry intern cache (physical). *)
   mutable last_nf_id : int;
   arrived : unit Int_table.t;
-  mutable taps : (Trace.ev -> unit) list;
+  mutable subs : subscriber array;
   (* First-time indexes, read only by post-run queries: built from the
      rows on demand, [indexed] rows so far. *)
-  first_forward : float Int_table.t;
   first_arrival : float Int_table.t;
   first_process : float Int_table.t;
   mutable indexed : int;
 }
 
 let create engine =
-  let obs = Engine.obs engine in
-  let hub =
-    if Opennf_obs.Hub.tracing obs then Opennf_obs.Hub.trace obs
-    else Trace.disabled
-  in
+  let hub = Opennf_obs.Hub.trace (Engine.obs engine) in
   {
     engine;
     hub;
@@ -78,8 +85,7 @@ let create engine =
     last_nf = "";
     last_nf_id = -1;
     arrived = Int_table.create 1024;
-    taps = [];
-    first_forward = Int_table.create 16;
+    subs = [||];
     first_arrival = Int_table.create 16;
     first_process = Int_table.create 16;
     indexed = 0;
@@ -154,35 +160,39 @@ let key_at t i =
     ~proto:(proto_of_code (proto_at t i))
     ~sport:(sport_at t i) ~dport:(dport_at t i) ()
 
-(* A row as the trace instant it mirrors. The attribute layout is
-   positional (pkt, nf, src, dst, proto, sport, dport): the monitor
-   decodes by index. *)
-let attrs_at t i =
-  [|
-    ("pkt", Trace.Int (pkt_at t i));
-    ("nf", Trace.Str (nf_at t i));
-    ("src", Trace.Int (src_at t i));
-    ("dst", Trace.Int (dst_at t i));
-    ("proto", Trace.Int (proto_at t i));
-    ("sport", Trace.Int (sport_at t i));
-    ("dport", Trace.Int (dport_at t i));
-  |]
+(* Row [i] handed to [f] as typed fields: the one way rows reach a
+   subscriber, live or replayed. *)
+let deliver t (f : subscriber) i =
+  f kinds.(kind_at t i) ~pkt:(pkt_at t i) ~nf:(nf_at t i) ~src:(src_at t i)
+    ~dst:(dst_at t i) ~proto:(proto_at t i) ~sport:(sport_at t i)
+    ~dport:(dport_at t i) ~vt:(vt_at t i)
 
-let event_at t i =
-  {
-    Trace.kind = Trace.Instant;
-    id = 0;
-    parent = 0;
-    cat = "audit";
-    name = kind_names.(kind_at t i);
-    vt = vt_at t i;
-    wall = 0.0;
-    attrs = attrs_at t i;
-  }
+(* The hub mirror of row [i]: an instant named after the row's kind,
+   with positional attributes (pkt, nf, src, dst, proto, sport, dport)
+   that the Chrome export and the timeline print. *)
+let mirror t i =
+  if i = Array.length t.hub_pos then begin
+    let a = Array.make (2 * i) 0 in
+    Array.blit t.hub_pos 0 a 0 i;
+    t.hub_pos <- a
+  end;
+  t.hub_pos.(i) <- Trace.length t.hub;
+  Trace.instant t.hub ~cat:"audit"
+    ~name:(Monitor.kind_name kinds.(kind_at t i))
+    ~attrs:
+      [|
+        ("pkt", Trace.Int (pkt_at t i));
+        ("nf", Trace.Str (nf_at t i));
+        ("src", Trace.Int (src_at t i));
+        ("dst", Trace.Int (dst_at t i));
+        ("proto", Trace.Int (proto_at t i));
+        ("sport", Trace.Int (sport_at t i));
+        ("dport", Trace.Int (dport_at t i));
+      |]
+    ()
 
-(* Logging appends one row. Nothing is allocated unless the hub is
-   tracing (the mirror instant) or a subscriber is attached (one
-   transient event). *)
+(* Logging appends one row, mirrors it when the hub is tracing, and
+   hands it to each subscriber. *)
 let log t kind (p : Packet.t) nf =
   if t.len land chunk_mask = 0 then add_chunk t;
   let i = t.len in
@@ -196,21 +206,10 @@ let log t kind (p : Packet.t) nf =
   Bytes.set_int64_le b (r + o_ports) (Int64.of_int (pack k));
   Bytes.set_int64_le b (r + o_vt) (Int64.bits_of_float (Engine.now t.engine));
   t.len <- i + 1;
-  if Trace.enabled t.hub then begin
-    if i = Array.length t.hub_pos then begin
-      let a = Array.make (2 * i) 0 in
-      Array.blit t.hub_pos 0 a 0 i;
-      t.hub_pos <- a
-    end;
-    t.hub_pos.(i) <- Trace.length t.hub;
-    Trace.instant t.hub ~cat:"audit" ~name:kind_names.(kind) ~attrs:(attrs_at t i) ()
-  end
-  else
-    match t.taps with
-    | [] -> ()
-    | taps ->
-      let ev = event_at t i in
-      List.iter (fun f -> f ev) taps
+  if Trace.enabled t.hub then mirror t i;
+  for s = 0 to Array.length t.subs - 1 do
+    deliver t t.subs.(s) i
+  done
 
 let log_switch_arrival t p =
   if not (Int_table.mem t.arrived p.Packet.id) then begin
@@ -225,63 +224,32 @@ let log_drop t p ~nf = log t k_drop p nf
 let log_evented t p ~nf = log t k_event p nf
 let log_buffered t p ~nf = log t k_buffer p nf
 
-(* --- live streams ------------------------------------------------------------ *)
+(* --- row streams ------------------------------------------------------------ *)
 
-(* With hub tracing the subscriber rides the hub trace, so op spans
-   reach it interleaved with the ledger's mirror instants; otherwise it
-   is an audit tap, fed one transient instant per row. *)
-let subscribe t f =
-  if Trace.enabled t.hub then Trace.on_event t.hub f else t.taps <- t.taps @ [ f ]
+let subscribe t f = t.subs <- Array.append t.subs [| f |]
 
-let on_record t f =
-  subscribe t (fun ev ->
-      if ev.Trace.kind = Trace.Instant && ev.Trace.cat = "audit" then
-        let a = ev.Trace.attrs in
-        let int i = match snd a.(i) with Trace.Int v -> v | _ -> 0 in
-        let nf = match snd a.(1) with Trace.Str s -> s | _ -> "" in
-        f ev.Trace.name
-          {
-            pkt = int 0;
-            nf;
-            key =
-              Flow.make
-                ~src:(Ipaddr.of_int (int 2))
-                ~dst:(Ipaddr.of_int (int 3))
-                ~proto:(proto_of_code (int 4))
-                ~sport:(int 5) ~dport:(int 6) ();
-            time = ev.Trace.vt;
-          })
-
-(* The replay stream: every row in order; with hub tracing, the hub's
-   other events (op spans, phase marks) interleaved at their emission
-   positions. Audit instants of the hub that are not this ledger's
-   mirrors (another ledger sharing the hub) are skipped. *)
-let events t =
-  if not (Trace.enabled t.hub) then Seq.init t.len (event_at t)
+(* Every row in order; with hub tracing, the hub's other events (op
+   spans, phase marks) at their emission positions. Audit instants of
+   the hub that are not this ledger's mirrors (another ledger sharing
+   the hub) are skipped. *)
+let replay t ~row ~hub =
+  if not (Trace.enabled t.hub) then
+    for i = 0 to t.len - 1 do
+      deliver t row i
+    done
   else begin
-    let len = t.len and hub_len = Trace.length t.hub in
-    let rec from row j () =
-      if j >= hub_len then Seq.Nil
-      else if row < len && t.hub_pos.(row) = j then
-        Seq.Cons (event_at t row, from (row + 1) (j + 1))
+    let next = ref 0 in
+    for j = 0 to Trace.length t.hub - 1 do
+      if !next < t.len && t.hub_pos.(!next) = j then begin
+        deliver t row !next;
+        incr next
+      end
       else
         let ev = Trace.nth t.hub j in
-        if ev.Trace.kind = Trace.Instant && ev.Trace.cat = "audit" then
-          from row (j + 1) ()
-        else Seq.Cons (ev, from row (j + 1))
-    in
-    from 0 0
+        if not (ev.Trace.kind = Trace.Instant && ev.Trace.cat = "audit") then
+          hub ev
+    done
   end
-
-let snapshot t =
-  let cursor = ref 0.0 in
-  let tr = Trace.create () in
-  Trace.set_clock tr (fun () -> !cursor);
-  for i = 0 to t.len - 1 do
-    cursor := vt_at t i;
-    Trace.instant tr ~cat:"audit" ~name:kind_names.(kind_at t i) ~attrs:(attrs_at t i) ()
-  done;
-  tr
 
 (* --- queries ------------------------------------------------------------------- *)
 
@@ -289,7 +257,6 @@ let ensure_indexes t =
   for i = t.indexed to t.len - 1 do
     let tbl =
       match kind_at t i with
-      | k when k = k_forward -> Some t.first_forward
       | k when k = k_nf_arrival -> Some t.first_arrival
       | k when k = k_process -> Some t.first_process
       | _ -> None
@@ -321,13 +288,6 @@ let ids t kind keep =
   done;
   !acc
 
-let count t kind keep =
-  let n = ref 0 in
-  for i = 0 to t.len - 1 do
-    if kind_at t i = kind && keep i then incr n
-  done;
-  !n
-
 (* First occurrences only, in row order. *)
 let first_ids t kind keep =
   let seen = Int_table.create 64 in
@@ -346,8 +306,7 @@ let processed_order ?filter ?nf t =
   let by_nf = by_nf nf t in
   ids t k_process (fun i -> by_nf i && in_filter filter t i)
 
-let drop_count ?nf t = count t k_drop (by_nf nf t)
-let processed_count ?nf t = count t k_process (by_nf nf t)
+let processed_count ?nf t = List.length (ids t k_process (by_nf nf t))
 
 let lost ?filter t ~nfs =
   let ids_of_nfs = List.filter_map (Hashtbl.find_opt t.names) nfs in
@@ -403,10 +362,6 @@ let added_latency t ~pkt =
 
 let evented_ids ?nf t = ids t k_event (by_nf nf t)
 let buffered_ids ?nf t = ids t k_buffer (by_nf nf t)
-
-let first_forward_time t ~pkt =
-  ensure_indexes t;
-  Int_table.find_opt t.first_forward pkt
 
 let process_time t ~pkt =
   ensure_indexes t;

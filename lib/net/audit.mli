@@ -15,46 +15,51 @@
     protocol/ports and the virtual time). A full chunk is never copied;
     the next record opens a new one. [Bytes] blocks are opaque to the
     GC, so the major GC never scans the rows. Logging a record
-    allocates nothing on the minor heap, and every query scans the
-    rows. When the engine's hub is tracing, each record is
-    also mirrored into the hub trace as a [cat:"audit"] instant, so the
+    allocates nothing on the minor heap unless the hub is tracing or a
+    subscriber is attached, and every query scans the rows.
+
+    Rows reach observers as typed fields ({!subscriber}): live through
+    {!subscribe}, after the run through {!replay}. When the engine's hub
+    is tracing, each record is also mirrored into the hub trace as an
+    instant of category ["audit"], named after the row's kind, so the
     Chrome export and the timeline show packets interleaved with op
-    spans; the mirror is an export, never read back
-    by queries. *)
+    spans. The mirror is an export: only this module knows its
+    attribute layout, and nothing in the library reads it back. *)
 
 type t
 
 val create : Opennf_sim.Engine.t -> t
 (** Mirrors records into the engine hub's tracer when it is tracing. *)
 
-type record = { pkt : int; key : Flow.key; nf : string; time : float }
+type subscriber =
+  Opennf_obs.Monitor.kind ->
+  pkt:int ->
+  nf:string ->
+  src:int ->
+  dst:int ->
+  proto:int ->
+  sport:int ->
+  dport:int ->
+  vt:float ->
+  unit
+(** One row: its kind, packet id, interned instance name, the packet's
+    directed 5-tuple as ints (IPv4 addresses, IP protocol number,
+    ports) and its virtual time — {!Opennf_obs.Monitor.row}'s shape. *)
 
-val subscribe : t -> (Opennf_obs.Trace.ev -> unit) -> unit
-(** Subscribe to the live stream, in emission order. When the hub is
-    tracing this is the hub trace itself ({!Opennf_obs.Trace.on_event}):
-    op spans and phase marks arrive interleaved with the ledger's
-    [cat:"audit"] instants, which is what gives {!Opennf_obs.Monitor}
-    findings their op context. Otherwise each record is delivered as a
-    transient audit instant, built only because a subscriber exists.
-    Subscribers observe only: they must not log back into the ledger or
-    touch the simulation. *)
+val subscribe : t -> subscriber -> unit
+(** Call [f] on every row as it is logged, in row order, whether or not
+    the hub is tracing. Op spans do not pass through here: a checker
+    that wants op context also taps the hub trace
+    ({!Opennf_obs.Trace.on_event}), which sees them interleaved with
+    the rows in emission order. Subscribers observe only: they must not
+    log back into the ledger or touch the simulation. *)
 
-val on_record : t -> (string -> record -> unit) -> unit
-(** {!subscribe} to the records alone: [f name record] runs on every
-    audit record as it is logged (names: ["arrival"], ["forward"],
-    ["nf_arrival"], ["process"], ["drop"], ["event"], ["buffer"]). *)
-
-val events : t -> Opennf_obs.Trace.ev Seq.t
-(** The ledger as a replay stream, one transient audit instant per
-    record in row order; when the hub traced the run, the hub's other
-    events (op spans, phase marks) are interleaved at their emission
-    positions, exactly as {!subscribe} saw them. This is what
-    {!Opennf_obs.Monitor.replay} consumes for a post-run verdict. *)
-
-val snapshot : t -> Opennf_obs.Trace.t
-(** A fresh trace holding one audit instant per record, for tests and
-    exports that want a {!Opennf_obs.Trace.t}. Copies the whole ledger
-    into boxed events: never call it on a run path. *)
+val replay : t -> row:subscriber -> hub:(Opennf_obs.Trace.ev -> unit) -> unit
+(** The ledger as it streamed: every row to [row], in row order; when
+    the hub traced the run, the hub's other events (op spans, phase
+    marks, …) go to [hub], interleaved at their emission positions,
+    exactly as {!subscribe} and a hub tap saw them live. Builds no
+    trace event per row. *)
 
 (** {1 Recording} *)
 
@@ -86,7 +91,6 @@ val processed_order : ?filter:Filter.t -> ?nf:string -> t -> int list
 (** Packet ids in processing order, across all instances unless [nf] is
     given. Ids repeat if a packet was processed more than once. *)
 
-val drop_count : ?nf:string -> t -> int
 val processed_count : ?nf:string -> t -> int
 
 val lost : ?filter:Filter.t -> t -> nfs:string list -> int list
@@ -109,5 +113,4 @@ val added_latency : t -> pkt:int -> float option
 
 val evented_ids : ?nf:string -> t -> int list
 val buffered_ids : ?nf:string -> t -> int list
-val first_forward_time : t -> pkt:int -> float option
 val process_time : t -> pkt:int -> float option

@@ -1,10 +1,22 @@
-(* Streaming checker for the §5.1 guarantees, fed audit instants.
+(* Streaming checker for the §5.1 guarantees, fed typed audit rows.
 
-   The monitor decodes audit instants by their positional attribute
-   layout (pkt, nf, src, dst, proto, sport, dport — see Audit.attrs_at) so it
-   can live below lib/net in the dependency order and still check any
-   audit stream. Op spans (cat "op") interleaved in the same stream give
-   findings their op/phase context. *)
+   The audit ledger hands every row to [row] as plain ints (the monitor
+   lives below lib/net in the dependency order, so it never sees a
+   [Flow.key]); op spans and phase marks reach [op_event] from the hub
+   trace and give findings their op/phase context. Per-row work is
+   table lookups and array stores: flow strings and history lines are
+   rendered only when a finding is built. *)
+
+type kind = Arrival | Forward | Nf_arrival | Process | Drop | Event | Buffer
+
+let kind_name = function
+  | Arrival -> "arrival"
+  | Forward -> "forward"
+  | Nf_arrival -> "nf_arrival"
+  | Process -> "process"
+  | Drop -> "drop"
+  | Event -> "event"
+  | Buffer -> "buffer"
 
 type property = Loss | Order | Duplicate | Buffer_conservation
 
@@ -13,12 +25,6 @@ let property_name = function
   | Order -> "order"
   | Duplicate -> "duplicate"
   | Buffer_conservation -> "buffer"
-
-let property_rank = function
-  | Loss -> 0
-  | Order -> 1
-  | Duplicate -> 2
-  | Buffer_conservation -> 3
 
 type finding = {
   property : property;
@@ -33,16 +39,30 @@ type finding = {
   history : string list;
 }
 
-(* Per-flow automaton: two counters (forward sequence numbering and the
-   highest forwarded-sequence processed so far) plus a bounded ring of
-   rendered audit lines — O(1) state however long the flow lives. *)
+module Int_table = Opennf_util.Int_table
+
+(* Per-flow history ring size. *)
+let history = 8
+
+(* Per-flow automaton, keyed by the packet's directed 5-tuple: two
+   counters (forward sequence numbering and the highest
+   forwarded-sequence processed so far) plus a ring of the flow's last
+   [history] rows, one flat array per field — O(1) state however long
+   the flow lives. *)
 type flow_state = {
-  f_key : string;
+  src : int;
+  dst : int;
+  proto : int;
+  sport : int;
+  dport : int;
   mutable next_fwd : int;
   mutable max_done : int;
-  ring : string array;
-  mutable ring_len : int;
-  mutable ring_pos : int;
+  h_vt : float array;
+  h_kind : kind array;
+  h_pkt : int array;
+  h_nf : string array;
+  mutable h_len : int;
+  mutable h_pos : int;
 }
 
 (* Per-packet lifecycle, cleared down to a processed-marker once the
@@ -53,7 +73,7 @@ type pkt_state = {
   mutable p_forwarded : bool;
   mutable p_buffered : bool;
   mutable p_processed : bool;
-  mutable p_nf : string;  (* Instance of the last event. *)
+  mutable p_nf : string;  (* Instance of the last row. *)
   mutable p_vt : float;
   mutable p_shard : int;
   mutable p_op : int;
@@ -61,46 +81,37 @@ type pkt_state = {
   mutable p_phase : string;
 }
 
-type op_info = { o_name : string; o_shard : int }
+(* An open root op span and the last phase mark under it. *)
+type op_info = {
+  o_span : int;
+  o_name : string;
+  o_shard : int;
+  mutable o_phase : string;
+}
 
 type t = {
-  k : int;
-  flows : (string, flow_state) Hashtbl.t;
-  pkts : (int, pkt_state) Hashtbl.t;
-  (* Op-context tracking, keyed by span id. *)
-  roots : (int, op_info) Hashtbl.t;
-  children : (int, int) Hashtbl.t;  (* child -> its root *)
-  mutable open_roots : int list;  (* Newest first. *)
-  phases : (int, string) Hashtbl.t;  (* root -> last phase mark *)
+  flows : flow_state list Int_table.t;  (* By [flow_hash]; lists resolve collisions. *)
+  pkts : pkt_state Int_table.t;
+  roots : op_info Int_table.t;  (* Open root op spans, by span id. *)
+  children : op_info Int_table.t;  (* Open child span -> its root. *)
+  mutable open_roots : op_info list;  (* Newest first. *)
   mutable streamed : finding list;  (* Newest first. *)
 }
 
-let create ?(history = 8) () =
+let create () =
   {
-    k = Stdlib.max 1 history;
-    flows = Hashtbl.create 256;
-    pkts = Hashtbl.create 1024;
-    roots = Hashtbl.create 16;
-    children = Hashtbl.create 16;
+    flows = Int_table.create 256;
+    pkts = Int_table.create 1024;
+    roots = Int_table.create 16;
+    children = Int_table.create 16;
     open_roots = [];
-    phases = Hashtbl.create 16;
     streamed = [];
   }
 
 let findings t = List.rev t.streamed
 let clean = function [] -> true | _ :: _ -> false
 
-(* --- attribute decoding --------------------------------------------------- *)
-
-let int_attr a i =
-  if i < Array.length a then
-    match snd a.(i) with Trace.Int v -> v | _ -> 0
-  else 0
-
-let str_attr a i =
-  if i < Array.length a then
-    match snd a.(i) with Trace.Str s -> s | _ -> ""
-  else ""
+(* --- rendering a flow and its history --------------------------------------- *)
 
 let ip_str v =
   Printf.sprintf "%d.%d.%d.%d"
@@ -111,47 +122,75 @@ let ip_str v =
 
 let proto_str = function 17 -> "udp" | 1 -> "icmp" | _ -> "tcp"
 
-let flow_key attrs =
-  Printf.sprintf "%s:%d->%s:%d/%s"
-    (ip_str (int_attr attrs 2))
-    (int_attr attrs 5)
-    (ip_str (int_attr attrs 3))
-    (int_attr attrs 6)
-    (proto_str (int_attr attrs 4))
+let flow_string fs =
+  Printf.sprintf "%s:%d->%s:%d/%s" (ip_str fs.src) fs.sport (ip_str fs.dst)
+    fs.dport (proto_str fs.proto)
+
+let history_lines fs =
+  List.init fs.h_len (fun i ->
+      let j = (fs.h_pos - fs.h_len + i + history) mod history in
+      Printf.sprintf "%.6f %s pkt=%d nf=%s" fs.h_vt.(j)
+        (kind_name fs.h_kind.(j))
+        fs.h_pkt.(j) fs.h_nf.(j))
 
 (* --- per-flow / per-packet state ------------------------------------------ *)
 
-let flow_state t key =
-  match Hashtbl.find_opt t.flows key with
-  | Some fs -> fs
-  | None ->
+let mix h x = (h lxor x) * 0x100000001b3
+
+let flow_hash ~src ~dst ~proto ~sport ~dport =
+  let h = mix (mix (mix (mix (mix 0 src) dst) proto) sport) dport in
+  h lxor (h lsr 29)
+
+let rec find_flow ~src ~dst ~proto ~sport ~dport = function
+  | [] -> raise Not_found
+  | fs :: rest ->
+    if
+      fs.src = src && fs.dst = dst && fs.proto = proto && fs.sport = sport
+      && fs.dport = dport
+    then fs
+    else find_flow ~src ~dst ~proto ~sport ~dport rest
+
+let flow_state t ~src ~dst ~proto ~sport ~dport =
+  let h = flow_hash ~src ~dst ~proto ~sport ~dport in
+  let bucket =
+    match Int_table.find t.flows h with b -> b | exception Not_found -> []
+  in
+  match find_flow ~src ~dst ~proto ~sport ~dport bucket with
+  | fs -> fs
+  | exception Not_found ->
     let fs =
       {
-        f_key = key;
+        src;
+        dst;
+        proto;
+        sport;
+        dport;
         next_fwd = 0;
         max_done = -1;
-        ring = Array.make t.k "";
-        ring_len = 0;
-        ring_pos = 0;
+        h_vt = Array.make history 0.0;
+        h_kind = Array.make history Arrival;
+        h_pkt = Array.make history 0;
+        h_nf = Array.make history "";
+        h_len = 0;
+        h_pos = 0;
       }
     in
-    Hashtbl.add t.flows key fs;
+    Int_table.replace t.flows h (fs :: bucket);
     fs
 
-let ring_push fs line =
-  fs.ring.(fs.ring_pos) <- line;
-  fs.ring_pos <- (fs.ring_pos + 1) mod Array.length fs.ring;
-  if fs.ring_len < Array.length fs.ring then fs.ring_len <- fs.ring_len + 1
-
-let ring_lines fs =
-  let n = Array.length fs.ring in
-  List.init fs.ring_len (fun i ->
-      fs.ring.((fs.ring_pos - fs.ring_len + i + (2 * n)) mod n))
+let push fs kind ~pkt ~nf ~vt =
+  let i = fs.h_pos in
+  fs.h_vt.(i) <- vt;
+  fs.h_kind.(i) <- kind;
+  fs.h_pkt.(i) <- pkt;
+  fs.h_nf.(i) <- nf;
+  fs.h_pos <- (i + 1) mod history;
+  if fs.h_len < history then fs.h_len <- fs.h_len + 1
 
 let pkt_state t fs pkt =
-  match Hashtbl.find_opt t.pkts pkt with
-  | Some ps -> ps
-  | None ->
+  match Int_table.find t.pkts pkt with
+  | ps -> ps
+  | exception Not_found ->
     let ps =
       {
         p_flow = fs;
@@ -167,18 +206,19 @@ let pkt_state t fs pkt =
         p_phase = "";
       }
     in
-    Hashtbl.add t.pkts pkt ps;
+    Int_table.add t.pkts pkt ps;
     ps
 
 (* --- op context ------------------------------------------------------------ *)
 
-let root_of t key =
-  if Hashtbl.mem t.roots key then Some key else Hashtbl.find_opt t.children key
+let root_of t span =
+  match Int_table.find t.roots span with
+  | o -> Some o
+  | exception Not_found -> Int_table.find_opt t.children span
 
 let op_open t (ev : Trace.ev) =
-  let key = ev.Trace.id in
   match if ev.Trace.parent = 0 then None else root_of t ev.Trace.parent with
-  | Some root -> Hashtbl.replace t.children key root
+  | Some root -> Int_table.replace t.children ev.Trace.id root
   | None ->
     let o_shard =
       let s = ref 0 in
@@ -190,158 +230,121 @@ let op_open t (ev : Trace.ev) =
         ev.Trace.attrs;
       !s
     in
-    Hashtbl.replace t.roots key { o_name = ev.Trace.name; o_shard };
-    t.open_roots <- key :: t.open_roots
+    let o = { o_span = ev.Trace.id; o_name = ev.Trace.name; o_shard; o_phase = "" } in
+    Int_table.replace t.roots o.o_span o;
+    t.open_roots <- o :: t.open_roots
 
 let span_close t (ev : Trace.ev) =
-  let key = ev.Trace.id in
-  if Hashtbl.mem t.roots key then begin
-    Hashtbl.remove t.roots key;
-    Hashtbl.remove t.phases key;
-    t.open_roots <- List.filter (fun k -> k <> key) t.open_roots
-  end
-  else Hashtbl.remove t.children key
+  let span = ev.Trace.id in
+  match Int_table.find t.roots span with
+  | o ->
+    Int_table.remove t.roots span;
+    t.open_roots <- List.filter (fun o' -> o' != o) t.open_roots
+  | exception Not_found -> Int_table.remove t.children span
 
 let phase_mark t (ev : Trace.ev) =
   match root_of t ev.Trace.parent with
-  | Some root -> Hashtbl.replace t.phases root ev.Trace.name
+  | Some root -> root.o_phase <- ev.Trace.name
   | None -> ()
 
-(* --- findings --------------------------------------------------------------- *)
-
-let emit t ~property ~(ps : pkt_state) ~pkt ~detail =
-  let f =
-    {
-      property;
-      flow = ps.p_flow.f_key;
-      pkt;
-      shard = ps.p_shard;
-      vt = ps.p_vt;
-      op_span = ps.p_op;
-      op = ps.p_op_name;
-      phase = ps.p_phase;
-      detail;
-      history = ring_lines ps.p_flow;
-    }
-  in
-  t.streamed <- f :: t.streamed
-
-let audit_event t (ev : Trace.ev) =
-  let attrs = ev.Trace.attrs in
-  if Array.length attrs >= 7 then begin
-    let pkt = int_attr attrs 0 in
-    let nf = str_attr attrs 1 in
-    let fs = flow_state t (flow_key attrs) in
-    ring_push fs
-      (Printf.sprintf "%.6f %s pkt=%d nf=%s" ev.Trace.vt ev.Trace.name pkt nf);
-    let ps = pkt_state t fs pkt in
-    ps.p_vt <- ev.Trace.vt;
-    ps.p_nf <- nf;
-    ps.p_shard <- 0;
-    (* The op an audit event "occurred under": the newest still-open
-       root op span. *)
-    (match t.open_roots with
-    | key :: _ ->
-      (match Hashtbl.find_opt t.roots key with
-      | Some info ->
-        ps.p_op <- key;
-        ps.p_op_name <- info.o_name;
-        ps.p_shard <- info.o_shard;
-        ps.p_phase <-
-          (match Hashtbl.find_opt t.phases key with Some p -> p | None -> "")
-      | None -> ())
-    | [] -> ());
-    match ev.Trace.name with
-    | "forward" ->
-      (* First forwarding assigns the flow-order sequence; relays of the
-         same id (packet-outs during a move) keep the original slot. *)
-      if not (ps.p_forwarded || ps.p_processed) then begin
-        ps.p_forwarded <- true;
-        ps.p_seq <- fs.next_fwd;
-        fs.next_fwd <- fs.next_fwd + 1
-      end
-    | "process" ->
-      if ps.p_processed then
-        emit t ~property:Duplicate ~ps ~pkt
-          ~detail:(Printf.sprintf "processed again at %s" nf)
-      else begin
-        ps.p_processed <- true;
-        ps.p_buffered <- false;
-        if ps.p_seq >= 0 then
-          if ps.p_seq < fs.max_done then
-            emit t ~property:Order ~ps ~pkt
-              ~detail:
-                (Printf.sprintf
-                   "forwarded %d packet(s) before the newest processed one \
-                    but processed after it"
-                   (fs.max_done - ps.p_seq))
-          else fs.max_done <- ps.p_seq
-      end
-    | "buffer" -> if not ps.p_processed then ps.p_buffered <- true
-    | _ -> ()
-  end
-
-let feed t (ev : Trace.ev) =
+let op_event t (ev : Trace.ev) =
   match ev.Trace.kind with
   | Trace.Instant ->
-    if ev.Trace.cat = "audit" then audit_event t ev
-    else if ev.Trace.cat = "op" && ev.Trace.parent <> 0 then phase_mark t ev
+    if ev.Trace.cat = "op" && ev.Trace.parent <> 0 then phase_mark t ev
   | Trace.Begin -> if ev.Trace.cat = "op" then op_open t ev
   | Trace.End -> span_close t ev
 
+(* --- findings --------------------------------------------------------------- *)
+
+let finding ~property ~(ps : pkt_state) ~pkt ~detail =
+  {
+    property;
+    flow = flow_string ps.p_flow;
+    pkt;
+    shard = ps.p_shard;
+    vt = ps.p_vt;
+    op_span = ps.p_op;
+    op = ps.p_op_name;
+    phase = ps.p_phase;
+    detail;
+    history = history_lines ps.p_flow;
+  }
+
+let emit t ~property ~ps ~pkt ~detail =
+  t.streamed <- finding ~property ~ps ~pkt ~detail :: t.streamed
+
+let row t kind ~pkt ~nf ~src ~dst ~proto ~sport ~dport ~vt =
+  let fs = flow_state t ~src ~dst ~proto ~sport ~dport in
+  push fs kind ~pkt ~nf ~vt;
+  let ps = pkt_state t fs pkt in
+  ps.p_vt <- vt;
+  ps.p_nf <- nf;
+  ps.p_shard <- 0;
+  (* The op a row "occurred under": the newest still-open root op
+     span. *)
+  (match t.open_roots with
+  | o :: _ ->
+    ps.p_op <- o.o_span;
+    ps.p_op_name <- o.o_name;
+    ps.p_shard <- o.o_shard;
+    ps.p_phase <- o.o_phase
+  | [] -> ());
+  match kind with
+  | Forward ->
+    (* First forwarding assigns the flow-order sequence; relays of the
+       same id (packet-outs during a move) keep the original slot. *)
+    if not (ps.p_forwarded || ps.p_processed) then begin
+      ps.p_forwarded <- true;
+      ps.p_seq <- fs.next_fwd;
+      fs.next_fwd <- fs.next_fwd + 1
+    end
+  | Process ->
+    if ps.p_processed then
+      emit t ~property:Duplicate ~ps ~pkt
+        ~detail:(Printf.sprintf "processed again at %s" nf)
+    else begin
+      ps.p_processed <- true;
+      ps.p_buffered <- false;
+      if ps.p_seq >= 0 then
+        if ps.p_seq < fs.max_done then
+          emit t ~property:Order ~ps ~pkt
+            ~detail:
+              (Printf.sprintf
+                 "forwarded %d packet(s) before the newest processed one \
+                  but processed after it"
+                 (fs.max_done - ps.p_seq))
+        else fs.max_done <- ps.p_seq
+    end
+  | Buffer -> if not ps.p_processed then ps.p_buffered <- true
+  | Arrival | Nf_arrival | Drop | Event -> ()
+
 (* --- verdict ---------------------------------------------------------------- *)
 
-let finding_key f =
-  (f.vt, f.shard, f.pkt, property_rank f.property, f.flow, f.detail)
+(* Properties compare in declaration order. *)
+let finding_key f = (f.vt, f.shard, f.pkt, f.property, f.flow, f.detail)
 
 let verdict t =
   let pending = ref [] in
-  Hashtbl.iter
+  Int_table.iter
     (fun pkt (ps : pkt_state) ->
       if not ps.p_processed then begin
         if ps.p_forwarded then
           pending :=
-            {
-              property = Loss;
-              flow = ps.p_flow.f_key;
-              pkt;
-              shard = ps.p_shard;
-              vt = ps.p_vt;
-              op_span = ps.p_op;
-              op = ps.p_op_name;
-              phase = ps.p_phase;
-              detail =
-                Printf.sprintf "forwarded (flow seq %d) but never processed"
-                  ps.p_seq;
-              history = ring_lines ps.p_flow;
-            }
+            finding ~property:Loss ~ps ~pkt
+              ~detail:
+                (Printf.sprintf "forwarded (flow seq %d) but never processed"
+                   ps.p_seq)
             :: !pending;
         if ps.p_buffered then
           pending :=
-            {
-              property = Buffer_conservation;
-              flow = ps.p_flow.f_key;
-              pkt;
-              shard = ps.p_shard;
-              vt = ps.p_vt;
-              op_span = ps.p_op;
-              op = ps.p_op_name;
-              phase = ps.p_phase;
-              detail =
-                Printf.sprintf "buffered at %s but never released" ps.p_nf;
-              history = ring_lines ps.p_flow;
-            }
+            finding ~property:Buffer_conservation ~ps ~pkt
+              ~detail:(Printf.sprintf "buffered at %s but never released" ps.p_nf)
             :: !pending
       end)
     t.pkts;
   List.sort
     (fun a b -> compare (finding_key a) (finding_key b))
     (List.rev_append t.streamed !pending)
-
-let replay ?history events =
-  let t = create ?history () in
-  Seq.iter (feed t) events;
-  verdict t
 
 (* --- rendering --------------------------------------------------------------- *)
 

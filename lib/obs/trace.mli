@@ -58,13 +58,14 @@ val instant :
 
 val on_event : t -> (ev -> unit) -> unit
 (** Subscribe [f] to the live event stream: it runs synchronously on
-    every recorded event, after the buffer append, in emission order —
-    the hook streaming checkers ({!Monitor}) ride instead of post-hoc
-    buffer folds. Multiple taps stack (registration order). On a
-    disabled tracer this is a no-op; a tracer without taps keeps its
-    bare append sink, so the untapped hot path is unchanged. Taps are
-    observers: they must not record through the tracer or touch the
-    simulation. *)
+    every recorded event, after the buffer append, in emission order.
+    {!Monitor} rides it for op spans and phase marks
+    ({!Monitor.op_event}); packet rows reach the monitor from the audit
+    ledger directly, never through this stream. Multiple taps stack
+    (registration order). On a disabled tracer this is a no-op; a
+    tracer without taps keeps its bare append sink, so the untapped hot
+    path is unchanged. Taps are observers: they must not record through
+    the tracer or touch the simulation. *)
 
 (** {1 Reading the buffer} *)
 

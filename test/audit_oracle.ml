@@ -9,9 +9,10 @@
 
 module Engine = Opennf_sim.Engine
 module Trace = Opennf_obs.Trace
+module Monitor = Opennf_obs.Monitor
 open Opennf_net
 
-type record = Audit.record = { pkt : int; key : Flow.key; nf : string; time : float }
+type record = { pkt : int; key : Flow.key; nf : string; time : float }
 
 type t = {
   engine : Engine.t;
@@ -54,28 +55,48 @@ let log t name (p : Packet.t) nf =
       |]
     ()
 
-let decode (ev : Trace.ev) =
+(* A typed row (an {!Audit.subscriber}'s arguments) as a record. *)
+let record_of_row ~pkt ~nf ~src ~dst ~proto ~sport ~dport ~vt =
+  {
+    pkt;
+    nf;
+    key =
+      Flow.make ~src:(Ipaddr.of_int src) ~dst:(Ipaddr.of_int dst)
+        ~proto:(proto_of_code proto) ~sport ~dport ();
+    time = vt;
+  }
+
+(* An audit instant's positional attributes (pkt, nf, src, dst, proto,
+   sport, dport), handed to [f] as a typed row. *)
+let with_row (ev : Trace.ev) f =
   let a = ev.Trace.attrs in
   let int i = match snd a.(i) with Trace.Int v -> v | _ -> 0 in
   let str i = match snd a.(i) with Trace.Str s -> s | _ -> "" in
-  {
-    pkt = int 0;
-    nf = str 1;
-    key =
-      Flow.make
-        ~src:(Ipaddr.of_int (int 2))
-        ~dst:(Ipaddr.of_int (int 3))
-        ~proto:(proto_of_code (int 4))
-        ~sport:(int 5) ~dport:(int 6) ();
-    time = ev.Trace.vt;
-  }
+  f ~pkt:(int 0) ~nf:(str 1) ~src:(int 2) ~dst:(int 3) ~proto:(int 4)
+    ~sport:(int 5) ~dport:(int 6) ~vt:ev.Trace.vt
+
+let decode ev = with_row ev record_of_row
+
+let is_audit (ev : Trace.ev) = ev.Trace.kind = Trace.Instant && ev.Trace.cat = "audit"
+
+let kind_of_name name =
+  List.find
+    (fun k -> Monitor.kind_name k = name)
+    Monitor.[ Arrival; Forward; Nf_arrival; Process; Drop; Event; Buffer ]
+
+(* Feed one hub-trace event to a monitor's typed entry points: a
+   ledger mirror instant as the row it mirrors, anything else as an op
+   event. Replaying a traced run's hub trace through this checks the
+   monitor against the export rather than the rows. *)
+let feed_monitor m (ev : Trace.ev) =
+  if is_audit ev then with_row ev (Monitor.row m (kind_of_name ev.Trace.name))
+  else Monitor.op_event m ev
 
 let records t wanted =
   List.rev
     (Trace.fold t.trace
        (fun acc ev ->
-         if ev.Trace.kind = Trace.Instant && ev.Trace.cat = "audit"
-            && ev.Trace.name = wanted
+         if is_audit ev && ev.Trace.name = wanted
          then decode ev :: acc
          else acc)
        [])

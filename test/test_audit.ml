@@ -114,7 +114,6 @@ module type LEDGER = sig
 
   val forwarded_order : ?filter:Filter.t -> t -> int list
   val processed_order : ?filter:Filter.t -> ?nf:string -> t -> int list
-  val drop_count : ?nf:string -> t -> int
   val processed_count : ?nf:string -> t -> int
   val lost : ?filter:Filter.t -> t -> nfs:string list -> int list
   val duplicated : ?filter:Filter.t -> t -> int list
@@ -123,7 +122,6 @@ module type LEDGER = sig
   val added_latency : t -> pkt:int -> float option
   val evented_ids : ?nf:string -> t -> int list
   val buffered_ids : ?nf:string -> t -> int list
-  val first_forward_time : t -> pkt:int -> float option
   val process_time : t -> pkt:int -> float option
 end
 
@@ -174,15 +172,14 @@ module Dump (L : LEDGER) = struct
       filters
     @ List.map
         (fun nf ->
-          Printf.sprintf "%s: drops %d procs %d ev %s buf %s"
+          Printf.sprintf "%s: procs %d ev %s buf %s"
             (Option.value nf ~default:"*")
-            (L.drop_count ?nf t) (L.processed_count ?nf t)
+            (L.processed_count ?nf t)
             (ints (L.evented_ids ?nf t)) (ints (L.buffered_ids ?nf t)))
         nf_opts
     @ List.init max_pkt (fun pkt ->
-          Printf.sprintf "pkt %d: lat %s fwd %s proc %s" pkt
+          Printf.sprintf "pkt %d: lat %s proc %s" pkt
             (time (L.added_latency t ~pkt))
-            (time (L.first_forward_time t ~pkt))
             (time (L.process_time t ~pkt)))
 end
 
@@ -227,6 +224,15 @@ let apply_oracle a o (p : Packet.t) =
   | 5 -> Oracle.log_evented a p ~nf
   | _ -> Oracle.log_buffered a p ~nf
 
+(* A subscriber collecting each typed row as (kind name, record), newest
+   first. *)
+let collect acc : Audit.subscriber =
+ fun kind ~pkt ~nf ~src ~dst ~proto ~sport ~dport ~vt ->
+  acc :=
+    ( Opennf_obs.Monitor.kind_name kind,
+      Oracle.record_of_row ~pkt ~nf ~src ~dst ~proto ~sport ~dport ~vt )
+    :: !acc
+
 (* Drive both ledgers with [ops] on one engine, at virtual times 0.25 ms
    apart per step. [traced] puts a tracing hub on the engine. *)
 let run_both ?(traced = false) ops =
@@ -235,7 +241,7 @@ let run_both ?(traced = false) ops =
   in
   let a = Audit.create e and o = Oracle.create e in
   let streamed = ref [] in
-  Audit.on_record a (fun name r -> streamed := (name, r) :: !streamed);
+  Audit.subscribe a (collect streamed);
   ignore
     (List.fold_left
        (fun step op ->
@@ -268,8 +274,8 @@ let agree ~what got want =
 
 let ops_arb = QCheck.make ~print:ops_print QCheck.Gen.(list_size (int_range 0 60) op_gen)
 
-(* The ledger agrees with the oracle on every query, and its snapshot,
-   replay stream, live stream and (when traced) hub mirror all carry the
+(* The ledger agrees with the oracle on every query, and its live row
+   stream, its replay and (when traced) its hub mirror all carry the
    oracle's records. *)
 let agrees_with_oracle (traced, ops) =
   let e, a, o, streamed = run_both ~traced ops in
@@ -281,11 +287,11 @@ let agrees_with_oracle (traced, ops) =
          [])
   in
   ignore (agree ~what:"queries" (Dump_audit.dump a) (Dump_oracle.dump o));
-  if audit_instants (Audit.snapshot a) <> want then
-    QCheck.Test.fail_report "snapshot instants differ";
-  if List.map inst (List.of_seq (Audit.events a)) <> want then
-    QCheck.Test.fail_report "replay stream differs";
-  if streamed <> records then QCheck.Test.fail_report "on_record stream differs";
+  let replayed = ref [] and hub_events = ref 0 in
+  Audit.replay a ~row:(collect replayed) ~hub:(fun _ -> incr hub_events);
+  if List.rev !replayed <> records then QCheck.Test.fail_report "replayed rows differ";
+  if !hub_events <> 0 then QCheck.Test.fail_report "replay passed a mirror instant on";
+  if streamed <> records then QCheck.Test.fail_report "subscribed rows differ";
   if traced && audit_instants (Hub.trace (Engine.obs e)) <> want then
     QCheck.Test.fail_report "hub mirror differs";
   true
@@ -350,6 +356,47 @@ let test_log_major_budget () =
     true (per <= budget);
   Alcotest.(check int) "all recorded" records (Audit.processed_count a)
 
+(* A monitored ledger, wired as [Fabric.create ~monitor:true] wires it:
+   the monitor reads each row as typed fields, with no trace event,
+   attribute array, flow string or history line built per row. A row of
+   a known packet costs the boxed virtual time handed to the subscriber
+   (2 words); a forward+process pair of a fresh packet adds its
+   per-packet state and table entry (20 words). *)
+let test_monitored_row_alloc_budget () =
+  let e, a = bed () in
+  let m = Opennf_obs.Monitor.create () in
+  Audit.subscribe a (Opennf_obs.Monitor.row m);
+  Trace.on_event (Hub.trace (Engine.obs e)) (Opennf_obs.Monitor.op_event m);
+  let p = pkt 1 key in
+  Array.iter (fun k -> Audit.log_forward a (pkt 0 k) ~dst:"nf1") keys;
+  let known =
+    Helpers.minor_words_per ~iters:100_000 (fun () -> Audit.log_nf_arrival a p ~nf:"nf1")
+  in
+  let iters = 100_000 in
+  let fresh =
+    Array.init (iters + 1) (fun i -> pkt (max_pkt + i) keys.(i mod Array.length keys))
+  in
+  let next = ref 0 in
+  let pair =
+    Helpers.minor_words_per ~iters (fun () ->
+        let p = fresh.(!next) in
+        incr next;
+        Audit.log_forward a p ~dst:"nf1";
+        Audit.log_process a p ~nf:"nf2")
+  in
+  let known_budget = 3.0 and pair_budget = 24.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "known-packet row %.2f words <= %.0f" known known_budget)
+    true (known <= known_budget);
+  Alcotest.(check bool)
+    (Printf.sprintf "fresh forward+process %.2f words <= %.0f" pair pair_budget)
+    true (pair <= pair_budget);
+  (* The monitor did track the fresh packets: processing one again is a
+     duplicate. *)
+  Audit.log_process a fresh.(0) ~nf:"nf1";
+  Alcotest.(check int) "one online finding" 1
+    (List.length (Opennf_obs.Monitor.findings m))
+
 let suite =
   [
     Alcotest.test_case "forwarded order dedupes relays" `Quick
@@ -371,4 +418,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_oracle;
     Alcotest.test_case "ledger == oracle across row chunks" `Quick
       test_oracle_long;
+    Alcotest.test_case "alloc budget: monitored audit row" `Quick
+      test_monitored_row_alloc_budget;
   ]

@@ -118,12 +118,18 @@ let test_seeded_reorder () =
 
 (* --- column-fed verdict == hub-trace verdict ----------------------------------- *)
 
-(* [Fabric.verdict] streams the audit rows (with the hub's op spans
-   interleaved when tracing); [Monitor.replay] over the hub trace
-   replays the mirrored instants instead. On a traced run the two
+(* [Fabric.verdict] replays the audit rows (with the hub's op spans
+   interleaved when tracing); [hub_verdict] feeds a monitor the hub
+   trace instead, decoding the ledger's mirror instants back into rows
+   ({!Audit_oracle.feed_monitor}). On a traced run the two
    must agree finding for finding, op/phase context included; an
    untraced run of the same scenario must find the same violations, just
    without op context. One shard and two, clean and seeded. *)
+let hub_verdict tr =
+  let m = Monitor.create () in
+  Trace.iter tr (Audit_oracle.feed_monitor m);
+  Monitor.verdict m
+
 let equivalence_run ~shards ?break_for_test ~traced () =
   let obs = Hub.create ~trace:traced () in
   let tb = H.prads_pair ~shards ~obs () in
@@ -134,8 +140,7 @@ let equivalence_run ~shards ?break_for_test ~traced () =
       with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "move failed: %a" Op_error.pp e);
-  let tr = Hub.trace obs in
-  (Fabric.verdict tb.H.fab, Monitor.replay (Seq.init (Trace.length tr) (Trace.nth tr)))
+  (Fabric.verdict tb.H.fab, hub_verdict (Hub.trace obs))
 
 let without_op_context (f : Monitor.finding) =
   { f with Monitor.op_span = 0; op = ""; phase = ""; shard = 0 }
@@ -164,6 +169,35 @@ let test_verdict_equivalence () =
       check_verdict_equivalence ~shards ~break_for_test:Move.Drop_buffered
         ~expect_loss:true ())
     [ 1; 2 ]
+
+(* --- live monitor == verdict ------------------------------------------------------ *)
+
+(* The live monitor reads rows as they are logged and op spans from the
+   hub tap; the verdict replays the rows with the hub's events
+   interleaved. Both must see one stream, so the live findings are
+   exactly the verdict's online (order/duplicate) ones, traced or not. *)
+let test_live_equals_verdict () =
+  List.iter
+    (fun traced ->
+      let obs = Hub.create ~trace:traced () in
+      let tb = H.prads_pair ~packet_out_rate:400.0 ~obs ~monitor:true () in
+      run_move tb (op_spec ~break_for_test:Move.Skip_order_wait tb);
+      let online =
+        List.filter
+          (fun f ->
+            match f.Monitor.property with
+            | Monitor.Order | Monitor.Duplicate -> true
+            | Monitor.Loss | Monitor.Buffer_conservation -> false)
+          (Fabric.verdict tb.H.fab)
+        |> List.sort compare
+      in
+      let live = List.sort compare (Fabric.live_findings tb.H.fab) in
+      let what = if traced then "traced" else "untraced" in
+      Alcotest.(check bool) (what ^ ": online findings streamed") true (live <> []);
+      Alcotest.(check string) (what ^ ": rendered") (Monitor.render online)
+        (Monitor.render live);
+      Alcotest.(check bool) (what ^ ": identical findings") true (live = online))
+    [ true; false ]
 
 (* --- tap discipline ----------------------------------------------------------- *)
 
@@ -194,4 +228,6 @@ let suite =
       test_verdict_equivalence;
     Alcotest.test_case "tap on a disabled tracer never fires" `Quick
       test_disabled_tap;
+    Alcotest.test_case "live findings == verdict's online findings" `Quick
+      test_live_equals_verdict;
   ]
