@@ -63,6 +63,9 @@ type t = {
   mutable nf_names : string array;
   mutable last_nf : string;  (** One-entry intern cache (physical). *)
   mutable last_nf_id : int;
+  mutable sw_id : int;
+      (** The switch's interned id, -1 before its first row; kept apart
+          so switch rows never evict the instance in [last_nf]. *)
   arrived : unit Int_table.t;
   mutable subs : subscriber array;
   (* First-time indexes, read only by post-run queries: built from the
@@ -84,6 +87,7 @@ let create engine =
     nf_names = Array.make 16 "";
     last_nf = "";
     last_nf_id = -1;
+    sw_id = -1;
     arrived = Int_table.create 1024;
     subs = [||];
     first_arrival = Int_table.create 16;
@@ -193,13 +197,13 @@ let mirror t i =
 
 (* Logging appends one row, mirrors it when the hub is tracing, and
    hands it to each subscriber. *)
-let log t kind (p : Packet.t) nf =
+let log_id t kind (p : Packet.t) nf_id =
   if t.len land chunk_mask = 0 then add_chunk t;
   let i = t.len in
   let k = p.Packet.key in
   let b = chunk t i and r = at i 0 in
   Bytes.set_uint8 b (r + o_kind) kind;
-  Bytes.set_int32_le b (r + o_nf) (Int32.of_int (intern t nf));
+  Bytes.set_int32_le b (r + o_nf) (Int32.of_int nf_id);
   Bytes.set_int64_le b (r + o_pkt) (Int64.of_int p.Packet.id);
   Bytes.set_int32_le b (r + o_src) (Int32.of_int (Ipaddr.to_int k.Flow.src_ip));
   Bytes.set_int32_le b (r + o_dst) (Int32.of_int (Ipaddr.to_int k.Flow.dst_ip));
@@ -211,10 +215,13 @@ let log t kind (p : Packet.t) nf =
     deliver t t.subs.(s) i
   done
 
+let log t kind p nf = log_id t kind p (intern t nf)
+
 let log_switch_arrival t p =
   if not (Int_table.mem t.arrived p.Packet.id) then begin
     Int_table.add t.arrived p.Packet.id ();
-    log t k_arrival p "sw"
+    if t.sw_id < 0 then t.sw_id <- intern t "sw";
+    log_id t k_arrival p t.sw_id
   end
 
 let log_forward t p ~dst = log t k_forward p dst

@@ -5,7 +5,7 @@ type 'a t = {
   latency : float;
   bandwidth : float option;
   name : string;
-  faults : Faults.t option;
+  link : Faults.link option;  (** Resolved once; see {!Faults.link}. *)
   mutable handler : ('a -> int -> unit) option;
   early : ('a * int) Queue.t;
       (** Deliveries that came due before a handler was installed. *)
@@ -28,7 +28,7 @@ let create engine ~latency ?bandwidth ?faults ~name () =
     latency;
     bandwidth;
     name;
-    faults;
+    link = Option.map (fun f -> Faults.link f name) faults;
     handler = None;
     early = Queue.create ();
     busy_until = 0.0;
@@ -81,13 +81,9 @@ let send t ?(size = 0) msg =
   if Opennf_obs.Trace.enabled t.trace then
     Opennf_obs.Trace.instant t.trace ~cat:"ch" ~name:t.name
       ~attrs:[| ("bytes", Opennf_obs.Trace.Int size) |] ();
-  match t.faults with
-  | None ->
-    let delivery = Float.max (t.busy_until +. t.latency) t.last_delivery in
-    t.last_delivery <- delivery;
-    Engine.schedule_at t.engine delivery (fun () -> deliver t msg size)
-  | Some faults ->
-    let copies, jitter = Faults.plan faults ~link:t.name in
+  match t.link with
+  | Some link when not (Faults.link_quiet link) ->
+    let copies, jitter = Faults.link_plan link in
     (* Jitter raises [last_delivery] too, so delivery order still equals
        send order (congestion, not reordering). *)
     let delivery =
@@ -102,6 +98,10 @@ let send t ?(size = 0) msg =
       for _ = 1 to copies do
         Engine.schedule_at t.engine delivery (fun () -> deliver t msg size)
       done
+  | Some _ | None ->
+    let delivery = Float.max (t.busy_until +. t.latency) t.last_delivery in
+    t.last_delivery <- delivery;
+    Engine.schedule_at t.engine delivery (fun () -> deliver t msg size)
 
 let name t = t.name
 let sent_count t = t.sent_count

@@ -7,9 +7,11 @@
     order-preserving move protocol relies on.
 
     When a {!Opennf_sim.Faults.t} is wired in, each send consults the
-    channel's fault profile (by channel [name]): messages may be
-    dropped, duplicated, or delayed by FIFO-preserving jitter. Without
-    one, behaviour is exactly fault-free and fully deterministic. *)
+    channel's fault profile ({!Opennf_sim.Faults.link} of the channel's
+    [name], looked up once at creation, so a profile set later still
+    applies): messages may be dropped, duplicated, or delayed by
+    FIFO-preserving jitter. Without one, or while the profile is quiet,
+    behaviour is exactly fault-free and fully deterministic. *)
 
 type 'a t
 

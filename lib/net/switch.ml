@@ -22,7 +22,12 @@ type t = {
   flow_mod_delay : float;
   packet_out_rate : float;
   table : Flowtable.t;
-  ports : (string, Packet.t Channel.t) Hashtbl.t;
+  mutable port_names : string array;
+  mutable port_chans : Packet.t Channel.t array;
+      (** Parallel arrays in attach order. A rule's [Forward] port is
+          usually the very string the port was attached under, so
+          [port_index] tries physical equality across all ports before
+          comparing strings. *)
   mutable controllers : from_switch Channel.t option array;
       (** Indexed by connection id; slot 0 is the legacy controller. *)
   mutable pick_conn : (Packet.t -> int) option;
@@ -46,7 +51,8 @@ let create engine audit ~name ?(flow_mod_delay = 0.010)
     flow_mod_delay;
     packet_out_rate;
     table = Flowtable.create ~engine ();
-    ports = Hashtbl.create 8;
+    port_names = [||];
+    port_chans = [||];
     controllers = [||];
     pick_conn = None;
     mods_applied_by = [||];
@@ -55,7 +61,28 @@ let create engine audit ~name ?(flow_mod_delay = 0.010)
     table_misses = 0;
   }
 
-let attach_port t ~name chan = Hashtbl.replace t.ports name chan
+let port_index t name =
+  let names = t.port_names in
+  let n = Array.length names in
+  let i = ref 0 in
+  while !i < n && names.(!i) != name do
+    incr i
+  done;
+  if !i = n then begin
+    i := 0;
+    while !i < n && not (String.equal names.(!i) name) do
+      incr i
+    done
+  end;
+  !i
+
+let attach_port t ~name chan =
+  let i = port_index t name in
+  if i < Array.length t.port_names then t.port_chans.(i) <- chan
+  else begin
+    t.port_names <- Array.append t.port_names [| name |];
+    t.port_chans <- Array.append t.port_chans [| chan |]
+  end
 
 (* Connection state (the channel slot and the barrier clock) is grown on
    demand: a barrier can arrive on a connection before its reply channel
@@ -103,19 +130,19 @@ let send_packet_in t packet cookie =
   send_on t ~conn (Packet_in { packet; cookie })
 
 let forward t (p : Packet.t) port =
-  match Hashtbl.find_opt t.ports port with
-  | None -> invalid_arg (Printf.sprintf "Switch %s: no port %s" t.name port)
-  | Some chan ->
-    Audit.log_forward t.audit p ~dst:port;
-    Channel.send chan ~size:p.Packet.wire_size p
+  let i = port_index t port in
+  if i >= Array.length t.port_chans then
+    invalid_arg (Printf.sprintf "Switch %s: no port %s" t.name port);
+  Audit.log_forward t.audit p ~dst:port;
+  Channel.send t.port_chans.(i) ~size:p.Packet.wire_size p
 
-let apply_actions t p cookie actions =
-  List.iter
-    (fun action ->
-      match (action : Flowtable.action) with
-      | Forward port -> forward t p port
-      | To_controller -> send_packet_in t p cookie)
-    actions
+let rec apply_actions t p cookie = function
+  | [] -> ()
+  | (action : Flowtable.action) :: rest ->
+    (match action with
+    | Forward port -> forward t p port
+    | To_controller -> send_packet_in t p cookie);
+    apply_actions t p cookie rest
 
 let inject t p =
   Audit.log_switch_arrival t.audit p;

@@ -279,16 +279,19 @@ let row t kind ~pkt ~nf ~src ~dst ~proto ~sport ~dport ~vt =
   let ps = pkt_state t fs pkt in
   ps.p_vt <- vt;
   ps.p_nf <- nf;
-  ps.p_shard <- 0;
   (* The op a row "occurred under": the newest still-open root op
-     span. *)
+     span, or none at all. *)
   (match t.open_roots with
   | o :: _ ->
     ps.p_op <- o.o_span;
     ps.p_op_name <- o.o_name;
     ps.p_shard <- o.o_shard;
     ps.p_phase <- o.o_phase
-  | [] -> ());
+  | [] ->
+    ps.p_op <- 0;
+    ps.p_op_name <- "";
+    ps.p_shard <- 0;
+    ps.p_phase <- "");
   match kind with
   | Forward ->
     (* First forwarding assigns the flow-order sequence; relays of the

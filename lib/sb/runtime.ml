@@ -19,14 +19,21 @@ type t = {
   name : string;
   impl : Nf_api.impl;
   costs : Costs.t;
-  faults : Opennf_sim.Faults.t option;
+  node : Opennf_sim.Faults.node option;  (** Resolved once at [create]. *)
   backend : Backend.t option;
-  (* Packet path: two queues consumed by one worker; [release_q] (packets
+  (* Packet CPU: a state machine over two queues; [release_q] (packets
      freed from event buffers) has priority so released packets are
-     processed before later direct arrivals. *)
+     processed before later direct arrivals. At most one packet is on
+     the CPU, and its service ends in one engine event, [complete]. *)
   input_q : Packet.t Queue.t;
   release_q : Packet.t Queue.t;
-  mutable worker_wakeup : (unit -> unit) option;
+  mutable on_cpu : bool;
+  mutable cur : Packet.t;  (** The packet on the CPU, when [on_cpu]. *)
+  mutable cur_evented : bool;
+      (** [cur] matched a [Process] event filter: its event is raised
+          once it completes. *)
+  mutable complete : unit -> unit;
+      (** [cur]'s completion event, allocated once per runtime. *)
   (* Southbound state operations, FIFO. *)
   work : Protocol.request Proc.Mailbox.t;
   mutable to_ctrl : Protocol.reply Channel.t option;
@@ -36,7 +43,7 @@ type t = {
   mutable in_service : unit Proc.Ivar.t option;
       (** Filled when the packet currently on the CPU finishes; state
           exports synchronize on it (the paper's per-connection mutex in
-          the Bro patch, §7). *)
+          the Bro patch, §7). Created only by a waiter. *)
   mutable processed : int;
   mutable dropped : int;
   mutable tombstone_drops : int;
@@ -64,9 +71,9 @@ let bind_shard t shard = t.shard <- shard
 let shard t = t.shard
 
 let alive t =
-  match t.faults with
+  match t.node with
   | None -> true
-  | Some f -> Opennf_sim.Faults.alive f ~node:t.name
+  | Some n -> Opennf_sim.Faults.node_alive n
 
 let send_raw t reply ~size =
   match t.to_ctrl with
@@ -129,15 +136,81 @@ let event_filter_matches ef (p : Packet.t) =
   && (Flow.Table.length ef.unlocked = 0
      || not (Flow.Table.mem ef.unlocked (Flow.canonical p.key)))
 
-let find_event_filter t p =
-  List.find_opt (fun ef -> event_filter_matches ef p) t.event_filters
+(* Newest first; no closure, as it runs for every packet. *)
+let rec first_event_filter p = function
+  | [] -> None
+  | ef :: rest ->
+    if event_filter_matches ef p then Some ef else first_event_filter p rest
 
-(* Process one packet on the NF CPU. *)
-let process t (p : Packet.t) =
-  let done_ivar = Proc.Ivar.create t.engine in
-  t.in_service <- Some done_ivar;
+(* What [cur] holds before the first packet arrives. *)
+let no_packet =
+  let zero = Ipaddr.v 0 0 0 0 in
+  Packet.create ~id:(-1)
+    ~key:(Flow.make ~src:zero ~dst:zero ~sport:0 ~dport:0 ())
+    ~sent_at:0.0 ()
+
+(* Put a packet on the NF CPU; [complete] takes it off. *)
+let start t (p : Packet.t) ~evented =
+  t.on_cpu <- true;
+  t.cur <- p;
+  t.cur_evented <- evented;
   let penalty = if t.busy_ops > 0 then 1.0 +. t.costs.Costs.export_penalty else 1.0 in
-  Proc.sleep (t.costs.Costs.proc_time *. penalty);
+  Engine.schedule t.engine ~delay:(t.costs.Costs.proc_time *. penalty) t.complete
+
+(* Wait for the packet currently being serviced (if any) to finish, so a
+   state capture cannot miss an update that is already half-applied. *)
+let wait_for_service t =
+  if t.on_cpu then begin
+    let done_ivar =
+      match t.in_service with
+      | Some iv -> iv
+      | None ->
+        let iv = Proc.Ivar.create t.engine in
+        t.in_service <- Some iv;
+        iv
+    in
+    Proc.Ivar.read done_ivar
+  end
+
+let dispose t (p : Packet.t) =
+  match first_event_filter p t.event_filters with
+  | Some ef -> (
+    match ef.action with
+    | Protocol.Drop when not p.do_not_drop ->
+      t.dropped <- t.dropped + 1;
+      Audit.log_drop t.audit p ~nf:t.name;
+      raise_event t p Protocol.Drop
+    | Protocol.Buffer when not p.do_not_buffer ->
+      Queue.push p ef.buffer;
+      Audit.log_buffered t.audit p ~nf:t.name;
+      raise_event t p Protocol.Buffer
+    | Protocol.Process | Protocol.Drop | Protocol.Buffer ->
+      start t p ~evented:true)
+  | None ->
+    if Tombstones.matches t.tombstones p.key then begin
+      t.dropped <- t.dropped + 1;
+      t.tombstone_drops <- t.tombstone_drops + 1;
+      Audit.log_drop t.audit p ~nf:t.name
+    end
+    else start t p ~evented:false
+
+(* Serve queued packets until one is on the CPU or both queues are
+   empty. A crashed or hung NF leaves its queues as they are; the next
+   arrival or release retries, so a hung NF resumes with the first
+   packet after its window. *)
+let pump t =
+  while
+    (not t.on_cpu)
+    && alive t
+    && not (Queue.is_empty t.release_q && Queue.is_empty t.input_q)
+  do
+    dispose t
+      (if Queue.is_empty t.release_q then Queue.pop t.input_q
+       else Queue.pop t.release_q)
+  done
+
+let complete t () =
+  let p = t.cur in
   (* A crash while the packet was on the CPU loses it mid-flight. *)
   if alive t then begin
     t.impl.Nf_api.process_packet p;
@@ -150,77 +223,19 @@ let process t (p : Packet.t) =
     | Some b -> Backend.note_packet b p.Packet.key
     | None -> ()
   end;
-  t.in_service <- None;
-  Proc.Ivar.fill done_ivar ()
-
-(* Wait for the packet currently being serviced (if any) to finish, so a
-   state capture cannot miss an update that is already half-applied. *)
-let wait_for_service t =
-  match t.in_service with
-  | Some done_ivar -> Proc.Ivar.read done_ivar
-  | None -> ()
-
-let dispose t (p : Packet.t) =
-  match find_event_filter t p with
-  | Some ef -> (
-    match ef.action with
-    | Protocol.Drop when not p.do_not_drop ->
-      t.dropped <- t.dropped + 1;
-      Audit.log_drop t.audit p ~nf:t.name;
-      raise_event t p Protocol.Drop
-    | Protocol.Buffer when not p.do_not_buffer ->
-      Queue.push p ef.buffer;
-      Audit.log_buffered t.audit p ~nf:t.name;
-      raise_event t p Protocol.Buffer
-    | Protocol.Process | Protocol.Drop | Protocol.Buffer ->
-      process t p;
-      raise_event t p Protocol.Process)
-  | None ->
-    if Tombstones.matches t.tombstones p.key then begin
-      t.dropped <- t.dropped + 1;
-      t.tombstone_drops <- t.tombstone_drops + 1;
-      Audit.log_drop t.audit p ~nf:t.name
-    end
-    else process t p
-
-let wake_worker t =
-  match t.worker_wakeup with
-  | Some resume ->
-    t.worker_wakeup <- None;
-    resume ()
-  | None -> ()
-
-let worker_loop t () =
-  let rec loop () =
-    if not (alive t) then begin
-      (* Crashed or hung: leave queued packets where they are and stall;
-         a hang's recovery wakes the worker via [receive]/[wake_worker]. *)
-      Proc.suspend (fun resume ->
-          assert (t.worker_wakeup = None);
-          t.worker_wakeup <- Some resume);
-      loop ()
-    end
-    else if not (Queue.is_empty t.release_q) then begin
-      dispose t (Queue.pop t.release_q);
-      loop ()
-    end
-    else if not (Queue.is_empty t.input_q) then begin
-      dispose t (Queue.pop t.input_q);
-      loop ()
-    end
-    else begin
-      Proc.suspend (fun resume ->
-          assert (t.worker_wakeup = None);
-          t.worker_wakeup <- Some resume);
-      loop ()
-    end
-  in
-  loop ()
+  t.on_cpu <- false;
+  (match t.in_service with
+  | Some done_ivar ->
+    t.in_service <- None;
+    Proc.Ivar.fill done_ivar ()
+  | None -> ());
+  if t.cur_evented then raise_event t p Protocol.Process;
+  pump t
 
 let receive t p =
   Audit.log_nf_arrival t.audit p ~nf:t.name;
   Queue.push p t.input_q;
-  wake_worker t
+  pump t
 
 (* Southbound state operations, executed FIFO by a dedicated process so
    puts pipeline behind gets without blocking enable/disable. *)
@@ -375,7 +390,7 @@ let disable_events t filter =
   List.iter
     (fun ef -> Queue.iter (fun p -> Queue.push p t.release_q) ef.buffer)
     (List.rev drop);
-  wake_worker t
+  pump t
 
 let control t (req : Protocol.request) =
   if alive t then
@@ -398,11 +413,14 @@ let create engine audit ~name ~impl ~costs ?faults ?backend () =
       name;
       impl;
       costs;
-      faults;
+      node = Option.map (fun f -> Opennf_sim.Faults.node f name) faults;
       backend;
       input_q = Queue.create ();
       release_q = Queue.create ();
-      worker_wakeup = None;
+      on_cpu = false;
+      cur = no_packet;
+      cur_evented = false;
+      complete = ignore;
       work = Proc.Mailbox.create engine;
       to_ctrl = None;
       event_filters = [];
@@ -423,6 +441,7 @@ let create engine audit ~name ~impl ~costs ?faults ?backend () =
       m_batch_items = Opennf_obs.Metrics.counter metrics "sb.batch.items";
     }
   in
+  t.complete <- complete t;
   (* Both ends of a replicated pair wire both directions; the backend's
      role decides which one is exercised. Export reuses the NF's own
      southbound serializers, so delta frames carry exactly the chunks a
@@ -442,7 +461,6 @@ let create engine audit ~name ~impl ~costs ?faults ?backend () =
           | Scope.Multi, None -> impl.Nf_api.delete_multiflow flowid
           | Scope.All, _ -> ()))
     backend;
-  Proc.spawn engine (worker_loop t);
   Proc.spawn engine (fun () ->
       let rec loop () =
         let req = Proc.Mailbox.recv t.work in

@@ -1,8 +1,9 @@
 (** NF runtime: hosts an NF implementation inside the simulation.
 
-    The runtime owns the NF's packet queue and CPU (a serial worker
-    process), executes southbound requests, generates packet-received
-    events, and maintains the event filters, per-filter packet buffers
+    The runtime owns the NF's packet queue and CPU (a serial state
+    machine: each packet's service ends in one completion event),
+    executes southbound requests in a worker process, generates
+    packet-received events, and maintains the event filters, per-filter packet buffers
     and the "moved away" tombstones that make packets for relocated
     flows drop instead of re-creating state (§5.1).
 
@@ -38,10 +39,14 @@ val create :
   ?backend:Opennf_state.Backend.t ->
   unit ->
   t
-(** Starts the worker processes immediately. With [faults], the runtime
-    consults the fault plan: once its node is crashed (or while hung) it
-    stops processing packets, ignores southbound requests and sends no
-    replies.
+(** Starts the southbound worker process immediately. With [faults],
+    the runtime consults its node's {!Opennf_sim.Faults.node} handle
+    (looked up once here, so a crash or hang registered later still
+    applies): once its node is crashed (or while hung) it stops
+    processing packets, ignores southbound requests and sends no
+    replies. A packet on the CPU at the crash instant is lost and later
+    packets stay queued; a hung NF serves its queue again from the
+    first packet that arrives after the hang window.
 
     With [backend], the runtime wires the NF's export/import functions
     as the backend's delta exporter/applier and exports the packet's

@@ -31,7 +31,10 @@ let index t =
 let matches t k =
   if t.pending <> [] then index t;
   (Hashtbl.length t.exact > 0 && Hashtbl.mem t.exact (Flow.canonical k))
-  || List.exists (fun f -> Filter.matches_flow f k) t.wide
+  ||
+  match t.wide with
+  | [] -> false
+  | wide -> List.exists (fun f -> Filter.matches_flow f k) wide
 
 let clear_for t flowid =
   if t.pending <> [] then index t;

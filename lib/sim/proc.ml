@@ -36,10 +36,6 @@ let spawn engine body =
 let sleep delay =
   try perform (Sleep delay) with Effect.Unhandled _ -> raise Not_in_process
 
-let suspend register =
-  try perform (Suspend register)
-  with Effect.Unhandled _ -> raise Not_in_process
-
 module Ivar = struct
   type 'a state = Empty of (unit -> unit) list | Full of 'a
   type 'a t = { engine : Engine.t; mutable state : 'a state }

@@ -19,12 +19,6 @@ val spawn : Engine.t -> (unit -> unit) -> unit
 val sleep : float -> unit
 (** Suspend the calling process for the given number of virtual seconds. *)
 
-val suspend : ((unit -> unit) -> unit) -> unit
-(** [suspend register] parks the calling process and passes its resume
-    thunk to [register]. The process continues when the thunk is called
-    (call it at most once). This is the low-level primitive [Ivar] and
-    [Mailbox] are built from; use it for custom wait queues. *)
-
 module Ivar : sig
   type 'a t
   (** Write-once synchronization variable. *)

@@ -392,6 +392,94 @@ let prop_order_preserving_under_link_faults =
       && Audit.order_violations tb.H.fab.audit = []
       && Audit.arrival_order_violations tb.H.fab.audit = [])
 
+(* --- handles: a fault registered after creation still applies ---------- *)
+
+let test_link_handle_sees_later_profile () =
+  let engine = Engine.create () in
+  let f = Faults.create engine () in
+  let ch = Channel.create engine ~latency:0.001 ~faults:f ~name:"l" () in
+  let got = ref [] in
+  Channel.set_handler ch (fun m -> got := m :: !got);
+  Channel.send ch 1;
+  Faults.set_link f ~name:"l" ~drop:1.0 ();
+  Channel.send ch 2;
+  Engine.run engine;
+  Alcotest.(check (list int)) "the send after set_link is dropped" [ 1 ] !got;
+  Alcotest.(check int) "counted on the channel" 1 (Channel.dropped_count ch);
+  Faults.clear_link f ~name:"l";
+  Channel.send ch 3;
+  Engine.run engine;
+  Alcotest.(check (list int)) "clear_link restores delivery" [ 3; 1 ] !got;
+  Alcotest.(check int) "one drop in all" 1 (Faults.dropped_count f)
+
+(* A Dummy NF whose CPU takes [proc_time] per packet, recording the ids
+   it processes, behind a fault plan created before any fault. *)
+let cpu_bed ~proc_time =
+  let engine = Engine.create () in
+  let faults = Faults.create engine () in
+  let d = Opennf_nfs.Dummy.create () in
+  let seen = ref [] in
+  let impl =
+    let base = Opennf_nfs.Dummy.impl d in
+    {
+      base with
+      Opennf_sb.Nf_api.process_packet =
+        (fun p ->
+          seen := p.Packet.id :: !seen;
+          base.Opennf_sb.Nf_api.process_packet p);
+    }
+  in
+  let rt =
+    Opennf_sb.Runtime.create engine (Audit.create engine) ~name:"nf" ~impl
+      ~costs:{ Opennf_sb.Costs.dummy with proc_time } ~faults ()
+  in
+  let arrive at id =
+    Engine.schedule_at engine at (fun () ->
+        Opennf_sb.Runtime.receive rt
+          (Packet.create ~id ~key:(H.dummy_key id) ~sent_at:at ()))
+  in
+  (engine, faults, rt, arrive, seen)
+
+let test_crash_after_create_stops_cpu () =
+  let engine, faults, rt, arrive, seen = cpu_bed ~proc_time:0.01 in
+  Faults.crash_at faults ~node:"nf" 1.0;
+  arrive 0.5 1;
+  arrive 1.5 2;
+  Engine.run engine;
+  Alcotest.(check (list int)) "only the packet before the crash" [ 1 ] !seen;
+  Alcotest.(check int) "the later packet stays queued" 1
+    (Opennf_sb.Runtime.queue_length rt)
+
+let test_crash_on_cpu_loses_packet () =
+  let engine, faults, rt, arrive, seen = cpu_bed ~proc_time:0.1 in
+  (* Packet 1 is on the CPU from 0.95 to 1.05; the crash lands at 1.0. *)
+  arrive 0.95 1;
+  arrive 0.96 2;
+  arrive 1.2 3;
+  Faults.crash_at faults ~node:"nf" 1.0;
+  Engine.run engine;
+  Alcotest.(check (list int)) "nothing processed" [] !seen;
+  Alcotest.(check int) "lost mid-flight, not counted" 0
+    (Opennf_sb.Runtime.processed_count rt);
+  Alcotest.(check int) "later packets stay queued" 2
+    (Opennf_sb.Runtime.queue_length rt)
+
+let test_hang_resumes_on_next_arrival () =
+  let engine, faults, rt, arrive, seen = cpu_bed ~proc_time:0.01 in
+  Faults.hang faults ~node:"nf" ~from_:1.0 ~until:2.0;
+  arrive 0.5 1;
+  arrive 1.1 2;
+  arrive 1.2 3;
+  arrive 2.5 4;
+  ignore (Engine.run_until engine ~until:2.4);
+  Alcotest.(check (list int)) "nothing served before the next arrival" [ 1 ]
+    !seen;
+  Alcotest.(check int) "queued through the hang" 2
+    (Opennf_sb.Runtime.queue_length rt);
+  Engine.run engine;
+  Alcotest.(check (list int)) "the next arrival serves the queue in order"
+    [ 1; 2; 3; 4 ] (List.rev !seen)
+
 let suite =
   [
     Alcotest.test_case "ivar read_timeout" `Quick test_read_timeout;
@@ -422,6 +510,14 @@ let suite =
       test_streaming_get_drops_replayed_pieces;
     Alcotest.test_case "parallel move under duplicating link" `Quick
       test_parallel_move_under_duplicating_link;
+    Alcotest.test_case "link handle: later set_link drops, clear restores"
+      `Quick test_link_handle_sees_later_profile;
+    Alcotest.test_case "node handle: crash after create stops the CPU" `Quick
+      test_crash_after_create_stops_cpu;
+    Alcotest.test_case "crash on the CPU loses the packet" `Quick
+      test_crash_on_cpu_loses_packet;
+    Alcotest.test_case "hang: next arrival serves the queue" `Quick
+      test_hang_resumes_on_next_arrival;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

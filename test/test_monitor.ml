@@ -105,9 +105,21 @@ let test_seeded_reorder () =
   Alcotest.(check bool)
     (Printf.sprintf "order violation found:\n%s" (Monitor.render v))
     true (orders <> []);
+  (* Each victim was evented at the source while the move ran, and then
+     relayed out of order after the move had returned: the finding's
+     rows lie outside any open op, so it names none, and its history
+     holds the move's event row. *)
   List.iter
     (fun f ->
-      Alcotest.(check string) "attributed to the move" "move" f.Monitor.op)
+      Alcotest.(check string) "rows after the move closed: no op" ""
+        f.Monitor.op;
+      Alcotest.(check bool) "evented at the source during the move" true
+        (List.exists
+           (fun h ->
+             String.ends_with
+               ~suffix:(Printf.sprintf "event pkt=%d nf=prads1" f.Monitor.pkt)
+               h)
+           f.Monitor.history))
     orders;
   (* The same scenario without the broken knob is clean — the finding
      is the knob's doing, not the scenario's. *)
@@ -212,6 +224,47 @@ let test_disabled_tap () =
   Trace.span_close tr span ();
   Alcotest.(check bool) "tap never fired" false !fired
 
+(* --- op context ------------------------------------------------------------- *)
+
+(* A row logged after its packet's op closed occurred under no op: the
+   finding it triggers names neither the op nor its shard or phase. A
+   [move] span on shard 1 sees packet 1 forwarded and processed; the
+   span closes; a second process of the packet is a duplicate. *)
+let test_closed_op_context () =
+  let m = Monitor.create () in
+  let ev kind ~id ~name ~attrs =
+    {
+      Trace.kind;
+      id;
+      parent = 0;
+      cat = "op";
+      name;
+      vt = 0.0;
+      wall = 0.0;
+      attrs;
+    }
+  in
+  let row kind vt =
+    Monitor.row m kind ~pkt:1 ~nf:"nf1" ~src:1 ~dst:2 ~proto:6 ~sport:10
+      ~dport:80 ~vt
+  in
+  Monitor.op_event m
+    (ev Trace.Begin ~id:7 ~name:"move" ~attrs:[| ("shard", Trace.Int 1) |]);
+  row Monitor.Forward 0.1;
+  row Monitor.Process 0.2;
+  Monitor.op_event m (ev Trace.End ~id:7 ~name:"" ~attrs:[||]);
+  row Monitor.Process 0.3;
+  match Monitor.findings m with
+  | [ f ] ->
+    Alcotest.(check string) "property" "duplicate"
+      (Monitor.property_name f.Monitor.property);
+    Alcotest.(check int) "packet" 1 f.Monitor.pkt;
+    Alcotest.(check string) "no op" "" f.Monitor.op;
+    Alcotest.(check int) "no op span" 0 f.Monitor.op_span;
+    Alcotest.(check int) "no shard" 0 f.Monitor.shard;
+    Alcotest.(check string) "no phase" "" f.Monitor.phase
+  | fs -> Alcotest.failf "expected one duplicate:\n%s" (Monitor.render fs)
+
 let suite =
   [
     Alcotest.test_case "fault-free LF move: clean (serial)" `Quick
@@ -230,4 +283,6 @@ let suite =
       test_disabled_tap;
     Alcotest.test_case "live findings == verdict's online findings" `Quick
       test_live_equals_verdict;
+    Alcotest.test_case "a row after its op closed names no op" `Quick
+      test_closed_op_context;
   ]

@@ -159,17 +159,20 @@ let test_proc_blocking_outside_raises () =
   Alcotest.check_raises "sleep outside process" Proc.Not_in_process (fun () ->
       Proc.sleep 1.0)
 
+(* A process parked on the internal suspend primitive (here through an
+   ivar) stays parked across a drained engine and resumes when code
+   outside the engine releases it. *)
 let test_proc_suspend_resume () =
   let e = Engine.create () in
-  let resume_cell = ref None in
+  let release = Proc.Ivar.create e in
   let stage = ref 0 in
   Proc.spawn e (fun () ->
       stage := 1;
-      Proc.suspend (fun resume -> resume_cell := Some resume);
+      Proc.Ivar.read release;
       stage := 2);
   Engine.run e;
   Alcotest.(check int) "parked" 1 !stage;
-  (match !resume_cell with Some r -> r () | None -> Alcotest.fail "no resume");
+  Proc.Ivar.fill release ();
   Engine.run e;
   Alcotest.(check int) "resumed" 2 !stage
 
@@ -266,6 +269,49 @@ let test_proc_ivar_upon () =
   Alcotest.check_raises "a callback cannot block" Proc.Not_in_process (fun () ->
       Engine.run e)
 
+(* One packet's hop from [Fabric.inject_at] through the switch (flow
+   table, port, audit rows) and the port channel to a Dummy NF's
+   completion. The packet CPU is one completion event allocated once per
+   runtime, the port and the fault profiles are resolved at creation,
+   and no per-packet walk (the switch's actions, the runtime's event
+   filters, the wide tombstones) allocates a closure: 50.1 words. With
+   the packet CPU as an effect-based process and string-keyed port,
+   link and node lookups, the same hop read 114.1. *)
+let test_nf_packet_service_alloc_budget () =
+  let open Opennf in
+  let fab = Fabric.create ~seed:7 () in
+  let d = Opennf_nfs.Dummy.create () in
+  let key = Helpers.dummy_key 1 in
+  Opennf_nfs.Dummy.seed_flows d [ key ];
+  let nf, rt =
+    Fabric.add_nf fab ~name:"dummy" ~impl:(Opennf_nfs.Dummy.impl d)
+      ~costs:Opennf_sb.Costs.dummy
+  in
+  Fabric.run_proc fab (fun () ->
+      Controller.set_route fab.Fabric.ctrl Opennf_net.Filter.any nf);
+  let n = 1_000 in
+  let packets =
+    Array.init n (fun id ->
+        Opennf_net.Packet.create ~id ~key ~sent_at:0.0 ())
+  in
+  let batch () =
+    let t0 = Engine.now fab.Fabric.engine in
+    Array.iteri
+      (fun i p ->
+        Fabric.inject_at fab (t0 +. (1e-4 *. float_of_int (i + 1))) p)
+      packets;
+    Fabric.run fab
+  in
+  let per_packet =
+    Helpers.minor_words_per ~iters:3 batch /. float_of_int n
+  in
+  Alcotest.(check int) "every packet processed" (4 * n)
+    (Opennf_sb.Runtime.processed_count rt);
+  Alcotest.(check bool)
+    (Printf.sprintf "NF packet service allocates < 53 minor words (got %.1f)"
+       per_packet)
+    true (per_packet < 53.0)
+
 let suite =
   [
     Alcotest.test_case "engine: time order" `Quick test_engine_time_order;
@@ -295,4 +341,6 @@ let suite =
       test_engine_dispatch_alloc_budget;
     Alcotest.test_case "ivar upon: resumes where a reader would" `Quick
       test_proc_ivar_upon;
+    Alcotest.test_case "alloc budget: NF packet service" `Quick
+      test_nf_packet_service_alloc_budget;
   ]
