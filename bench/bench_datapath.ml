@@ -3,8 +3,8 @@
    Measures, at 10k / 100k / 1M installed flows:
 
    - flow-table lookup cost (and packets/sec) for the indexed path —
-     exact-match hash + priority-bucketed wildcards + per-flow decision
-     cache — against the linear-scan oracle ([Oracle.Flowtable.lookup],
+     exact-match hash + priority-bucketed wildcards — against the
+     linear-scan oracle ([Oracle.Flowtable.lookup],
      the seed implementation's shape);
    - exact-filter [Store.Perflow.matching] (the getPerflow hot path of a
      single-flow move) against the fold-based reference;
@@ -79,8 +79,8 @@ let bench_flowtable n =
     ignore (Flowtable.lookup table sample.(!idx));
     idx := if !idx + 1 >= m then 0 else !idx + 1
   in
-  (* Cold: first visit of each sampled flow populates the decision
-     cache. Warm: every lookup is a cache hit. *)
+  (* Cold: first visit of each sampled flow. Warm: the same flows again,
+     their index slots and rows now in the CPU caches. *)
   let ft_cold = seconds_per lookup_next ~iters:m in
   let ft_warm = best_of lookup_next ~iters:(4 * m) in
   let ref_iters = max 3 (200_000 / n) in

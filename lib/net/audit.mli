@@ -72,7 +72,11 @@ val log_switch_arrival : t -> Packet.t -> unit
 (** The packet reached the switch from the network (recorded once per
     id). Arrival order is the ground truth for control planes that
     divert packets entirely to the controller, where no port forwarding
-    happens until re-injection. *)
+    happens until re-injection.
+
+    The ids seen so far are a flat set of ints (any int, negative ids
+    included), one 8-byte slot per id at load 1/4 to 1/2, kept for the
+    ledger's life; checking and adding an id allocates nothing. *)
 
 val log_nf_arrival : t -> Packet.t -> nf:string -> unit
 val log_process : t -> Packet.t -> nf:string -> unit

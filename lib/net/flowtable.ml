@@ -8,7 +8,9 @@ type rule = {
   mutable matched : int;
 }
 
-type entry = { rule : rule; installed_seq : int }
+(* [some_rule] is [Some rule], made once at install, so a lookup hands
+   back the winner without boxing it. *)
+type entry = { rule : rule; some_rule : rule option; installed_seq : int }
 
 (* Entries are indexed two ways (plus a cookie map for management):
 
@@ -28,29 +30,10 @@ type entry = { rule : rule; installed_seq : int }
      yields one (or as soon as the exact-match candidate outranks the
      remaining buckets).
 
-   A per-table decision cache memoizes the winning rule per directed
-   flow key (one slot per direction; flow-table matching is directional,
-   so the two directions of a connection can legitimately hit different
-   rules). It is a bounded direct-mapped cache — like a switch's flow
-   cache, its working set tracks the traffic, not the table, which is
-   what keeps hit cost flat as installed rules grow. Conflicting flows
-   simply evict each other and recompute through the indexes. The cache
-   is only consulted while no installed rule constrains TCP flags
-   ([flag_rules] = 0) — otherwise two packets of the same flow can
-   legitimately match different rules — and slots are validated against
-   [generation], which every install/remove bumps. *)
+   Every lookup goes through both indexes; nothing is memoized per
+   flow, so a lookup stores nothing and allocates nothing. *)
 
 type bucket = { prio : int; mutable entries : entry list }
-
-(* Slots are flat — the winning rule is stored directly (with a dummy
-   standing in for "no rule matched") so a cache hit dereferences one
-   record beyond the slot itself. *)
-type slot = {
-  mutable d_key : Flow.key;
-  mutable d_gen : int;  (* -1 = never filled. *)
-  mutable d_rule : rule;
-  mutable d_hit : bool;  (* False: the memoized decision is "no match". *)
-}
 
 module Arena = Opennf_util.Arena
 
@@ -69,8 +52,10 @@ let e_stride = 48
 let[@inline] get_int b o = Int64.to_int (Bytes.get_int64_le b o)
 let[@inline] set_int b o v = Bytes.set_int64_le b o (Int64.of_int v)
 
+module Int_table = Opennf_util.Int_table
+
 type t = {
-  by_cookie : (int, entry) Hashtbl.t;
+  by_cookie : entry Int_table.t;
   exact : Arena.t;
   (* eidx: directed-key probe table; slots hold the chain-head handle
      (0 = empty, -1 = tombstone). *)
@@ -79,32 +64,17 @@ type t = {
   mutable ecount : int; (* distinct exact keys (chains) *)
   mutable etombs : int;
   mutable wild : bucket list;  (* Sorted by descending priority. *)
-  mutable flag_rules : int;
-  mutable generation : int;
-  mutable cache : slot array;  (* Direct-mapped; length is a power of 2. *)
-  mutable cache_hits : int;
-  mutable cache_misses : int;
   mutable next_seq : int;
   m_lookups : Opennf_obs.Metrics.counter;
-  m_hits : Opennf_obs.Metrics.counter;
-  m_misses : Opennf_obs.Metrics.counter;
 }
 
-let dummy_key =
-  Flow.make ~src:(Ipaddr.of_int 0) ~dst:(Ipaddr.of_int 0) ~sport:0 ~dport:0 ()
-
-let dummy_rule =
-  { cookie = min_int; priority = 0; filters = []; actions = []; matched = 0 }
-
-let cache_slots len =
-  Array.init len (fun _ ->
-      { d_key = dummy_key; d_gen = -1; d_rule = dummy_rule; d_hit = false })
-
-(* The cache starts small and doubles as rules are installed, up to a
-   fixed ceiling: small simulated switches stay cheap, large tables get
-   enough slots that concurrent flows rarely collide. *)
-let cache_initial = 256
-let cache_max = 1 lsl 17
+(* What the indexes return when no rule matches: its priority ranks
+   below every rule's, and its [some_rule] is the lookup's [None]. *)
+let no_entry =
+  let rule =
+    { cookie = min_int; priority = min_int; filters = []; actions = []; matched = 0 }
+  in
+  { rule; some_rule = None; installed_seq = min_int }
 
 let create ?engine () =
   let obs =
@@ -114,22 +84,15 @@ let create ?engine () =
   in
   let metrics = Opennf_obs.Hub.metrics obs in
   {
-    by_cookie = Hashtbl.create 64;
+    by_cookie = Int_table.create 64;
     exact = Arena.create ~stride:e_stride ();
     eidx = Array.make 256 0;
     emask = 255;
     ecount = 0;
     etombs = 0;
     wild = [];
-    flag_rules = 0;
-    generation = 0;
-    cache = cache_slots cache_initial;
-    cache_hits = 0;
-    cache_misses = 0;
     next_seq = 0;
     m_lookups = Opennf_obs.Metrics.counter metrics "ft.lookups";
-    m_hits = Opennf_obs.Metrics.counter metrics "ft.cache_hits";
-    m_misses = Opennf_obs.Metrics.counter metrics "ft.cache_misses";
   }
 
 let has_flag_filter rule =
@@ -279,8 +242,7 @@ let exact_keys rule =
   else None
 
 let unlink t e =
-  Hashtbl.remove t.by_cookie e.rule.cookie;
-  if has_flag_filter e.rule then t.flag_rules <- t.flag_rules - 1;
+  Int_table.remove t.by_cookie e.rule.cookie;
   match exact_keys e.rule with
   | Some keys -> List.iter (eindex_remove t e) keys
   | None ->
@@ -290,8 +252,7 @@ let unlink t e =
     t.wild <- List.filter (fun b -> b.entries <> []) t.wild
 
 let link t e =
-  Hashtbl.replace t.by_cookie e.rule.cookie e;
-  if has_flag_filter e.rule then t.flag_rules <- t.flag_rules + 1;
+  Int_table.replace t.by_cookie e.rule.cookie e;
   match exact_keys e.rule with
   | Some keys -> List.iter (eindex_add t e) keys
   | None -> (
@@ -310,32 +271,25 @@ let link t e =
       in
       t.wild <- insert t.wild)
 
-let invalidate t = t.generation <- t.generation + 1
-
-let maybe_grow_cache t =
-  let len = Array.length t.cache in
-  if len < cache_max && 2 * Hashtbl.length t.by_cookie >= len then
-    t.cache <- cache_slots (min cache_max (4 * len))
-
 let install t ~cookie ~priority ~filters ~actions =
   let rule = { cookie; priority; filters; actions; matched = 0 } in
-  let entry = { rule; installed_seq = t.next_seq } in
+  let entry = { rule; some_rule = Some rule; installed_seq = t.next_seq } in
   t.next_seq <- t.next_seq + 1;
-  (match Hashtbl.find_opt t.by_cookie cookie with
+  (match Int_table.find_opt t.by_cookie cookie with
   | Some old -> unlink t old
   | None -> ());
-  link t entry;
-  maybe_grow_cache t;
-  invalidate t
+  link t entry
 
 let remove t ~cookie =
-  match Hashtbl.find_opt t.by_cookie cookie with
+  match Int_table.find_opt t.by_cookie cookie with
   | None -> ()
-  | Some e ->
-    unlink t e;
-    invalidate t
+  | Some e -> unlink t e
 
-let rule_matches r p = List.exists (fun f -> Filter.matches_packet f p) r.filters
+let rec any_matches p = function
+  | [] -> false
+  | f :: rest -> Filter.matches_packet f p || any_matches p rest
+
+let rule_matches r p = any_matches p r.filters
 
 (* Higher priority wins; the most recent install breaks ties. *)
 let beats a b =
@@ -346,7 +300,8 @@ let beats a b =
    the winning row's entry is fetched (via the cookie map), and only
    flag-marked rows pay a full [rule_matches] re-check. Unmarked rows
    match by construction: their filters pin exactly this 5-tuple and
-   packet matching ignores the app field. *)
+   packet matching ignores the app field. Every row's cookie is in the
+   cookie map: [unlink] drops both together. *)
 let exact_best t p =
   let k = p.Packet.key in
   let s =
@@ -355,7 +310,7 @@ let exact_best t p =
       (Ipaddr.to_int k.Flow.dst_ip)
       (Key_row.rank k.Flow.proto) k.Flow.src_port k.Flow.dst_port
   in
-  if s = -1 then None
+  if s = -1 then no_entry
   else begin
     let a = t.exact in
     let found = ref false and best = ref 0 in
@@ -367,99 +322,62 @@ let exact_best t p =
       let prio = get_int b (o + eo_prio) in
       let seq = get_int b (o + eo_seq) in
       let cookie = get_int b (o + eo_cookie) in
-      if prio > !bp || (prio = !bp && seq > !bs) then begin
-        let ok =
-          Bytes.get_uint8 b (o + eo_flag) = 0
-          ||
-          match Hashtbl.find_opt t.by_cookie cookie with
-          | Some e -> rule_matches e.rule p
-          | None -> false
-        in
-        if ok then begin
-          found := true;
-          best := cookie;
-          bp := prio;
-          bs := seq
-        end
+      if
+        (prio > !bp || (prio = !bp && seq > !bs))
+        && (Bytes.get_uint8 b (o + eo_flag) = 0
+           || rule_matches (Int_table.find t.by_cookie cookie).rule p)
+      then begin
+        found := true;
+        best := cookie;
+        bp := prio;
+        bs := seq
       end;
       h := get_int b (o + eo_next)
     done;
-    if !found then Hashtbl.find_opt t.by_cookie !best else None
+    if !found then Int_table.find t.by_cookie !best else no_entry
   end
 
-let wild_best t p ~stop_at =
-  let rec bucket_scan = function
-    | [] -> None
-    | b :: rest -> (
-      match stop_at with
-      | Some limit when limit.rule.priority > b.prio -> None
-      | _ -> (
-        match List.find_opt (fun e -> rule_matches e.rule p) b.entries with
-        | Some e -> Some e
-        | None -> bucket_scan rest))
-  in
-  bucket_scan t.wild
+(* The newest matching entry of the highest-priority bucket that has
+   one, stopping once the buckets rank below [limit] (the exact index's
+   winner's priority). *)
+let rec entry_scan p = function
+  | [] -> no_entry
+  | e :: rest -> if rule_matches e.rule p then e else entry_scan p rest
+
+let rec wild_best p limit = function
+  | [] -> no_entry
+  | b :: rest ->
+    if limit > b.prio then no_entry
+    else
+      let e = entry_scan p b.entries in
+      if e != no_entry then e else wild_best p limit rest
 
 let decide t p =
   let exact = exact_best t p in
-  let winner =
-    match (exact, wild_best t p ~stop_at:exact) with
-    | best, None | None, best -> best
-    | Some a, Some b -> if beats a b then Some a else Some b
-  in
-  winner
-
-let record_match = function
-  | None -> None
-  | Some e ->
-    e.rule.matched <- e.rule.matched + 1;
-    Some e.rule
+  let wild = wild_best p exact.rule.priority t.wild in
+  if wild == no_entry then exact
+  else if exact != no_entry && beats exact wild then exact
+  else wild
 
 let lookup t p =
   Opennf_obs.Metrics.incr t.m_lookups;
-  if t.flag_rules > 0 then record_match (decide t p)
-  else begin
-    let key = p.Packet.key in
-    let slot = t.cache.(Flow.hash key land (Array.length t.cache - 1)) in
-    if slot.d_gen = t.generation && Flow.equal slot.d_key key then begin
-      t.cache_hits <- t.cache_hits + 1;
-      Opennf_obs.Metrics.incr t.m_hits;
-      if slot.d_hit then begin
-        let r = slot.d_rule in
-        r.matched <- r.matched + 1;
-        Some r
-      end
-      else None
-    end
-    else begin
-      t.cache_misses <- t.cache_misses + 1;
-      Opennf_obs.Metrics.incr t.m_misses;
-      let winner = decide t p in
-      slot.d_key <- key;
-      slot.d_gen <- t.generation;
-      (match winner with
-      | Some e ->
-        slot.d_rule <- e.rule;
-        slot.d_hit <- true
-      | None ->
-        slot.d_rule <- dummy_rule;
-        slot.d_hit <- false);
-      record_match winner
-    end
-  end
+  let e = decide t p in
+  if e != no_entry then e.rule.matched <- e.rule.matched + 1;
+  e.some_rule
 
 let find t ~cookie =
-  Option.map (fun e -> e.rule) (Hashtbl.find_opt t.by_cookie cookie)
+  match Int_table.find_opt t.by_cookie cookie with
+  | Some e -> e.some_rule
+  | None -> None
 
 (* Newest-first dump: the cookie table's entries sorted by descending
    install sequence (sequences are unique, so the order is total). *)
 let rules t =
-  Hashtbl.fold (fun _ e acc -> e :: acc) t.by_cookie []
+  Int_table.fold (fun _ e acc -> e :: acc) t.by_cookie []
   |> List.sort (fun a b -> Int.compare b.installed_seq a.installed_seq)
   |> List.map (fun e -> e.rule)
 
-let size t = Hashtbl.length t.by_cookie
-let cache_stats t = (t.cache_hits, t.cache_misses)
+let size t = Int_table.length t.by_cookie
 
 (* Cookies are allocated strided by controller shard (see
    {!Opennf.Controller.fresh_cookie}): cookie mod shards names the
@@ -467,7 +385,7 @@ let cache_stats t = (t.cache_hits, t.cache_misses)
 let slice_counts t ~shards =
   if shards < 1 then invalid_arg "Flowtable.slice_counts: shards must be >= 1";
   let counts = Array.make shards 0 in
-  Hashtbl.iter
+  Int_table.iter
     (fun cookie _ ->
       let s = ((cookie mod shards) + shards) mod shards in
       counts.(s) <- counts.(s) + 1)

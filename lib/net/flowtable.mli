@@ -1,4 +1,9 @@
-(** Priority flow tables (the data-plane half of the SDN switch). *)
+(** Priority flow tables (the data-plane half of the SDN switch).
+
+    Every packet the switch receives costs one {!lookup}: an exact
+    5-tuple index and priority-bucketed wildcard rules, with no per-flow
+    decision cache in front of them, so a lookup writes nothing but the
+    winner's [matched] counter. *)
 
 type action =
   | Forward of string  (** Output on the port with this name. *)
@@ -15,9 +20,8 @@ type rule = {
 type t
 
 val create : ?engine:Opennf_sim.Engine.t -> unit -> t
-(** A table created with [~engine] records ["ft.lookups"],
-    ["ft.cache_hits"] and ["ft.cache_misses"] counters on the engine's
-    observability hub, so its metrics land next to every other
+(** A table created with [~engine] counts ["ft.lookups"] on the
+    engine's observability hub, so its metrics land next to every other
     engine-sourced series. Without it metrics are disabled. *)
 
 val install :
@@ -33,20 +37,16 @@ val lookup : t -> Packet.t -> rule option
     recently installed wins.
 
     O(1) for the common case: rules pinning full 5-tuples are probed by
-    hash on the packet's key, remaining (wildcard) rules are scanned by
-    descending priority bucket with early exit, and the winning decision
-    is memoized per flow while no installed rule constrains TCP flags.
-    Install/remove invalidate memoized decisions (generation counter),
-    so results are always identical to a full linear scan. *)
+    hash on the packet's key, and the remaining (wildcard) rules are
+    scanned by descending priority bucket with early exit. Results are
+    identical to a full linear scan. A lookup allocates nothing: the
+    returned option is made once, at install. *)
 
 val find : t -> cookie:int -> rule option
 val rules : t -> rule list
 (** Most recently installed first. *)
 
 val size : t -> int
-
-val cache_stats : t -> int * int
-(** [(hits, misses)] of the per-flow decision cache. *)
 
 val slice_counts : t -> shards:int -> int array
 (** Installed rules per controller shard, by cookie residue

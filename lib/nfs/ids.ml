@@ -222,7 +222,7 @@ let process_packet t (p : Packet.t) =
 
 (* --- serialization ---------------------------------------------------- *)
 
-let write_key w (k : Flow.key) =
+let put_key w (k : Flow.key) =
   let open Bytes_io.Writer in
   int w (Ipaddr.to_int k.src_ip);
   int w (Ipaddr.to_int k.dst_ip);
@@ -230,7 +230,7 @@ let write_key w (k : Flow.key) =
   u16 w k.src_port;
   u16 w k.dst_port
 
-let read_key r =
+let get_key r =
   let open Bytes_io.Reader in
   let src = Ipaddr.of_int (int r) in
   let dst = Ipaddr.of_int (int r) in
@@ -248,7 +248,7 @@ let read_key r =
 let conn_chunk conn =
   Chunk.encode ~kind:"ids.conn" (fun w ->
       let open Bytes_io.Writer in
-      write_key w conn.key;
+      put_key w conn.key;
       int w (Ipaddr.to_int conn.client);
       bool w conn.established;
       bool w conn.started_properly;
@@ -280,7 +280,7 @@ let conn_chunk conn =
 let conn_of_chunk chunk =
   let r = Chunk.reader chunk in
   let open Bytes_io.Reader in
-  let key = read_key r in
+  let key = get_key r in
   let client = Ipaddr.of_int (int r) in
   let established = bool r in
   let started_properly = bool r in

@@ -6,16 +6,17 @@ open Opennf_net
    [Filter.matches_flow] matches the key or its reverse, and
    [Filter.accepts_flowid] against an exact flowid compares all five
    fields in either direction (the TCP flag is ignored by both). The
-   table hashes keys structurally: its iteration order is never
+   table hashes and compares keys with [Flow.hash] and [Flow.equal], not
+   the polymorphic hash and compare; its iteration order is never
    observed. Adds are queued in [pending] and sorted into [exact] or
    [wide] by the next query, so deleting state costs a cons. *)
 type t = {
-  exact : (Flow.key, unit) Hashtbl.t;
+  exact : unit Flow.Table.t;
   mutable wide : Filter.t list;
   mutable pending : Filter.t list;
 }
 
-let create () = { exact = Hashtbl.create 16; wide = []; pending = [] }
+let create () = { exact = Flow.Table.create 16; wide = []; pending = [] }
 let add t flowid = t.pending <- flowid :: t.pending
 
 let index t =
@@ -23,14 +24,14 @@ let index t =
     (fun flowid ->
       match Filter.exact_key flowid with
       | Some k when flowid.Filter.app = None ->
-        Hashtbl.replace t.exact (Flow.canonical k) ()
+        Flow.Table.replace t.exact (Flow.canonical k) ()
       | Some _ | None -> t.wide <- flowid :: t.wide)
     t.pending;
   t.pending <- []
 
 let matches t k =
   if t.pending <> [] then index t;
-  (Hashtbl.length t.exact > 0 && Hashtbl.mem t.exact (Flow.canonical k))
+  (Flow.Table.length t.exact > 0 && Flow.Table.mem t.exact (Flow.canonical k))
   ||
   match t.wide with
   | [] -> false
@@ -38,12 +39,12 @@ let matches t k =
 
 let clear_for t flowid =
   if t.pending <> [] then index t;
-  if Hashtbl.length t.exact > 0 then begin
+  if Flow.Table.length t.exact > 0 then begin
     match Filter.exact_key flowid with
-    | Some k -> Hashtbl.remove t.exact (Flow.canonical k)
+    | Some k -> Flow.Table.remove t.exact (Flow.canonical k)
     | None ->
       (* A wider flowid: test each exact marker as the filter it was. *)
-      Hashtbl.filter_map_inplace
+      Flow.Table.filter_map_inplace
         (fun k () ->
           if Filter.accepts_flowid (Filter.of_key k) flowid then None
           else Some ())

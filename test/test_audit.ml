@@ -190,13 +190,14 @@ module Dump_oracle = Dump (Oracle)
    call, packet id, key and instance. *)
 type op = { dt : int; call : int; id : int; k : int; nf : int }
 
-let op_gen =
+let op_with ~call ~id =
   QCheck.Gen.(
     map
       (fun ((dt, call), (id, k, nf)) -> { dt; call; id; k; nf })
-      (pair (pair (int_bound 2) (int_bound 6))
-         (triple (int_bound (max_pkt - 1)) (int_bound (Array.length keys - 1))
-            (int_bound (Array.length nfs - 1)))))
+      (pair (pair (int_bound 2) call)
+         (triple id (int_bound (Array.length keys - 1)) (int_bound (Array.length nfs - 1)))))
+
+let op_gen = QCheck.Gen.(op_with ~call:(int_bound 6) ~id:(int_bound (max_pkt - 1)))
 
 let ops_print ops =
   String.concat ";"
@@ -300,6 +301,30 @@ let prop_oracle =
   QCheck.Test.make ~name:"columnar ledger == trace-backed oracle (random)" ~count:300
     (QCheck.pair QCheck.bool ops_arb) agrees_with_oracle
 
+(* Switch arrivals over ids the ledger's arrival set must keep apart:
+   enough distinct ids to double the set several times, negative
+   (preload) ids, the extreme ints, ids equal modulo every power-of-two
+   table size, and repeats of each. *)
+let arrival_id =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, int_bound 8191);
+        (1, map (fun i -> -1 - i) (int_bound 63));
+        (1, oneofl [ min_int; min_int + 1; max_int; max_int - 1; 0 ]);
+        (1, map2 (fun i shift -> i lsl shift) (int_range (-4) 4) (int_range 10 40));
+      ])
+
+let arrival_op =
+  QCheck.Gen.(op_with ~call:(frequency [ (3, return 0); (1, int_bound 6) ]) ~id:arrival_id)
+
+let prop_arrival_ids =
+  QCheck.Test.make ~name:"switch arrivals of any id == oracle (random)" ~count:30
+    (QCheck.pair QCheck.bool
+       (QCheck.make ~print:ops_print
+          QCheck.Gen.(list_size (int_range 1000 6000) arrival_op)))
+    agrees_with_oracle
+
 (* A fixed run of 10,000 logging ops (no switch arrivals, which log once
    per id): its rows span three row chunks, and the traced run's mirror
    positions grow past their initial 1,024. *)
@@ -335,6 +360,32 @@ let test_log_alloc_budget () =
   Alcotest.(check bool)
     (Printf.sprintf "log_forward %.2f words/record <= %.0f" forward budget)
     true (forward <= budget)
+
+(* A switch arrival of a fresh id adds one int to the ledger's flat
+   arrival set and writes one row: no cell, no closure, nothing on the
+   minor heap, including across the set's five doublings in this window
+   (its arrays are allocated on the major heap). The window stays inside
+   the first four row chunks, whose index the ledger allocates with the
+   first row. A repeated id writes nothing. *)
+let test_switch_arrival_alloc () =
+  let _, a = bed () in
+  let iters = 16_000 in
+  let fresh = Array.init (iters + 1) (fun i -> pkt i key) in
+  let next = ref 0 in
+  let first =
+    Helpers.minor_words_per ~iters (fun () ->
+        Audit.log_switch_arrival a fresh.(!next);
+        incr next)
+  in
+  let again =
+    Helpers.minor_words_per ~iters:1000 (fun () -> Audit.log_switch_arrival a fresh.(0))
+  in
+  Alcotest.(check (float 0.0)) "fresh id" 0.0 first;
+  Alcotest.(check (float 0.0)) "repeated id" 0.0 again;
+  let rows = ref 0 in
+  Audit.replay a ~row:(fun _ ~pkt:_ ~nf:_ ~src:_ ~dst:_ ~proto:_ ~sport:_ ~dport:_ ~vt:_ -> incr rows)
+    ~hub:ignore;
+  Alcotest.(check int) "one row per id" (iters + 1) !rows
 
 (* Rows live in fixed-size [Bytes] chunks that are never copied, so a
    fresh ledger's major-heap allocation is its 40-byte rows (5 words)
@@ -416,8 +467,11 @@ let suite =
     Alcotest.test_case "log allocation budget" `Quick test_log_alloc_budget;
     Alcotest.test_case "log major-heap budget" `Quick test_log_major_budget;
     QCheck_alcotest.to_alcotest prop_oracle;
+    QCheck_alcotest.to_alcotest prop_arrival_ids;
     Alcotest.test_case "ledger == oracle across row chunks" `Quick
       test_oracle_long;
     Alcotest.test_case "alloc budget: monitored audit row" `Quick
       test_monitored_row_alloc_budget;
+    Alcotest.test_case "switch arrival row allocates nothing" `Quick
+      test_switch_arrival_alloc;
   ]

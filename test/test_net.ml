@@ -291,6 +291,41 @@ let test_flowtable_multi_filter_rule () =
   Alcotest.(check bool) "reverse dir" true
     (Flowtable.lookup t (pkt (Flow.reverse key)) <> None)
 
+(* A lookup walks both indexes and returns the option made at install:
+   the exact probe, the flag re-check through the cookie map and the
+   wild-bucket scan allocate nothing, whichever index wins or when no
+   rule matches. *)
+let test_flowtable_lookup_alloc () =
+  let t = Flowtable.create () in
+  let exact = Filter.of_key key in
+  Flowtable.install t ~cookie:1 ~priority:100
+    ~filters:[ Filter.of_src_prefix (Ipaddr.Prefix.of_string "10.0.0.0/8") ]
+    ~actions:[ Flowtable.Forward "wild" ];
+  Flowtable.install t ~cookie:2 ~priority:200 ~filters:[ exact; Filter.mirror exact ]
+    ~actions:[ Flowtable.Forward "exact" ];
+  Flowtable.install t ~cookie:3 ~priority:300
+    ~filters:[ { exact with Filter.tcp_flag = Some Packet.Syn } ]
+    ~actions:[ Flowtable.To_controller ];
+  Flowtable.install t ~cookie:4 ~priority:50
+    ~filters:[ Filter.make ~dst_port:9 ~tcp_flag:Packet.Syn () ]
+    ~actions:[ Flowtable.To_controller ];
+  let wild_only = Flow.make ~src:(ip 10 9 9 9) ~dst:(ip 8 8 8 8) ~sport:1 ~dport:9 () in
+  let miss = Flow.make ~src:(ip 9 9 9 9) ~dst:(ip 8 8 8 8) ~sport:1 ~dport:9 () in
+  List.iter
+    (fun (what, p, cookie) ->
+      Alcotest.(check (option int)) (what ^ ": winner") cookie
+        (Option.map (fun r -> r.Flowtable.cookie) (Flowtable.lookup t p));
+      Alcotest.(check (float 0.0)) (what ^ ": allocates nothing") 0.0
+        (Helpers.minor_words_per ~iters:1000 (fun () -> ignore (Flowtable.lookup t p))))
+    [
+      ("exact rule", pkt key, Some 2);
+      ("exact rule, reverse", pkt (Flow.reverse key), Some 2);
+      ("flag-constrained exact rule", pkt ~flags:[ Packet.Syn ] key, Some 3);
+      ("wild rule", pkt wild_only, Some 1);
+      ("flag-constrained wild rule", pkt ~flags:[ Packet.Syn ] miss, Some 4);
+      ("no rule", pkt miss, None);
+    ]
+
 (* [rules] is newest-first by install sequence: re-installing a cookie
    moves it to the front, removing one closes the gap. *)
 let test_flowtable_rules_order () =
@@ -528,6 +563,8 @@ let suite =
       test_flowtable_multi_filter_rule;
     Alcotest.test_case "flowtable: rules newest first" `Quick
       test_flowtable_rules_order;
+    Alcotest.test_case "flowtable: lookup allocates nothing" `Quick
+      test_flowtable_lookup_alloc;
     Alcotest.test_case "channel: latency & order" `Quick
       test_channel_latency_and_order;
     Alcotest.test_case "channel: bandwidth" `Quick test_channel_bandwidth_serializes;
