@@ -64,7 +64,7 @@ let deliver t msg size =
   | Some f -> f msg size
   | None -> Queue.push (msg, size) t.early
 
-let send t ?(size = 0) msg =
+let send t ~size msg =
   let module Engine = Opennf_sim.Engine in
   let now = Engine.now t.engine in
   let start = Float.max now t.busy_until in

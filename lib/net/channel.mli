@@ -34,9 +34,11 @@ val set_handler_with_size : 'a t -> ('a -> int -> unit) -> unit
     sender declared (receivers whose processing cost scales with bytes
     read need it). *)
 
-val send : 'a t -> ?size:int -> 'a -> unit
-(** [size] (bytes) matters only when the channel has finite bandwidth;
-    defaults to 0. *)
+val send : 'a t -> size:int -> 'a -> unit
+(** [size] (bytes) is the message's wire size: it sets the
+    serialization delay on a channel with finite bandwidth and is added
+    to {!bytes_sent} and the handler's size argument. Required, so a
+    send boxes no optional argument. *)
 
 val name : 'a t -> string
 val sent_count : 'a t -> int

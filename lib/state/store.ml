@@ -254,7 +254,10 @@ module Perflow_arena = struct
       let h = find t key in
       if h = Arena.null then [] else [ (key_of t h, h) ]
     | None ->
-      let rows = ref (Array.make 48 0) and n = ref 0 in
+      (* Room for every live row, allocated once: the scan visits each
+         row anyway, and a buffer that doubled from 16 triples cost
+         about a third of a 10k-row scan. *)
+      let rows = Array.make (3 * t.count) 0 and n = ref 0 in
       Arena.iter_rows t.arena (fun h b off ->
           let src =
             Bytes.get_uint16_le b off lor (Bytes.get_uint16_le b (off + 2) lsl 16)
@@ -269,16 +272,14 @@ module Perflow_arena = struct
               ~dst:(Ipaddr.of_int dst) ~proto:(Key_row.proto_of_rank pr)
               ~sport:sp ~dport:dp
           then begin
-            if 3 * !n = Array.length !rows then
-              rows := Array.append !rows !rows;
             let o = 3 * !n in
-            !rows.(o) <- (src lsl 24) lor (dst lsr 8);
-            !rows.(o + 1) <-
+            rows.(o) <- (src lsl 24) lor (dst lsr 8);
+            rows.(o + 1) <-
               ((dst land 0xFF) lsl 40) lor (pr lsl 32) lor (sp lsl 16) lor dp;
-            !rows.(o + 2) <- h;
+            rows.(o + 2) <- h;
             incr n
           end);
-      let r = sort_triples !rows !n in
+      let r = sort_triples rows !n in
       let acc = ref [] in
       for i = !n - 1 downto 0 do
         let k1 = r.(3 * i) and k2 = r.((3 * i) + 1) in

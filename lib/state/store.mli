@@ -30,12 +30,12 @@ module Perflow : sig
 
       Limit: a host- or prefix-scoped get is a scan of the store, O(n)
       in its size (about 70 µs at 2k entries, 0.34 ms at 10k and 6 ms
-      at 100k on one core of a 2-vCPU Intel Xeon VM). Only the IDS,
-      proxy and dummy NFs keep state here, and no experiment or
-      workload gives one more than a few thousand flows (3,000 at most,
-      in fig13); the [datapath] bench's million-key store is only ever
-      probed by exact key. State that grows to millions of flows and is
-      enumerated by scope belongs in {!Perflow_arena}. *)
+      at 100k on one core of a 2-vCPU Intel Xeon VM). Only the IDS
+      and proxy NFs keep state here, and no experiment or workload
+      gives one more than a few thousand flows; the [datapath] bench's
+      million-key store is only ever probed by exact key. State that
+      grows to millions of flows and is enumerated by scope belongs in
+      {!Perflow_arena}. *)
 
   val fold : 'a t -> init:'b -> f:(Flow.key -> 'a -> 'b -> 'b) -> 'b
   val size : 'a t -> int
@@ -104,8 +104,10 @@ module Perflow_arena : sig
       Anything else scans the live rows, keeps the matches with their
       keys packed into two unboxed ints, and sorts only those (a linear
       check when they already are in order, as rows inserted in key
-      order are). As on {!Perflow}, there is no per-host index: scoped
-      selection is enumeration, not indexed lookup. *)
+      order are). The match buffer is allocated once per scan, sized
+      for every live row (three words a row), so it never regrows. As
+      on {!Perflow}, there is no per-host index: scoped selection is
+      enumeration, not indexed lookup. *)
 
   val size : t -> int
 end

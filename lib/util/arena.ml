@@ -1,6 +1,6 @@
 (* Flat-memory slab arena: fixed-stride rows in Bytes chunks, addressed
    by integer handles. The point is what the GC does NOT see — a
-   million live rows are a handful of byte slabs plus small int arrays,
+   million live rows are a few hundred byte slabs plus int arrays,
    so major-heap marking cost stays flat however much per-flow state an
    NF holds. Boxed record stores are the thing this replaces: at 1M
    flows those put tens of millions of pointered words in front of
@@ -30,16 +30,23 @@ let idx_bits = 32
 let idx_mask = (1 lsl idx_bits) - 1
 let gen_mask = (1 lsl 30) - 1
 
-(* 32k rows per slab: big enough that slab bookkeeping vanishes, small
-   enough that growth never copies row storage. *)
-let slab_bits = 15
+(* 2,048 rows per slab. A store pays for its first slab at its first
+   row, so the slab size is what a small store costs: a few hundred
+   flows (one NF of a move, a standby's sent keys, a switch's exact
+   rules) hold 2,048 rows and 2,048 generation words, not 32k of each.
+   A million rows are ~500 slabs, still a spine the GC scans in
+   microseconds. Addressing stays one shift and one mask, and growth
+   adds a slab without copying a row; only the spine of slab pointers
+   is copied, and it doubles, so that copy is amortized O(1) too. *)
+let slab_bits = 11
 let slab_rows = 1 lsl slab_bits
 let slab_mask = slab_rows - 1
 
 type t = {
   stride : int;
-  mutable slabs : Bytes.t array;
+  mutable slabs : Bytes.t array; (* the first [nslabs] are in use *)
   mutable gens : int array array; (* per-slab generation stamps *)
+  mutable nslabs : int;
   mutable free_head : int; (* row index; -1 = empty *)
   mutable next_fresh : int; (* first never-allocated row *)
   mutable live : int;
@@ -47,11 +54,19 @@ type t = {
 
 let create ~stride () =
   if stride < 8 then invalid_arg "Arena.create: stride must be >= 8";
-  { stride; slabs = [||]; gens = [||]; free_head = -1; next_fresh = 0; live = 0 }
+  {
+    stride;
+    slabs = [||];
+    gens = [||];
+    nslabs = 0;
+    free_head = -1;
+    next_fresh = 0;
+    live = 0;
+  }
 
 let stride t = t.stride
 let live t = t.live
-let capacity t = Array.length t.slabs * slab_rows
+let capacity t = t.nslabs * slab_rows
 
 let stale () = invalid_arg "Arena: stale or invalid handle"
 
@@ -63,7 +78,7 @@ let[@inline] idx_of t h =
   let s = idx lsr slab_bits in
   if
     g land 1 = 0
-    || s >= Array.length t.gens
+    || s >= t.nslabs
     || Array.unsafe_get (Array.unsafe_get t.gens s) (idx land slab_mask) <> g
   then stale ();
   idx
@@ -73,7 +88,7 @@ let is_live t h =
   let idx = h land idx_mask in
   let s = idx lsr slab_bits in
   g land 1 = 1
-  && s < Array.length t.gens
+  && s < t.nslabs
   && t.gens.(s).(idx land slab_mask) = g
 
 let index t h = idx_of t h
@@ -82,21 +97,25 @@ let index t h = idx_of t h
    index: odd when live, even when freed or never used. *)
 let handle_at t idx =
   let s = idx lsr slab_bits in
-  if idx < 0 || s >= Array.length t.gens then null
+  if idx < 0 || s >= t.nslabs then null
   else
     let g = Array.unsafe_get (Array.unsafe_get t.gens s) (idx land slab_mask) in
     if g land 1 = 0 then null else (g lsl idx_bits) lor idx
 
 let add_slab t =
-  let n = Array.length t.slabs in
-  let slabs = Array.make (n + 1) Bytes.empty in
-  Array.blit t.slabs 0 slabs 0 n;
-  slabs.(n) <- Bytes.create (slab_rows * t.stride);
-  t.slabs <- slabs;
-  let gens = Array.make (n + 1) [||] in
-  Array.blit t.gens 0 gens 0 n;
-  gens.(n) <- Array.make slab_rows 0;
-  t.gens <- gens
+  let n = t.nslabs in
+  if n = Array.length t.slabs then begin
+    let cap = max 1 (2 * n) in
+    let slabs = Array.make cap Bytes.empty in
+    Array.blit t.slabs 0 slabs 0 n;
+    t.slabs <- slabs;
+    let gens = Array.make cap [||] in
+    Array.blit t.gens 0 gens 0 n;
+    t.gens <- gens
+  end;
+  t.slabs.(n) <- Bytes.create (slab_rows * t.stride);
+  t.gens.(n) <- Array.make slab_rows 0;
+  t.nslabs <- n + 1
 
 let alloc t =
   let idx =
@@ -193,11 +212,12 @@ let set_int t h off v =
    of free-list history). A row is live exactly when its generation is
    odd, so the scan itself is the validation: each row is handed out
    once, with its slab and byte offset, for reads that need no
-   further check. *)
+   further check. Rows from [next_fresh] on were never used, so the
+   scan stops there. *)
 let iter_rows t f =
-  for s = 0 to Array.length t.gens - 1 do
+  for s = 0 to t.nslabs - 1 do
     let gens = t.gens.(s) and slab = t.slabs.(s) in
-    for r = 0 to slab_rows - 1 do
+    for r = 0 to min slab_mask (t.next_fresh - 1 - (s lsl slab_bits)) do
       let g = gens.(r) in
       if g land 1 = 1 then
         f ((g lsl idx_bits) lor ((s lsl slab_bits) lor r)) slab (r * t.stride)

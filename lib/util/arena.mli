@@ -28,8 +28,10 @@ val stride : t -> int
 
 val alloc : t -> handle
 (** Claim a row (zero-filled), reusing the most recently freed row
-    first. O(1) amortized; growth adds a fixed-size slab, never copies
-    row storage. *)
+    first. O(1) amortized; growth adds a 2,048-row slab, never copies
+    row storage. The first row allocates the first slab, so an arena
+    holding a few rows costs one slab of [2048 * stride] bytes and
+    2,048 generation words. *)
 
 val free : t -> handle -> unit
 (** Return a row to the free list. The handle (and any copy of it)

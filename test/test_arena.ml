@@ -173,7 +173,8 @@ let test_arena_index_handle () =
 
 let test_arena_growth_and_iter () =
   let a = Arena.create ~stride:8 () in
-  (* Cross two slab boundaries so growth is exercised. *)
+  (* Cross many slab boundaries so growth, spine doubling included, is
+     exercised. *)
   let n = 70_000 in
   let hs = Array.init n (fun _ -> Arena.alloc a) in
   Array.iteri (fun i h -> Arena.set_int a h 0 i) hs;
@@ -198,6 +199,73 @@ let test_arena_growth_and_iter () =
     (List.for_all2 ( < )
        (List.filteri (fun i _ -> i < List.length seen - 1) seen)
        (List.tl seen))
+
+(* Slabs hold 2,048 rows. Rows on both sides of a boundary keep their
+   own fields and sit in different slabs; the row just past the last
+   slab (three slabs, so the spine of slab pointers has a spare entry
+   there) has no handle, and a handle forged for it (odd generation,
+   index at [capacity]) or for a never-used row raises. *)
+let slab_rows = 2048
+
+let test_arena_slab_boundary () =
+  let a = Arena.create ~stride:24 () in
+  let hs = Array.init ((2 * slab_rows) + 2) (fun _ -> Arena.alloc a) in
+  Array.iteri (fun i h -> Arena.set_int a h 16 (i * 7)) hs;
+  Alcotest.(check int) "three slabs" (3 * slab_rows) (Arena.capacity a);
+  List.iter
+    (fun i ->
+      Alcotest.(check int) (Printf.sprintf "row %d index" i) i
+        (Arena.index a hs.(i));
+      Alcotest.(check int) (Printf.sprintf "row %d field" i) (i * 7)
+        (Arena.get_int a hs.(i) 16))
+    [ 0; slab_rows - 1; slab_rows; (2 * slab_rows) - 1; 2 * slab_rows ];
+  Alcotest.(check bool) "boundary rows in different slabs" true
+    (Arena.slab a (slab_rows - 1) != Arena.slab a slab_rows);
+  Alcotest.(check int) "first row of the second slab at offset 0" 0
+    (Arena.offset a slab_rows);
+  let cap = Arena.capacity a in
+  Alcotest.(check int) "handle_at capacity is null" Arena.null
+    (Arena.handle_at a cap);
+  let forged = (1 lsl 32) lor cap in
+  Alcotest.(check bool) "forged handle past the end is not live" false
+    (Arena.is_live a forged);
+  expect_stale (fun () -> Arena.index a forged);
+  expect_stale (fun () -> Arena.get_int a forged 0);
+  expect_stale (fun () -> Arena.free a forged);
+  let never_used = (1 lsl 32) lor ((2 * slab_rows) + 2) in
+  expect_stale (fun () -> Arena.get_int a never_used 0)
+
+(* [iter_rows] walks rows in ascending index across slabs, whatever the
+   free pattern, and hands out each row's own handle, slab and
+   offset. *)
+let test_arena_iter_across_slabs () =
+  let a = Arena.create ~stride:8 () in
+  let n = (3 * slab_rows) + 5 in
+  let hs = Array.init n (fun _ -> Arena.alloc a) in
+  Array.iteri (fun i h -> if i mod 5 = 1 || i = slab_rows then Arena.free a h) hs;
+  let seen = ref [] in
+  Arena.iter_rows a (fun h b off ->
+      let i = Arena.index a h in
+      if Arena.slab a i != b || Arena.offset a i <> off then
+        Alcotest.failf "row %d: wrong slab or offset" i;
+      seen := i :: !seen);
+  let want =
+    List.filter (fun i -> not (i mod 5 = 1 || i = slab_rows)) (List.init n Fun.id)
+  in
+  Alcotest.(check (list int)) "live rows, ascending" want (List.rev !seen)
+
+(* A small store costs what a small slab costs: 100 live 16-byte rows
+   sit in one 2,048-row slab and its generation array, about 6,150
+   words. A 32k-row slab held ~98,300. *)
+let test_arena_small_size_budget () =
+  let a = Arena.create ~stride:16 () in
+  for _ = 1 to 100 do
+    ignore (Arena.alloc a)
+  done;
+  let words = Obj.reachable_words (Obj.repr a) in
+  Alcotest.(check bool)
+    (Printf.sprintf "100 live rows hold < 8192 heap words (got %d)" words)
+    true (words < 8192)
 
 (* --- arena store vs boxed reference under churn ------------------------ *)
 
@@ -581,4 +649,10 @@ let suite =
       test_nat_port_wraps_cursor;
     Alcotest.test_case "arena: row index and handle conversions" `Quick
       test_arena_index_handle;
+    Alcotest.test_case "arena: rows on both sides of a slab boundary" `Quick
+      test_arena_slab_boundary;
+    Alcotest.test_case "arena: iteration ascends across slabs" `Quick
+      test_arena_iter_across_slabs;
+    Alcotest.test_case "arena: 100 rows cost one small slab" `Quick
+      test_arena_small_size_budget;
   ]

@@ -400,14 +400,14 @@ let test_link_handle_sees_later_profile () =
   let ch = Channel.create engine ~latency:0.001 ~faults:f ~name:"l" () in
   let got = ref [] in
   Channel.set_handler ch (fun m -> got := m :: !got);
-  Channel.send ch 1;
+  Channel.send ch ~size:0 1;
   Faults.set_link f ~name:"l" ~drop:1.0 ();
-  Channel.send ch 2;
+  Channel.send ch ~size:0 2;
   Engine.run engine;
   Alcotest.(check (list int)) "the send after set_link is dropped" [ 1 ] !got;
   Alcotest.(check int) "counted on the channel" 1 (Channel.dropped_count ch);
   Faults.clear_link f ~name:"l";
-  Channel.send ch 3;
+  Channel.send ch ~size:0 3;
   Engine.run engine;
   Alcotest.(check (list int)) "clear_link restores delivery" [ 3; 1 ] !got;
   Alcotest.(check int) "one drop in all" 1 (Faults.dropped_count f)

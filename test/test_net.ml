@@ -350,8 +350,8 @@ let test_channel_latency_and_order () =
   let log = ref [] in
   let ch = Channel.create e ~latency:0.010 ~name:"t" () in
   Channel.set_handler ch (fun v -> log := (Engine.now e, v) :: !log);
-  Channel.send ch 1;
-  Engine.schedule e ~delay:0.001 (fun () -> Channel.send ch 2);
+  Channel.send ch ~size:0 1;
+  Engine.schedule e ~delay:0.001 (fun () -> Channel.send ch ~size:0 2);
   Engine.run e;
   Alcotest.(check (list (pair (float 1e-9) int)))
     "latency + order"

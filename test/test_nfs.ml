@@ -608,6 +608,132 @@ let test_dummy_seed_and_export () =
       | None -> Alcotest.fail "export failed")
     flowids
 
+(* Fixed keys (one reply-direction, one at the edges of every field)
+   and chunk sizes on both sides of the 100-byte template: the exported
+   bytes and the listed flowids must stay those recorded when the dummy
+   kept a boxed store and drew each byte from [Rng]. *)
+let dummy_golden_keys =
+  [
+    Helpers.dummy_key 0;
+    Helpers.dummy_key 1;
+    Helpers.dummy_key 1999;
+    Flow.reverse (Helpers.dummy_key 7);
+    Flow.make ~src:(ip 255 255 255 255) ~dst:(ip 0 0 0 1) ~proto:Flow.Icmp
+      ~sport:65535 ~dport:0 ();
+  ]
+
+let test_dummy_golden_bytes () =
+  let render chunk_bytes =
+    let d = Opennf_nfs.Dummy.create ~chunk_bytes () in
+    let impl = Opennf_nfs.Dummy.impl d in
+    Opennf_nfs.Dummy.seed_flows d dummy_golden_keys;
+    let listed f = List.map Filter.to_string (impl.Nf_api.list_perflow f) in
+    let export k =
+      match impl.Nf_api.export_perflow (Filter.of_key k) with
+      | Some c -> c.Chunk.kind ^ ":" ^ c.Chunk.data
+      | None -> Alcotest.failf "no chunk for %s" (Flow.to_string k)
+    in
+    String.concat "|"
+      ((listed Filter.any
+       @ listed (Filter.of_key (List.nth dummy_golden_keys 3))
+       @ listed (Filter.make ~proto:Flow.Icmp ()))
+      @ List.map export dummy_golden_keys)
+  in
+  Alcotest.(check string) "export and list bytes"
+    "dd998865c311332ddf3c95770e519021"
+    (Digest.to_hex
+       (Digest.string (String.concat "#" (List.map render [ 1; 37; 100; 202; 1000 ]))))
+
+let rand_key_gen =
+  QCheck.Gen.(
+    map
+      (fun ((src, dst), (proto, sport, dport)) ->
+        Flow.make ~src:(Ipaddr.of_int src) ~dst:(Ipaddr.of_int dst)
+          ~proto:[| Flow.Tcp; Flow.Udp; Flow.Icmp |].(proto)
+          ~sport ~dport ())
+      (pair
+         (pair (int_bound 0xFFFF_FFFF) (int_bound 0xFFFF_FFFF))
+         (triple (int_bound 2) (int_bound 0xFFFF) (int_bound 0xFFFF))))
+
+(* The one-loop generator against the seed's one [Rng.int] per byte
+   ({!Oracle.Dummy_chunk}), over random keys and chunk sizes. *)
+let dummy_chunk_equiv =
+  QCheck.Test.make ~name:"dummy: chunk bytes == per-byte Rng oracle (random)"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (k, n) -> Printf.sprintf "%s, %d bytes" (Flow.to_string k) n)
+       QCheck.Gen.(pair rand_key_gen (int_bound 600)))
+    (fun (key, chunk_bytes) ->
+      let d = Opennf_nfs.Dummy.create ~chunk_bytes () in
+      Opennf_nfs.Dummy.seed_flows d [ key ];
+      match (Opennf_nfs.Dummy.impl d).Nf_api.export_perflow (Filter.of_key key) with
+      | Some c -> c.Chunk.data = Oracle.Dummy_chunk.chunk ~chunk_bytes key
+      | None -> QCheck.Test.fail_report "seeded flow not exported")
+
+(* A small universe of hosts and ports, used in both directions, so
+   processed, imported and deleted flows collide and reverse keys meet
+   their canonical rows. *)
+let dummy_key_of a b =
+  let k =
+    Flow.make
+      ~src:(ip 10 0 (a land 3) (b land 7))
+      ~dst:(ip 10 0 (b land 3) (a land 7))
+      ~proto:(if a land 1 = 0 then Flow.Tcp else Flow.Udp)
+      ~sport:(1000 + (a land 3))
+      ~dport:(1000 + (b land 3))
+      ()
+  in
+  if (a + b) land 4 = 0 then k else Flow.reverse k
+
+let dummy_filter_of c a b =
+  match c mod 7 with
+  | 0 -> Filter.any
+  | 1 -> Filter.of_src_host (ip 10 0 (a land 3) (b land 7))
+  | 2 -> Filter.of_dst_host (ip 10 0 (b land 3) (a land 7))
+  | 3 -> Filter.of_src_prefix (Ipaddr.Prefix.make (ip 10 0 (a land 3) 0) 24)
+  | 4 -> Filter.make ~proto:(if b land 1 = 0 then Flow.Tcp else Flow.Udp) ()
+  | 5 -> Filter.make ~dst_port:(1000 + (b land 3)) ()
+  | _ -> Filter.of_key (dummy_key_of a b)
+
+(* The dummy's listing against the boxed store it used to keep, under
+   random processing, imports and deletes: same flowids, same order,
+   same count. *)
+let dummy_list_equiv =
+  QCheck.Test.make ~name:"dummy: list order == boxed store (random)" ~count:200
+    QCheck.(
+      list_of_size (Gen.int_range 1 100) (triple small_nat small_nat small_nat))
+    (fun ops ->
+      let d = Opennf_nfs.Dummy.create () in
+      let impl = Opennf_nfs.Dummy.impl d in
+      let model = Store.Perflow.create () in
+      List.for_all
+        (fun (c, a, b) ->
+          let k = dummy_key_of a b in
+          (match c mod 4 with
+          | 0 ->
+            impl.Nf_api.process_packet (mk_packet k);
+            Store.Perflow.set model k ()
+          | 1 ->
+            impl.Nf_api.import_perflow (Filter.of_key k) (Chunk.v ~kind:"dummy" "");
+            Store.Perflow.set model k ()
+          | 2 ->
+            impl.Nf_api.delete_perflow (Filter.of_key k);
+            Store.Perflow.remove model k
+          | _ -> ());
+          let f = dummy_filter_of c b a in
+          let got = List.map Filter.to_string (impl.Nf_api.list_perflow f) in
+          let want =
+            List.map
+              (fun (k, ()) -> Filter.to_string (Filter.of_key k))
+              (Store.Perflow.matching model f)
+          in
+          if got <> want then
+            QCheck.Test.fail_reportf "list %s: got [%s], want [%s]"
+              (Filter.to_string f) (String.concat "; " got)
+              (String.concat "; " want);
+          Opennf_nfs.Dummy.flow_count d = Store.Perflow.size model)
+        ops)
+
 let suite =
   [
     Alcotest.test_case "ids: scan detection" `Quick test_ids_scan_detection;
@@ -658,4 +784,8 @@ let suite =
     Alcotest.test_case "re: desync on reorder" `Quick test_re_desync_on_reorder;
     Alcotest.test_case "re: store transfer heals" `Quick test_re_store_transfer_heals;
     Alcotest.test_case "dummy: seed & export" `Quick test_dummy_seed_and_export;
+    Alcotest.test_case "dummy: export bytes are golden" `Quick
+      test_dummy_golden_bytes;
+    QCheck_alcotest.to_alcotest dummy_chunk_equiv;
+    QCheck_alcotest.to_alcotest dummy_list_equiv;
   ]
